@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -83,7 +84,14 @@ def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
             )
 
 
-def _write_manifest(path: str, command: str, config: dict, outputs: list[str], t0: float) -> None:
+def _write_manifest(
+    path: str,
+    command: str,
+    config: dict,
+    outputs: list[str],
+    t0: float,
+    history: list | None = None,
+) -> None:
     for out in outputs:
         if not os.path.exists(out):
             raise FileNotFoundError(f"declared output {out} was not written")
@@ -94,6 +102,8 @@ def _write_manifest(path: str, command: str, config: dict, outputs: list[str], t
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
+    if history is not None:
+        payload["history"] = [asdict(r) for r in history]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -169,7 +179,7 @@ def cmd_solve(args) -> int:
         meta,
     )
     manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "solve", snapshot, [out_path], t0)
+    _write_manifest(manifest, "solve", snapshot, [out_path], t0, res.history)
     print(
         f"converged in {res.iterations} iterations, residual {res.residual:.3e}, "
         f"wrote {out_path}"
@@ -232,7 +242,7 @@ def cmd_figure2(args) -> int:
         dict(snapshot, iterations=res.iterations, residual=res.residual),
     )
     manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "figure2", snapshot, [out_path], t0)
+    _write_manifest(manifest, "figure2", snapshot, [out_path], t0, res.history)
     print(f"wrote {out_path} ({len(rows)} rows over four windows)")
     return EXIT_OK
 
@@ -262,7 +272,7 @@ def cmd_gab(args) -> int:
         snapshot,
     )
     manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "gab", snapshot, [out_path], t0)
+    _write_manifest(manifest, "gab", snapshot, [out_path], t0, res.history)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -274,7 +284,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=None, help="grid size (default 2000)")
     p.add_argument("--tol", type=float, default=None, help="norm tolerance (default 1e-8)")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
+    p.add_argument("--damping", type=float, default=None,
+                   help="mixing factor beta in (0, 1] (default 1)")
     p.add_argument("--exploratory", action="store_true",
                    help="bypass the coupling range guard (diagnostic only)")
     p.add_argument("--out", type=str, default=None)

@@ -3,10 +3,14 @@
 All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
 per interval on the smooth integrands this package produces.  Stencil
 weights are solved from scaled Vandermonde systems once per grid and
-cached by the callers.
+kept in a small cache keyed by the node positions, so every caller on
+the same grid shares them.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -46,16 +50,39 @@ def _scaled_stencils(x: np.ndarray, starts: np.ndarray):
     return idx, u, centre.ravel(), scale.ravel()
 
 
+_WEIGHT_CACHE_SIZE = 16
+_weight_cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_weight_lock = threading.Lock()
+
+
 def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval cubic interpolatory weights.
 
     Returns ``(idx, w)`` with shape (n-1, 4) each: the integral over
     interval i of the cubic through nodes ``idx[i]`` is ``w[i] @ y[idx[i]]``.
+    The arrays are read-only and shared by every caller on the same grid.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4:
+    if x.size < 4:
         raise ValueError("need at least 4 nodes for cubic quadrature")
+    key = x.tobytes()
+    with _weight_lock:
+        hit = _weight_cache.get(key)
+        if hit is not None:
+            _weight_cache.move_to_end(key)
+            return hit
+    idx, w = _solve_interval_weights(x)
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    with _weight_lock:
+        _weight_cache[key] = (idx, w)
+        if len(_weight_cache) > _WEIGHT_CACHE_SIZE:
+            _weight_cache.popitem(last=False)
+    return idx, w
+
+
+def _solve_interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = x.size
     starts = _stencil_starts(n)
     idx, u, centre, scale = _scaled_stencils(x, starts)
     a = (x[:-1] - centre) / scale

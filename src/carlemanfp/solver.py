@@ -1,18 +1,23 @@
-"""Fixed-point iteration for the boundary function, with damping and
-envelope monitoring.
+"""Fixed-point iteration for the boundary function: Anderson mixing with a
+damped Picard safeguard and envelope monitoring.
 
-The iteration is plain Picard by default: f <- (1-w) f + w T f starting
-from the steep-envelope member -(1-|lam|) log(1+b), stopping when the
-norm distance between successive iterates falls below tolerance.  The
-norm-continuity constant of the map exceeds 1, so contraction is not
-guaranteed a priori; the damping factor is halved automatically if the
-step size grows for three consecutive iterations.
+The iteration starts from the steep-envelope member -(1-|lam|) log(1+b)
+and stops when the norm distance between an iterate and its image falls
+below tolerance.  The norm-continuity constant of the map exceeds 1, so
+contraction is not guaranteed a priori and plain Picard iteration can be
+slow; each new iterate is therefore an Anderson mix (type II, Walker & Ni,
+SIAM J. Numer. Anal. 49 (2011) 1715) of the last few iterates and their
+images, chosen to minimise the scaled-derivative residual.  A mix that
+leaves the envelope band, or a residual that grows, clears the mixing
+history and falls back to the damped Picard step f <- (1-w) f + w T f,
+whose factor is halved if the residual grows three times in a row.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +34,8 @@ from .grids import (
 )
 from .operators import TOperator, lb_distance
 from .quadrature import cumulative_integral
+
+ANDERSON_DEPTH = 5  # earlier pairs mixed into each step
 
 
 class NonConvergenceError(RuntimeError):
@@ -78,10 +85,16 @@ class SolverConfig:
 
 @dataclass
 class IterationReport:
+    """One iteration: ``residual`` is the LB distance from the iterate to its
+    image, ``lb_distance`` the LB length of the step taken, and
+    ``mixing_depth`` the number of earlier pairs mixed in (0 for a Picard
+    step)."""
+
     iteration: int
     lb_distance: float
     envelope_min_margin: float
     residual: float
+    mixing_depth: int = 0
 
 
 @dataclass
@@ -103,20 +116,89 @@ def initial_guess(coupling: Coupling, nodes: np.ndarray) -> GridFunction:
     return log_envelope_function(nodes, -(1.0 - coupling.abs_lambda))
 
 
-def _blend(f: GridFunction, g: GridFunction, w: float) -> GridFunction:
-    out = GridFunction(
-        f.nodes,
-        (1.0 - w) * f.values + w * g.values,
-        (1.0 - w) * f.derivs + w * g.derivs,
+class AndersonMixer:
+    """Type-II Anderson mixing over the last ANDERSON_DEPTH + 1 fixed-point
+    pairs.
+
+    Each pair holds an iterate x, its image g = T x (both tuples of arrays
+    mixed with the same coefficients) and a residual vector r measuring
+    g - x.  ``step`` minimises the 2-norm of the mixed residual over the
+    residual differences and returns the mix of iterates and images with
+    factor ``beta``; with a single pair it is the damped Picard step
+    (1 - beta) x + beta g.
+    """
+
+    def __init__(self):
+        self._pairs: deque = deque(maxlen=ANDERSON_DEPTH + 1)
+
+    def push(self, x: tuple, g: tuple, r: np.ndarray) -> None:
+        self._pairs.append((x, g, np.asarray(r, dtype=float)))
+
+    def restart(self) -> None:
+        """Drop every pair but the newest, so the next step is Picard."""
+        while len(self._pairs) > 1:
+            self._pairs.popleft()
+
+    def step(self, beta: float) -> tuple[tuple, int]:
+        """Next iterate and the mixing depth it used."""
+        x, g, r = self._pairs[-1]
+        depth = len(self._pairs) - 1
+        if depth:
+            older = list(self._pairs)
+            d_r = np.column_stack(
+                [b[2] - a[2] for a, b in zip(older[:-1], older[1:])]
+            )
+            gamma = np.linalg.lstsq(d_r, r, rcond=None)[0]
+            x = _minus_differences(x, [p[0] for p in older], gamma)
+            g = _minus_differences(g, [p[1] for p in older], gamma)
+        return tuple((1.0 - beta) * xc + beta * gc for xc, gc in zip(x, g)), depth
+
+
+def _minus_differences(newest: tuple, states: list, gamma: np.ndarray) -> tuple:
+    """newest - sum_j gamma_j (states[j+1] - states[j]), per component."""
+    out = [np.array(c, dtype=float) for c in newest]
+    for j, gj in enumerate(gamma):
+        for c, hi, lo in zip(out, states[j + 1], states[j]):
+            c -= gj * (hi - lo)
+    return tuple(out)
+
+
+def _next_iterate(
+    mixer: AndersonMixer,
+    f: GridFunction,
+    tf: GridFunction,
+    coupling: Coupling,
+    beta: float,
+    slack: float | None,
+    restart: bool,
+) -> tuple[GridFunction, int]:
+    """Safeguarded Anderson step from f, whose image is tf.
+
+    ``restart`` (the residual grew) or a mix leaving the envelope band by
+    more than ``slack`` (None: no band check) clears the history and
+    takes the damped Picard step instead.
+    """
+    mixer.push(
+        (f.values, f.derivs), (tf.values, tf.derivs),
+        tf.scaled_derivs() - f.scaled_derivs(),
     )
-    return out.with_fitted_tail()
+    if restart:
+        mixer.restart()
+    (values, derivs), depth = mixer.step(beta)
+    new = GridFunction(f.nodes, values, derivs).with_fitted_tail()
+    if depth and slack is not None and not new.in_envelope(coupling, slack):
+        mixer.restart()
+        (values, derivs), depth = mixer.step(beta)
+        new = GridFunction(f.nodes, values, derivs).with_fitted_tail()
+    return new, depth
 
 
 def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
-    """Iterate f <- (1-w) f + w T f until the norm step drops below tolerance.
+    """Safeguarded Anderson iteration until ||T f - f||_LB drops below
+    tolerance; returns the last image T f.
 
     Raises NonConvergenceError at the iteration cap and, when envelope
-    enforcement is on, EnvelopeEscapeError if an iterate's scaled
+    enforcement is on, EnvelopeEscapeError if an image's scaled
     derivative leaves the admissible band by more than the slack.
     """
     coupling = cfg.coupling
@@ -130,9 +212,11 @@ def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
     op = TOperator(coupling, quad, nodes)
     f = initial_guess(coupling, nodes)
     history: list[IterationReport] = []
+    mixer = AndersonMixer()
+    slack = cfg.envelope_slack if enforce_envelope else None
     omega = cfg.damping
     grew = 0
-    prev_dist = math.inf
+    prev_residual = math.inf
     for it in range(1, cfg.max_iters + 1):
         out = op.apply(f, require_positive=enforce_envelope)
         tf = out.grid
@@ -142,27 +226,30 @@ def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
             node = tf.nodes[int(np.argmin(np.minimum(lower, upper)))]
             raise EnvelopeEscapeError(it, float(node), margin)
         residual = lb_distance(tf, f)
-        new = tf if omega == 1.0 else _blend(f, tf, omega)
-        dist = residual if omega == 1.0 else lb_distance(new, f)
-        history.append(IterationReport(it, dist, margin, residual))
-        f = new
-        if dist < cfg.tol_lb:
+        if residual < cfg.tol_lb:
+            history.append(IterationReport(it, residual, margin, residual))
             return SolveResult(
-                grid_function=f,
+                grid_function=tf,
                 history=history,
                 converged=True,
                 residual=residual,
-                tail_exponent=f.fitted_tail_exponent(),
-                slow_tail=f.has_slow_tail(),
+                tail_exponent=tf.fitted_tail_exponent(),
+                slow_tail=tf.has_slow_tail(),
             )
-        if dist > prev_dist:
+        grown = residual > prev_residual
+        new, depth = _next_iterate(mixer, f, tf, coupling, omega, slack, grown)
+        history.append(
+            IterationReport(it, lb_distance(new, f), margin, residual, depth)
+        )
+        if grown:
             grew += 1
             if grew >= 3 and omega > 0.0625:
                 omega *= 0.5
                 grew = 0
         else:
             grew = 0
-        prev_dist = dist
+        prev_residual = residual
+        f = new
     raise NonConvergenceError(cfg.max_iters, history[-1].lb_distance, history)
 
 

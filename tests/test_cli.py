@@ -42,6 +42,13 @@ class TestSolve:
         assert meta["command"] == "solve"
         assert meta["outputs"] == [str(csv)]
         assert meta["config"]["nodes"] == 400
+        history = meta["history"]
+        assert [h["iteration"] for h in history] == list(range(1, len(history) + 1))
+        assert set(history[0]) == {
+            "iteration", "lb_distance", "residual", "envelope_min_margin", "mixing_depth",
+        }
+        assert history[0]["mixing_depth"] == 0
+        assert history[-1]["residual"] < 1e-8
 
     def test_csv_shape_and_envelopes(self, solved_dir):
         lines = (solved_dir / "sol.csv").read_text().splitlines()
@@ -88,16 +95,19 @@ class TestSolve:
         assert code == 2
 
     def test_deterministic_output(self, tmp_path):
-        args = [
-            "solve",
-            "--lambda=0",
-            "--cutoff=1e4",
-            "--nodes=200",
-            "--out",
-        ]
-        assert main(args + [str(tmp_path / "a.csv")]) == 0
-        assert main(args + [str(tmp_path / "b.csv")]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # lambda = 0 skips the operator; -0.05 runs it and the mixing step
+        for lam in ("0", "-0.05"):
+            args = [
+                "solve",
+                f"--lambda={lam}",
+                "--cutoff=1e4",
+                "--nodes=200",
+                "--out",
+            ]
+            a, b = tmp_path / f"a{lam}.csv", tmp_path / f"b{lam}.csv"
+            assert main(args + [str(a)]) == 0
+            assert main(args + [str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_precedence(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

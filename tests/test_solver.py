@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from carlemanfp.coupling import Coupling
-from carlemanfp.grids import QuadratureConfig, make_nodes
+from carlemanfp.grids import QuadratureConfig, log_envelope_function, make_nodes
 from carlemanfp.operators import t_op
 from carlemanfp.solver import (
+    ANDERSON_DEPTH,
+    AndersonMixer,
     SolverConfig,
+    _next_iterate,
     consistency_residual,
     envelope_curves,
     initial_guess,
@@ -64,10 +67,105 @@ class TestSolve:
         _, res = small_solution
         assert all(r.envelope_min_margin >= -1e-6 for r in res.history)
 
+    def test_mixing_depth_recorded(self, small_solution):
+        _, res = small_solution
+        depths = [r.mixing_depth for r in res.history]
+        assert depths[0] == 0  # one pair only: a Picard step
+        assert max(depths) == ANDERSON_DEPTH
+        assert all(0 <= d <= ANDERSON_DEPTH for d in depths)
+
     def test_range_guard(self):
         cfg = SolverConfig(coupling=Coupling(-0.2, exploratory=True), n_nodes=300)
         with pytest.raises(ValueError):
             solve(cfg)  # envelope enforcement demands the stability range
+
+
+class TestAndersonMixer:
+    @pytest.mark.parametrize("m", [2, ANDERSON_DEPTH])
+    def test_affine_contraction_terminates(self, m):
+        # With depth >= m, type-II mixing on x -> Ax + c is GMRES on
+        # (I - A) x = c, exact after m steps in exact arithmetic.
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        a *= 0.5 / np.linalg.norm(a, 2)
+        c = rng.standard_normal(m)
+        exact = np.linalg.solve(np.eye(m) - a, c)
+        mixer = AndersonMixer()
+        x = np.zeros(m)
+        for applications in range(1, m + 3):
+            g = a @ x + c
+            if np.max(np.abs(x - exact)) <= 1e-12:
+                break
+            mixer.push((x,), (g,), g - x)
+            (x,), _ = mixer.step(1.0)
+        assert np.max(np.abs(x - exact)) <= 1e-12
+        assert applications <= m + 2
+
+    @staticmethod
+    def _pair(nodes, x_slope, g_slope):
+        return (
+            log_envelope_function(nodes, x_slope),
+            log_envelope_function(nodes, g_slope),
+        )
+
+    def test_mix_outside_envelope_falls_back_to_picard(self, fig_coupling):
+        # band for (1+x) f': [-(1-|lam|), -(1-lambda_r)] = [-0.841, -0.766];
+        # a slowly shrinking residual makes the secant extrapolate to -0.68
+        nodes = make_nodes(64, 1e4)
+        first = self._pair(nodes, -0.84, -0.80)
+        second = self._pair(nodes, -0.80, -0.77)
+        unguarded = AndersonMixer()
+        _next_iterate(unguarded, *first, fig_coupling, 1.0, None, False)
+        mixed, depth = _next_iterate(unguarded, *second, fig_coupling, 1.0, None, False)
+        assert depth == 1
+        assert np.allclose(mixed.scaled_derivs(), -0.68)
+
+        mixer = AndersonMixer()
+        _next_iterate(mixer, *first, fig_coupling, 1.0, 1e-6, False)
+        new, depth = _next_iterate(mixer, *second, fig_coupling, 1.0, 1e-6, False)
+        assert depth == 0
+        assert np.array_equal(new.values, second[1].values)
+        assert np.array_equal(new.derivs, second[1].derivs)
+        # the history was cleared down to the newest pair
+        _, depth = _next_iterate(
+            mixer, *self._pair(nodes, -0.77, -0.775), fig_coupling, 1.0, 1e-6, False
+        )
+        assert depth == 1
+
+    def test_growing_residual_falls_back_to_damped_picard(self, fig_coupling):
+        nodes = make_nodes(64, 1e4)
+        mixer = AndersonMixer()
+        _next_iterate(mixer, *self._pair(nodes, -0.84, -0.80), fig_coupling, 0.5, 1e-6, False)
+        f, tf = self._pair(nodes, -0.80, -0.79)
+        new, depth = _next_iterate(mixer, f, tf, fig_coupling, 0.5, 1e-6, True)
+        assert depth == 0
+        assert np.allclose(new.scaled_derivs(), -0.795, rtol=0, atol=1e-15)
+        _, depth = _next_iterate(
+            mixer, *self._pair(nodes, -0.795, -0.79), fig_coupling, 0.5, 1e-6, False
+        )
+        assert depth == 1
+
+
+class TestExactTailLaw:
+    """The fitted tail exponent against the exact law -(1 - arcsin(|lam| pi)/pi)
+    of the model's later exact solution (Grosse-Hock-Wulkenhaar,
+    arXiv:1908.04543), an oracle independent of this code.  Budget 1e-6:
+    at 2000 nodes and cutoffs 1e6 and 1e8 the deviation stayed below
+    6.1e-7 over five couplings in [-1/6, -0.02]."""
+
+    @staticmethod
+    def _deviation(lam, res):
+        law = -(1.0 - math.asin(abs(lam) * math.pi) / math.pi)
+        return abs(res.tail_exponent - law)
+
+    def test_reference_coupling(self, production_solution):
+        cfg, res = production_solution
+        assert self._deviation(cfg.coupling.lam, res) <= 1e-6
+
+    def test_range_edge(self):
+        lam = -1.0 / 6.0
+        cfg = SolverConfig(coupling=Coupling(lam), lambda2=1e6, n_nodes=2000, tol_lb=1e-8)
+        assert self._deviation(lam, solve(cfg)) <= 1e-6
 
 
 class TestConsistency:
