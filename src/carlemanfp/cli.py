@@ -20,8 +20,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .coupling import Coupling, THEOREM_LAMBDA_MIN
+from .coupling import Coupling, THEOREM_LAMBDA_MIN, lambda_in_theorem_range
 from .gab import TwoPointReconstruction
+from .grids import POWER_LAW_EXTEND
 from .hilbert import QuadratureError
 from .operators import PoleRegionError
 from .report import write_reports_json
@@ -110,7 +111,7 @@ def _write_manifest(
 
 
 def _coupling_or_exit(lam: float, exploratory: bool) -> Coupling:
-    if not exploratory and not (THEOREM_LAMBDA_MIN - 1e-15 <= lam <= 0.0):
+    if not exploratory and not lambda_in_theorem_range(lam):
         print(
             f"coupling {lam} outside [{THEOREM_LAMBDA_MIN:.6f}, 0]; "
             "pass --exploratory for diagnostic runs",
@@ -143,7 +144,7 @@ def _run_solve_config(args, default_lam: float | None = None) -> tuple[SolverCon
         "damping": cfg.damping,
         "tol": cfg.tol_lb,
         "max_iters": cfg.max_iters,
-        "tail_mode": cfg.tail_mode,
+        "tail_mode": POWER_LAW_EXTEND,
         "exploratory": exploratory,
     }
     return cfg, exploratory, snapshot

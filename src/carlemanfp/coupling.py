@@ -17,6 +17,11 @@ THEOREM_LAMBDA_MIN = -1.0 / 6.0
 EXPLORATORY_LAMBDA_MIN = -0.499
 
 
+def lambda_in_theorem_range(lam: float) -> bool:
+    """The stability range [-1/6, 0], with 1e-15 of room for rounding."""
+    return THEOREM_LAMBDA_MIN - 1e-15 <= lam <= 0.0
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Coupling ``lam`` in ``[-1/6, 0]`` with cached ``lambda_r``.
@@ -39,7 +44,7 @@ class Coupling:
                 raise ValueError(
                     f"exploratory coupling must be > {EXPLORATORY_LAMBDA_MIN}, got {lam}"
                 )
-        elif lam < THEOREM_LAMBDA_MIN - 1e-15:
+        elif not lambda_in_theorem_range(lam):
             raise ValueError(
                 f"coupling {lam} outside [{THEOREM_LAMBDA_MIN}, 0]; "
                 "construct with exploratory=True to bypass the range guard"
@@ -55,7 +60,7 @@ class Coupling:
 
     @property
     def in_theorem_range(self) -> bool:
-        return THEOREM_LAMBDA_MIN - 1e-15 <= self.lam <= 0.0
+        return lambda_in_theorem_range(self.lam)
 
     def lower_envelope_exponent(self) -> float:
         """Exponent ``-(1 - |lambda|)`` of the steep envelope edge."""

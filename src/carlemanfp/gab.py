@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from .grids import GridFunction, HARD_CUTOFF, QuadratureConfig
 from .hilbert import HilbertOfExp, SampledPVTransform
 
 _BRANCH_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoPointEval:
-    a: float
-    b: float
-    tau: float
-    g_ab: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.tau <= math.pi):
-            raise ValueError("angle must lie in [0, pi]")
-        if not self.g_ab > 0.0:
-            raise ValueError("two-point values must be positive")
 
 
 def _branch_arctan(num, den):
@@ -63,7 +48,6 @@ class TwoPointReconstruction:
         self.cfg = QuadratureConfig(
             n_nodes=base.n_nodes,
             lambda2=f.nodes[-1],
-            pv_window=base.pv_window,
             tail_mode=HARD_CUTOFF,
             edge_refine_levels=base.edge_refine_levels,
         )
@@ -77,7 +61,8 @@ class TwoPointReconstruction:
         r[1:-1] = np.exp(-f.values[1:-1]) - al * math.pi * inner * quot
         r[-1] = math.inf  # truncated transform diverges at the cutoff edge
         self._r_nodes = r
-        self._h0_tau0 = SampledPVTransform(f.nodes, self.tau_values(0.0)).at_zero()
+        self._angle = SampledPVTransform(f.nodes)
+        self._h0_tau0 = self._angle.at_zero(self.tau_values(0.0))
 
     # -- angle ---------------------------------------------------------
 
@@ -100,42 +85,36 @@ class TwoPointReconstruction:
 
     # -- two-point values ------------------------------------------------
 
-    def g(self, a: float, b: float) -> TwoPointEval:
+    def g(self, a: float, b: float) -> float:
+        """G(a, b); ValueError if the angle leaves [0, pi] or G <= 0."""
         al = self.coupling.abs_lambda
         tau = self.tau_at(a, b)
-        transform = SampledPVTransform(self.f.nodes, self.tau_values(b))
-        h_tau = transform.at(float(a))
+        if not (0.0 <= tau <= math.pi):
+            raise ValueError("angle must lie in [0, pi]")
+        h_tau = self._angle.at(self.tau_values(b), float(a))
         g_val = math.exp(-(h_tau - self._h0_tau0)) * math.sin(tau) / (al * math.pi * a)
-        return TwoPointEval(a=float(a), b=float(b), tau=tau, g_ab=g_val)
+        if not g_val > 0.0:
+            raise ValueError("two-point values must be positive")
+        return g_val
 
     def _r_at(self, a_values: np.ndarray) -> np.ndarray:
         al = self.coupling.abs_lambda
         quot = self._hilbert.quotient(a_values)
         return np.exp(-self.f.at(a_values)) - al * math.pi * a_values * quot
 
-    def g_row(self, a_values, b: float) -> np.ndarray:
-        """Vectorised over a at fixed b."""
-        al = self.coupling.abs_lambda
-        a_values = np.asarray(a_values, dtype=float)
-        r = self._r_at(a_values)
-        tau = _branch_arctan(al * math.pi * a_values, b + r)
-        transform = SampledPVTransform(self.f.nodes, self.tau_values(b))
-        h_tau = transform.at(a_values)
-        return np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a_values)
-
     def boundary_limit(self, b: float, a0: float = 1e-4) -> float:
         """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4}."""
-        g1 = self.g(a0, b).g_ab
-        g2 = self.g(a0 / 2.0, b).g_ab
-        g3 = self.g(a0 / 4.0, b).g_ab
+        g1 = self.g(a0, b)
+        g2 = self.g(a0 / 2.0, b)
+        g3 = self.g(a0 / 4.0, b)
         e1 = 2.0 * g2 - g1
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0
 
     def symmetry_defect(self, a: float, b: float) -> float:
         """Relative asymmetry |G(a,b) - G(b,a)| / G(a,b); reported, not asserted."""
-        gab = self.g(a, b).g_ab
-        gba = self.g(b, a).g_ab
+        gab = self.g(a, b)
+        gba = self.g(b, a)
         return abs(gab - gba) / gab
 
     def boundary_consistency(self, b_values=None) -> float:
@@ -178,8 +157,7 @@ class TwoPointReconstruction:
         taumat = np.empty_like(gmat)
         for j, b in enumerate(b_grid):
             tau = _branch_arctan(al * math.pi * a_grid, b + r_a)
-            transform = SampledPVTransform(self.f.nodes, self.tau_values(float(b)))
-            h_tau = transform.at(a_grid)
+            h_tau = self._angle.at(self.tau_values(float(b)), a_grid)
             taumat[:, j] = tau
             gmat[:, j] = (
                 np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a_grid)
@@ -193,28 +171,3 @@ class TwoPointReconstruction:
             for j, b in enumerate(b_grid):
                 rows.append([a, b, taumat[i, j], gmat[i, j], defect[i, j]])
         return np.asarray(rows)
-
-
-def tau_b(
-    a,
-    b: float,
-    f: GridFunction,
-    coupling: Coupling,
-    cfg: QuadratureConfig | None = None,
-):
-    """[0, pi]-branch angle at (a, b) for a solved boundary function."""
-    rec = TwoPointReconstruction(f, coupling, cfg)
-    if np.ndim(a) == 0:
-        return rec.tau_at(float(a), b)
-    return np.array([rec.tau_at(float(ai), b) for ai in np.asarray(a)])
-
-
-def g_ab(
-    a: float,
-    b: float,
-    f: GridFunction,
-    coupling: Coupling,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Two-point value at (a, b) from the boundary solution."""
-    return TwoPointReconstruction(f, coupling, cfg).g(a, b).g_ab

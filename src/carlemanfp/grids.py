@@ -30,7 +30,6 @@ class QuadratureConfig:
 
     n_nodes: int = 2000
     lambda2: float = 1e6
-    pv_window: float = 0.5
     tail_mode: TailMode = POWER_LAW_EXTEND
     tail_decades: float = 5.0       # extension beyond the cutoff (power-law mode)
     tail_nodes_per_decade: int = 64
@@ -41,8 +40,6 @@ class QuadratureConfig:
             raise ValueError("n_nodes must be >= 64")
         if self.lambda2 <= 0.0:
             raise ValueError("cutoff must be positive")
-        if self.pv_window <= 0.0:
-            raise ValueError("pv_window must be positive")
         if self.tail_mode not in (POWER_LAW_EXTEND, HARD_CUTOFF):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 

@@ -5,24 +5,24 @@ int (s(x) - s(a))/(x-a) dx + s(a) log((X-a)/a) on [0, X], leaving a C^1
 integrand that a per-interval Gauss rule integrates to high order.  In
 power-law mode the grid is continued for several decades beyond the
 cutoff and the remaining exact power-law tail is integrated in closed
-form, so the transform is the untruncated one.
+form, so the transform is the untruncated one.  Both transforms below,
+of exp(f) and of an arbitrary sampled function, share one quadrature
+kernel (``_pv``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
     GridFunction,
-    HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
     hermite_eval,
 )
-from .quadrature import fd_derivatives, panel_points
+from .quadrature import fd_derivative_coeffs, panel_points
 from .specfun import hyp2f1_1mu
 
 _CHUNK = 128
@@ -100,6 +100,37 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     return g, None, None
 
 
+def _pv(sub_x, sub_w, sub_s, x_end: float, a: np.ndarray, s_a: np.ndarray):
+    """(1/pi) PV int_0^{x_end} s(x)/(x-a) dx via global subtraction.
+
+    ``sub_x``, ``sub_w`` are the panel points and weights of the grid,
+    ``sub_s`` the samples of s there and ``s_a`` its values at ``a``.
+    """
+    out = np.empty_like(a)
+    for lo in range(0, a.size, _CHUNK):
+        blk = slice(lo, min(lo + _CHUNK, a.size))
+        diff = sub_x[None, :] - a[blk, None]
+        out[blk] = ((sub_s[None, :] - s_a[blk, None]) / diff) @ sub_w
+    out += s_a * np.log((x_end - a) / a)
+    return out / math.pi
+
+
+def _points_inside(a, hi: float, message: str):
+    """a as a 1-d float array, and whether it was a scalar; raises
+    ValueError(message) unless every point lies strictly inside (0, hi)."""
+    scalar = np.ndim(a) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if np.any(a <= 0.0) or np.any(a >= hi):
+        raise ValueError(message)
+    return a, scalar
+
+
+def _finite(out: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(out)):
+        raise QuadratureError("transform produced non-finite values")
+    return out
+
+
 class HilbertOfExp:
     """PV transform of exp(f) for a sampled f, evaluated at many points.
 
@@ -110,63 +141,29 @@ class HilbertOfExp:
 
     def __init__(self, f: GridFunction, cfg: QuadratureConfig):
         f.validate()
-        self.cfg = cfg
         self.lambda2 = float(f.nodes[-1])
-        self.base = f
         self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, cfg)
         self.x_end = float(self.ext.nodes[-1])
         self.sub_x, self.sub_w = panel_points(self.ext.nodes)
         self.sub_g = np.exp(
             hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, self.sub_x)
         )
-        self.slow_tail = (
-            cfg.tail_mode == POWER_LAW_EXTEND and self.ext.fitted_tail_exponent() > -0.5
-        )
 
-    # -- core -----------------------------------------------------------
-
-    def _pv(self, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
-        """(1/pi) PV int_0^{x_end} exp(f)/(x-a) dx via global subtraction."""
-        out = np.empty_like(a)
-        for lo in range(0, a.size, _CHUNK):
-            blk = slice(lo, min(lo + _CHUNK, a.size))
-            diff = self.sub_x[None, :] - a[blk, None]
-            acc = ((self.sub_g[None, :] - s_a[blk, None]) / diff) @ self.sub_w
-            out[blk] = acc
-        out += s_a * np.log((self.x_end - a) / a)
-        return out / math.pi
-
-    def raw(self, a, allow_extension: bool = False):
-        """H_a[exp(f)] itself (not the quotient)."""
-        a, scalar = np.asarray(a, dtype=float), np.ndim(a) == 0
-        a = np.atleast_1d(a).astype(float)
+    def quotient(self, a, allow_extension: bool = False):
+        """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff), or in
+        (0, end of the working grid) with ``allow_extension``."""
         hi = self.x_end if allow_extension else self.lambda2
-        if np.any(a <= 0.0) or np.any(a >= hi):
-            raise ValueError(
-                f"evaluation points must lie strictly inside (0, {hi:g})"
-            )
+        a, scalar = _points_inside(
+            a, hi, f"evaluation points must lie strictly inside (0, {hi:g})"
+        )
         s_a = np.exp(
             hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
         )
-        h = self._pv(a, s_a)
+        h = _pv(self.sub_x, self.sub_w, self.sub_g, self.x_end, a, s_a)
         if self.tail_coeff is not None:
             h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)
-        if not np.all(np.isfinite(h)):
-            raise QuadratureError("transform produced non-finite values")
-        if scalar:
-            return float(h[0])
-        return h
-
-    def quotient(self, a, allow_extension: bool = False):
-        a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-        s_a = np.exp(
-            hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a_arr)
-        )
-        h = self.raw(a_arr, allow_extension=allow_extension)
-        out = np.asarray(h) / s_a
-        if np.ndim(a) == 0:
-            return float(out[0])
-        return out
+        out = _finite(h) / s_a
+        return float(out[0]) if scalar else out
 
 
 def hilbert_of_exp(f: GridFunction, a, cfg: QuadratureConfig | None = None):
@@ -175,46 +172,41 @@ def hilbert_of_exp(f: GridFunction, a, cfg: QuadratureConfig | None = None):
     return HilbertOfExp(f, cfg).quotient(a)
 
 
-@dataclass
 class SampledPVTransform:
-    """Truncated PV transform of an arbitrary sampled function on [0, X].
+    """Truncated PV transform on [0, X] of functions sampled on fixed nodes.
 
-    Derivative samples are estimated by local cubic differencing when
-    not supplied.  Used for transforming the reconstruction angle.
+    Bound to its grid: the panel points and the cubic finite-difference
+    stencils that estimate the derivative samples are built once, and
+    ``at`` / ``at_zero`` take the samples of each function.  Used for
+    transforming the reconstruction angle.
     """
 
-    nodes: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.derivs is None:
-            self.derivs = fd_derivatives(self.nodes, self.values)
+    def __init__(self, nodes):
+        self.nodes = np.asarray(nodes, dtype=float)
         self.x_end = float(self.nodes[-1])
         self.sub_x, self.sub_w = panel_points(self.nodes)
-        self.sub_s = hermite_eval(self.nodes, self.values, self.derivs, self.sub_x)
+        self._fd_idx, self._fd_c = fd_derivative_coeffs(self.nodes)
 
-    def at(self, a):
-        a, scalar = np.asarray(a, dtype=float), np.ndim(a) == 0
-        a = np.atleast_1d(a).astype(float)
-        if np.any(a <= 0.0) or np.any(a >= self.x_end):
-            raise ValueError("evaluation points must lie strictly inside the grid")
-        s_a = hermite_eval(self.nodes, self.values, self.derivs, a)
-        out = np.empty_like(a)
-        for lo in range(0, a.size, _CHUNK):
-            blk = slice(lo, min(lo + _CHUNK, a.size))
-            diff = self.sub_x[None, :] - a[blk, None]
-            acc = ((self.sub_s[None, :] - s_a[blk, None]) / diff) @ self.sub_w
-            out[blk] = acc
-        out = (out + s_a * np.log((self.x_end - a) / a)) / math.pi
-        if not np.all(np.isfinite(out)):
-            raise QuadratureError("transform produced non-finite values")
+    def _samples(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Values and finite-difference derivative samples on the nodes."""
+        values = np.asarray(values, dtype=float)
+        return values, np.sum(self._fd_c * values[self._fd_idx], axis=1)
+
+    def at(self, values, a):
+        """Transform of the sampled function at points a in (0, X)."""
+        values, derivs = self._samples(values)
+        a, scalar = _points_inside(
+            a, self.x_end, "evaluation points must lie strictly inside the grid"
+        )
+        sub_s = hermite_eval(self.nodes, values, derivs, self.sub_x)
+        s_a = hermite_eval(self.nodes, values, derivs, a)
+        out = _finite(_pv(self.sub_x, self.sub_w, sub_s, self.x_end, a, s_a))
         return float(out[0]) if scalar else out
 
-    def at_zero(self) -> float:
+    def at_zero(self, values) -> float:
         """Transform at a = 0 for functions vanishing at 0 (no pole)."""
-        if abs(self.values[0]) > 1e-12:
+        values, derivs = self._samples(values)
+        if abs(values[0]) > 1e-12:
             raise ValueError("zero-point transform needs s(0) = 0")
-        return float(np.sum(self.sub_w * self.sub_s / self.sub_x) / math.pi)
+        sub_s = hermite_eval(self.nodes, values, derivs, self.sub_x)
+        return float(np.sum(self.sub_w * sub_s / self.sub_x) / math.pi)

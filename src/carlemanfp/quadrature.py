@@ -136,8 +136,3 @@ def fd_derivative_coeffs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vand_t = u[:, :, None] ** powers[None, None, :]
     c = np.linalg.solve(np.swapaxes(vand_t, 1, 2), dvec[..., None])[..., 0]
     return idx, c
-
-
-def fd_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    idx, c = fd_derivative_coeffs(x)
-    return np.sum(c * y[idx], axis=1)

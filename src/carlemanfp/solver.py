@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Coupling
+from .coupling import Coupling, lambda_in_theorem_range
 from .grids import (
     GridFunction,
-    POWER_LAW_EXTEND,
     QuadratureConfig,
-    TailMode,
     log_envelope_function,
     make_nodes,
 )
@@ -68,7 +66,6 @@ class SolverConfig:
     damping: float = 1.0
     tol_lb: float = 1e-8
     max_iters: int = 500
-    tail_mode: TailMode = POWER_LAW_EXTEND
     envelope_slack: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -78,9 +75,7 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(
-            n_nodes=self.n_nodes, lambda2=self.lambda2, tail_mode=self.tail_mode
-        )
+        return QuadratureConfig(n_nodes=self.n_nodes, lambda2=self.lambda2)
 
 
 @dataclass
@@ -301,7 +296,7 @@ def lambda_scan(
             max_workers = 1
 
     def one(lam: float) -> dict:
-        exploratory = not (-1.0 / 6.0 - 1e-12 <= lam <= 0.0)
+        exploratory = not lambda_in_theorem_range(lam)
         entry: dict = {"lam": float(lam), "exploratory": exploratory}
         try:
             coupling = Coupling(lam, exploratory=exploratory)

@@ -1,6 +1,6 @@
 """Special functions behind the closed-form expressions of the bound suite.
 
-The general Gauss hypergeometric, digamma and dilogarithm are delegated
+The general Gauss hypergeometric, trigamma and dilogarithm are delegated
 to scipy.special (mature, machine-precision implementations; the test
 suite cross-checks them against independent brute-force series).  The
 ``2F1(1, mu; 1+mu; z)`` family, which enters the power-law Hilbert
@@ -12,7 +12,6 @@ rearrangement keeps full relative accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -103,25 +102,6 @@ def hyp2f1_1mu(mu: float, z):
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Parameter set for a real Gauss hypergeometric evaluation."""
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.c <= 0.0 and float(self.c).is_integer():
-            raise ValueError(f"c must not be a non-positive integer, got {self.c}")
-        if not (0.0 <= self.z < 1.0):
-            raise ValueError(f"argument must lie in [0, 1), got {self.z}")
-
-    def value(self) -> float:
-        return float(hyp2f1(self.a, self.b, self.c, self.z))
-
-
 def hyp2f1(a: float, b: float, c: float, z):
     """Gauss hypergeometric 2F1(a, b; c; z) on z in [0, 1), c > b > 0."""
     if not (c > b > 0.0):
@@ -130,15 +110,6 @@ def hyp2f1(a: float, b: float, c: float, z):
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise ValueError("argument must satisfy 0 <= z < 1")
     out = _sp.hyp2f1(a, b, c, z)
-    return float(out) if scalar else out
-
-
-def digamma(x):
-    """Digamma psi(x) for x > 0."""
-    x, scalar = _as_float_array(x)
-    if np.any(x <= 0.0):
-        raise ValueError("digamma argument must be positive")
-    out = _sp.psi(x)
     return float(out) if scalar else out
 
 
@@ -152,31 +123,21 @@ def dilog(x):
 
 
 def trigamma(x):
-    """Trigamma psi'(x), used by tests as an oracle for zeta_lambda."""
+    """Trigamma psi'(x)."""
     x, scalar = _as_float_array(x)
     out = _sp.polygamma(1, x)
     return float(out) if scalar else out
 
 
-def _tail_inverse_square(m: float) -> float:
-    # Euler-Maclaurin tail of sum_{k>N} (k+x)^{-2} with m = N+1+x.
-    return 1.0 / m + 0.5 / m**2 + 1.0 / (6.0 * m**3) - 1.0 / (30.0 * m**5)
-
-
-def zeta_lambda(coupling: Coupling, n_terms: int = 100_000) -> float:
+def zeta_lambda(coupling: Coupling) -> float:
     """Series constant (1/pi) * sum_k [1/(k+|lam|)^2 + 1/(k-lambda_r)^2].
 
-    Explicit partial sum plus Euler-Maclaurin tail; absolute error is far
-    below 1e-12 at the default term count.  Requires |lam| < 1/3 so that
-    the second family of denominators stays away from zero.
+    Summed in closed form, (psi'(1+|lam|) + psi'(1-lambda_r))/pi.
+    Requires |lam| < 1/3 so that the second family of denominators
+    stays away from zero.
     """
     al = coupling.abs_lambda
     lr = coupling.lambda_r
     if al >= 1.0 / 3.0:
         raise ValueError("series constant requires |lambda| < 1/3")
-    k = np.arange(1, n_terms + 1, dtype=float)
-    body = math.fsum((1.0 / (k + al) ** 2 + 1.0 / (k - lr) ** 2).tolist())
-    tail = _tail_inverse_square(n_terms + 1.0 + al) + _tail_inverse_square(
-        n_terms + 1.0 - lr
-    )
-    return (body + tail) / math.pi
+    return (trigamma(1.0 + al) + trigamma(1.0 - lr)) / math.pi

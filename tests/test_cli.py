@@ -95,16 +95,16 @@ class TestSolve:
         assert code == 2
 
     def test_deterministic_output(self, tmp_path):
-        # lambda = 0 skips the operator; -0.05 runs it and the mixing step
-        for lam in ("0", "-0.05"):
-            args = [
-                "solve",
-                f"--lambda={lam}",
-                "--cutoff=1e4",
-                "--nodes=200",
-                "--out",
-            ]
-            a, b = tmp_path / f"a{lam}.csv", tmp_path / f"b{lam}.csv"
+        # lambda = 0 skips the operator; -0.05 runs it and the mixing step;
+        # gab adds the reconstruction transforms
+        runs = [
+            ["solve", "--lambda=0", "--nodes=200"],
+            ["solve", "--lambda=-0.05", "--nodes=200"],
+            ["gab", f"--lambda={LAM}", "--nodes=300", "--grid=4"],
+        ]
+        for k, run in enumerate(runs):
+            args = run + ["--cutoff=1e4", "--out"]
+            a, b = tmp_path / f"a{k}.csv", tmp_path / f"b{k}.csv"
             assert main(args + [str(a)]) == 0
             assert main(args + [str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()

@@ -41,8 +41,6 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(lambda2=-1.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(pv_window=0.0)
-    with pytest.raises(ValueError):
         QuadratureConfig(tail_mode="nope")
 
 

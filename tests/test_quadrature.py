@@ -5,7 +5,7 @@ from carlemanfp.grids import make_nodes
 from carlemanfp.quadrature import (
     composite_weights,
     cumulative_integral,
-    fd_derivatives,
+    fd_derivative_coeffs,
     panel_points,
 )
 
@@ -53,7 +53,8 @@ def test_fourth_order_convergence():
 
 
 def test_fd_derivatives(grid):
-    d = fd_derivatives(grid, np.log1p(grid))
+    idx, c = fd_derivative_coeffs(grid)
+    d = np.sum(c * np.log1p(grid)[idx], axis=1)
     scaled_err = np.abs(d - 1.0 / (1.0 + grid)) * (1.0 + grid)
     # near-boundary stencils (large curvature over the linear head) are a
     # grade coarser than the rest of the grid

@@ -228,10 +228,12 @@ class TestLambdaScan:
             assert e["envelope_min_margin"] >= -1e-6
 
     def test_exploratory_recorded_not_asserted(self):
-        entries = lambda_scan([-0.45], n_nodes=300, lambda2=1e4, max_iters=40)
-        (e,) = entries
-        assert e["exploratory"]
-        assert "converged" in e  # recorded either way, may be False
+        # just below -1/6 by more than the range guard's rounding room
+        lams = [-0.45, -1.0 / 6.0 - 1e-13]
+        entries = lambda_scan(lams, n_nodes=300, lambda2=1e4, max_iters=40)
+        for e in entries:
+            assert e["exploratory"], e
+            assert "converged" in e  # recorded either way, may be False
 
     def test_thread_pool_matches_serial(self):
         lams = [-0.02, -0.1]

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
+from scipy.special import psi
 
 from carlemanfp.coupling import Coupling
 from carlemanfp.specfun import (
     EULER_GAMMA,
-    HypParams,
-    digamma,
     dilog,
     hyp2f1,
     hyp2f1_1mu,
-    trigamma,
     zeta_lambda,
 )
 
@@ -22,6 +20,24 @@ from carlemanfp.specfun import (
 BRUTE_1MU_025_09 = 1.5077780625170767
 # 1e7-term direct sum with integral tail bracket, and the trigamma identity.
 ZETA_ONE_SIXTH = 1.228801173700901
+
+
+def _tail_inverse_square(m: float) -> float:
+    # Euler-Maclaurin tail of sum_{k>N} (k+x)^{-2} with m = N+1+x.
+    return 1.0 / m + 0.5 / m**2 + 1.0 / (6.0 * m**3) - 1.0 / (30.0 * m**5)
+
+
+def zeta_series(coupling: Coupling, n_terms: int = 100_000) -> float:
+    """(1/pi) sum_k [1/(k+|lam|)^2 + 1/(k-lambda_r)^2] summed directly:
+    explicit partial sum plus Euler-Maclaurin tail, absolute error far
+    below 1e-12 at the default term count."""
+    al, lr = coupling.abs_lambda, coupling.lambda_r
+    k = np.arange(1, n_terms + 1, dtype=float)
+    body = math.fsum((1.0 / (k + al) ** 2 + 1.0 / (k - lr) ** 2).tolist())
+    tail = _tail_inverse_square(n_terms + 1.0 + al) + _tail_inverse_square(
+        n_terms + 1.0 - lr
+    )
+    return (body + tail) / math.pi
 
 
 class TestHyp2f1OneMu:
@@ -100,13 +116,14 @@ class TestHyp2f1General:
                 break
         assert hyp2f1(a, b, c, z) == pytest.approx(total, rel=1e-12)
 
-    def test_hyp_params_wrapper(self):
-        p = HypParams(a=2.0, b=1.25, c=3.25, z=0.5)
-        assert p.value() == pytest.approx(hyp2f1(2.0, 1.25, 3.25, 0.5), rel=0)
+    def test_parameter_domain(self):
+        assert hyp2f1(2.0, 1.25, 3.25, np.array([0.5]))[0] == pytest.approx(
+            hyp2f1(2.0, 1.25, 3.25, 0.5), rel=0
+        )
         with pytest.raises(ValueError):
-            HypParams(a=1.0, b=1.0, c=-2.0, z=0.5)
+            hyp2f1(1.0, 1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
-            HypParams(a=1.0, b=1.0, c=2.0, z=1.0)
+            hyp2f1(1.0, 1.0, 2.0, 1.0)
 
     def test_ponnusamy_two_sided_bound(self):
         # zero-balanced bound: for alpha=beta=mu, x in (0,1],
@@ -115,7 +132,7 @@ class TestHyp2f1General:
         mus = np.linspace(0.05, 0.95, 10)
         xs = np.concatenate([np.geomspace(1e-6, 0.9, 12), [1.0 - 1e-9]])
         for mu in mus:
-            base = -2.0 * digamma(mu) - 2.0 * EULER_GAMMA
+            base = -2.0 * psi(mu) - 2.0 * EULER_GAMMA
             for x in xs:
                 val = beta_fn(mu, mu) * hyp2f1(mu, mu, 2.0 * mu, 1.0 - x) + math.log(x)
                 width = x * math.log(1.0 / x) / (1.0 - x)
@@ -124,14 +141,14 @@ class TestHyp2f1General:
 
 class TestDigammaDilog:
     def test_euler_gamma(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
+        assert psi(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
 
     def test_reflection_identity(self):
         for mu in np.arange(0.1, 0.95, 0.1):
-            lhs = digamma(mu) - digamma(1.0 - mu) + math.pi / math.tan(math.pi * mu)
+            lhs = psi(mu) - psi(1.0 - mu) + math.pi / math.tan(math.pi * mu)
             assert abs(lhs) < 1e-10
         # quarter-point value: psi(1/4) - psi(3/4) = -pi cot(pi/4) = -pi
-        assert digamma(0.25) - digamma(0.75) == pytest.approx(-math.pi, rel=1e-14)
+        assert psi(0.25) - psi(0.75) == pytest.approx(-math.pi, rel=1e-14)
 
     def test_recurrence_oracle(self):
         # downward recurrence anchored at the asymptotic expansion
@@ -145,11 +162,11 @@ class TestDigammaDilog:
             term *= y2
         for j in range(big):
             val -= 1.0 / (x + big - 1 - j)
-        assert digamma(10.0) == pytest.approx(val, rel=1e-13)
+        assert psi(10.0) == pytest.approx(val, rel=1e-13)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
+        # pole at 0, outside the domain x > 0
+        assert not math.isfinite(psi(0.0))
 
     @pytest.mark.parametrize(
         "x,expected",
@@ -173,10 +190,10 @@ class TestZetaLambda:
         )
 
     def test_trigamma_oracle(self):
+        # the trigamma closed form against the series summed term by term
         for lam in (-0.02, -0.08, -1.0 / 6.0):
             c = Coupling(lam)
-            ref = (trigamma(1.0 + c.abs_lambda) + trigamma(1.0 - c.lambda_r)) / math.pi
-            assert zeta_lambda(c) == pytest.approx(ref, abs=1e-12)
+            assert zeta_lambda(c) == pytest.approx(zeta_series(c), abs=1e-12)
 
     def test_monotone_in_coupling(self):
         lams = np.linspace(0.0, -1.0 / 6.0, 15)
