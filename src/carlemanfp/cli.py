@@ -1,10 +1,14 @@
 """Command-line driver: solve, verify, figure2, gab.
 
-Configuration precedence is flags > config file > defaults; the config
-file is flat ``key=value`` text with ``#`` comments, keys named like the
-long flags.  Every run writes a JSON manifest next to its outputs.
+Configuration precedence is flags > config file > defaults.  The config
+file (``--config``) is flat ``key=value`` text with ``#`` comments; each
+key is a value-taking long flag of the command without its dashes
+(``lambda``, ``max-iters``, ``lambda-grid``, ``out``, ...; not
+``exploratory``, a command-line switch only), and the values become the
+command's defaults.  Every run writes a JSON manifest next to its output.
 Exit codes: 0 success, 1 verification failure, 2 non-convergence,
-3 envelope escape, 4 coupling outside the stability range.
+3 envelope escape, 4 coupling outside the stability range, 5 invalid
+input (flag, config file or key, or setting: one line, no output).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -25,7 +28,7 @@ from .gab import TwoPointReconstruction
 from .grids import POWER_LAW_EXTEND
 from .hilbert import QuadratureError
 from .operators import PoleRegionError
-from .report import write_reports_json
+from .report import all_passed, write_reports_json
 from .solver import (
     EnvelopeEscapeError,
     NonConvergenceError,
@@ -42,8 +45,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_ENVELOPE = 3
 EXIT_RANGE = 4
+EXIT_USAGE = 5
 
 _FMT = "%.17g"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every input error in one line and exits EXIT_USAGE."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -60,18 +71,44 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _merged(args: argparse.Namespace, key: str, default, cast):
-    """flags > config file > defaults."""
-    flag_val = getattr(args, key.replace("-", "_"), None)
-    if flag_val is not None:
-        return flag_val
-    if getattr(args, "_config", None) and key in args._config:
-        return cast(args._config[key])
-    return default
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """The config file's values keyed by the destination of the long flag
+    each key names; a key naming no value-taking flag is a usage error."""
+    try:
+        values = read_config_file(path)
+    except (OSError, ValueError) as exc:
+        command.error(f"config file {path}: {exc}")
+    flags = {opt[2:]: a for a in command._actions for opt in a.option_strings}
+    defaults = {}
+    for key, value in values.items():
+        action = flags.get(key)
+        if action is None or action.nargs == 0 or action.dest == "config":
+            command.error(f"config key {key!r} is not a value-taking flag here")
+        defaults[action.dest] = value
+    return defaults
 
 
-def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
-    with open(path, "w") as fh:
+def _write_manifest(args, command: str, snapshot: dict, t0: float, history=None):
+    """The run's manifest, at --manifest or next to --out."""
+    payload = {
+        "command": command,
+        "config": snapshot,
+        "version": __version__,
+        "wall_time_s": round(time.time() - t0, 3),
+        "outputs": [args.out],
+    }
+    if history is not None:
+        payload["history"] = [asdict(r) for r in history]
+    with open(args.manifest or args.out + ".manifest.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _emit(args, command: str, snapshot: dict, t0: float, header: list[str], rows,
+          meta: dict, history) -> None:
+    """The command's CSV at --out, with a ``# key=value`` preamble from
+    ``meta``, and then its manifest."""
+    with open(args.out, "w") as fh:
         fh.write(f"# carleman-fp {__version__}\n")
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
@@ -83,31 +120,7 @@ def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
                 )
                 + "\n"
             )
-
-
-def _write_manifest(
-    path: str,
-    command: str,
-    config: dict,
-    outputs: list[str],
-    t0: float,
-    history: list | None = None,
-) -> None:
-    for out in outputs:
-        if not os.path.exists(out):
-            raise FileNotFoundError(f"declared output {out} was not written")
-    payload = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "wall_time_s": round(time.time() - t0, 3),
-        "outputs": outputs,
-    }
-    if history is not None:
-        payload["history"] = [asdict(r) for r in history]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(args, command, snapshot, t0, history)
 
 
 def _coupling_or_exit(lam: float, exploratory: bool) -> Coupling:
@@ -121,21 +134,22 @@ def _coupling_or_exit(lam: float, exploratory: bool) -> Coupling:
     return Coupling(lam, exploratory=exploratory)
 
 
-def _run_solve_config(args, default_lam: float | None = None) -> tuple[SolverConfig, bool, dict]:
-    lam = _merged(args, "lambda", default_lam, float)
-    if lam is None:
-        print("--lambda is required", file=sys.stderr)
-        raise SystemExit(EXIT_RANGE)
-    exploratory = bool(getattr(args, "exploratory", False))
-    coupling = _coupling_or_exit(lam, exploratory)
-    cfg = SolverConfig(
-        coupling=coupling,
-        lambda2=_merged(args, "cutoff", 1e6, float),
-        n_nodes=int(_merged(args, "nodes", 2000, int)),
-        damping=_merged(args, "damping", 1.0, float),
-        tol_lb=_merged(args, "tol", 1e-8, float),
-        max_iters=int(_merged(args, "max-iters", 500, int)),
-    )
+def _run_solve_config(args) -> tuple[SolverConfig, dict]:
+    if args.lam is None:
+        raise argparse.ArgumentError(None, "--lambda is required (flag or config key)")
+    try:
+        coupling = _coupling_or_exit(args.lam, args.exploratory)
+        cfg = SolverConfig(
+            coupling=coupling,
+            lambda2=args.cutoff,
+            n_nodes=args.nodes,
+            damping=args.damping,
+            tol_lb=args.tol,
+            max_iters=args.max_iters,
+        )
+        cfg.quadrature()
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from exc
     snapshot = {
         "lambda": coupling.lam,
         "lambda_r": coupling.lambda_r,
@@ -145,9 +159,9 @@ def _run_solve_config(args, default_lam: float | None = None) -> tuple[SolverCon
         "tol": cfg.tol_lb,
         "max_iters": cfg.max_iters,
         "tail_mode": POWER_LAW_EXTEND,
-        "exploratory": exploratory,
+        "exploratory": args.exploratory,
     }
-    return cfg, exploratory, snapshot
+    return cfg, snapshot
 
 
 def _solve_or_exit(cfg: SolverConfig, exploratory: bool) -> SolveResult:
@@ -167,48 +181,37 @@ def _solve_or_exit(cfg: SolverConfig, exploratory: bool) -> SolveResult:
 
 def cmd_solve(args) -> int:
     t0 = time.time()
-    cfg, exploratory, snapshot = _run_solve_config(args)
-    res = _solve_or_exit(cfg, exploratory)
-    out_path = _merged(args, "out", "solution.csv", str)
-    rows = solution_rows(res, cfg.coupling)
+    cfg, snapshot = _run_solve_config(args)
+    res = _solve_or_exit(cfg, args.exploratory)
     meta = dict(snapshot, iterations=res.iterations, residual=res.residual,
                 tail_exponent=res.tail_exponent, slow_tail=res.slow_tail)
-    _write_csv(
-        out_path,
-        ["b", "f", "g0b", "lower_envelope", "upper_envelope"],
-        rows,
-        meta,
-    )
-    manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "solve", snapshot, [out_path], t0, res.history)
+    _emit(args, "solve", snapshot, t0,
+          ["b", "f", "g0b", "lower_envelope", "upper_envelope"],
+          solution_rows(res, cfg.coupling), meta, res.history)
     print(
         f"converged in {res.iterations} iterations, residual {res.residual:.3e}, "
-        f"wrote {out_path}"
+        f"wrote {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    suites = _merged(args, "suite", "all", str).split(",")
-    seed = int(_merged(args, "seed", 0, int))
-    n_lambda = int(_merged(args, "lambda-grid", 200, int))
+    suites = args.suite.split(",")
     reports = run_suites(
         [s.strip() for s in suites],
-        seed=seed,
-        n_lambda=n_lambda,
-        n_pairs=int(_merged(args, "pairs", 10, int)),
-        n_members=int(_merged(args, "members", 10, int)),
+        seed=args.seed,
+        n_lambda=args.lambda_grid,
+        n_pairs=args.pairs,
+        n_members=args.members,
     )
     for rep in reports:
         print(rep.to_line())
-    out_path = _merged(args, "out", "verification.json", str)
-    snapshot = {"suites": suites, "seed": seed, "lambda_grid": n_lambda}
-    write_reports_json(out_path, reports, meta=snapshot)
-    manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "verify", snapshot, [out_path], t0)
-    ok = all(r.status == "pass" for r in reports)
-    print(("all checks passed" if ok else "CHECKS FAILED") + f", wrote {out_path}")
+    snapshot = {"suites": suites, "seed": args.seed, "lambda_grid": args.lambda_grid}
+    write_reports_json(args.out, reports, meta=snapshot)
+    _write_manifest(args, "verify", snapshot, t0)
+    ok = all_passed(reports)
+    print(("all checks passed" if ok else "CHECKS FAILED") + f", wrote {args.out}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -222,10 +225,8 @@ _FIG2_WINDOWS = (
 
 def cmd_figure2(args) -> int:
     t0 = time.time()
-    cfg, exploratory, snapshot = _run_solve_config(
-        args, default_lam=-1.0 / (2.0 * math.pi)
-    )
-    res = _solve_or_exit(cfg, exploratory)
+    cfg, snapshot = _run_solve_config(args)
+    res = _solve_or_exit(cfg, args.exploratory)
     f = res.grid_function
     lower, upper = envelope_curves(cfg.coupling, f.nodes)
     g0b = np.exp(f.values)
@@ -235,28 +236,20 @@ def cmd_figure2(args) -> int:
         sel = f.nodes <= cap
         for b, g, lo, up in zip(f.nodes[sel], g0b[sel], lower[sel], upper[sel]):
             rows.append([label, b, g, lo, up])
-    out_path = _merged(args, "out", "figure2.csv", str)
-    _write_csv(
-        out_path,
-        ["window", "b", "g0b", "lower_envelope", "upper_envelope"],
-        rows,
-        dict(snapshot, iterations=res.iterations, residual=res.residual),
-    )
-    manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "figure2", snapshot, [out_path], t0, res.history)
-    print(f"wrote {out_path} ({len(rows)} rows over four windows)")
+    _emit(args, "figure2", snapshot, t0,
+          ["window", "b", "g0b", "lower_envelope", "upper_envelope"], rows,
+          dict(snapshot, iterations=res.iterations, residual=res.residual),
+          res.history)
+    print(f"wrote {args.out} ({len(rows)} rows over four windows)")
     return EXIT_OK
 
 
 def cmd_gab(args) -> int:
     t0 = time.time()
-    cfg, exploratory, snapshot = _run_solve_config(args)
-    res = _solve_or_exit(cfg, exploratory)
+    cfg, snapshot = _run_solve_config(args)
+    res = _solve_or_exit(cfg, args.exploratory)
     rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
-    n = int(_merged(args, "grid", 12, int))
-    a_min = _merged(args, "a-min", 1e-2, float)
-    a_max = _merged(args, "a-max", 1e2, float)
-    grid = np.geomspace(a_min, a_max, n)
+    grid = np.geomspace(args.a_min, args.a_max, args.grid)
     table = rec.table(grid, grid)
     rows = [list(r) for r in table]
     # a -> 0 block: the extrapolated boundary limit against the solved edge
@@ -264,93 +257,88 @@ def cmd_gab(args) -> int:
         lim = rec.boundary_limit(float(b))
         ref = math.exp(float(res.grid_function.at(float(b))))
         rows.append([0.0, float(b), 0.0, lim, abs(lim - ref) / ref])
-    snapshot = dict(snapshot, grid=n, a_min=a_min, a_max=a_max)
-    out_path = _merged(args, "out", "gab.csv", str)
-    _write_csv(
-        out_path,
-        ["a", "b", "tau", "g_ab", "symmetry_defect"],
-        rows,
-        snapshot,
-    )
-    manifest = _merged(args, "manifest", out_path + ".manifest.json", str)
-    _write_manifest(manifest, "gab", snapshot, [out_path], t0, res.history)
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    snapshot = dict(snapshot, grid=args.grid, a_min=args.a_min, a_max=args.a_max)
+    _emit(args, "gab", snapshot, t0, ["a", "b", "tau", "g_ab", "symmetry_defect"],
+          rows, snapshot, res.history)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="coupling constant in [-1/6, 0]")
-    p.add_argument("--cutoff", type=float, default=None, help="grid cutoff (default 1e6)")
-    p.add_argument("--nodes", type=int, default=None, help="grid size (default 2000)")
-    p.add_argument("--tol", type=float, default=None, help="norm tolerance (default 1e-8)")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None,
-                   help="mixing factor beta in (0, 1] (default 1)")
-    p.add_argument("--exploratory", action="store_true",
-                   help="bypass the coupling range guard (diagnostic only)")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--manifest", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="flat key=value config file (flags win)")
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    parser = _Parser(
         prog="carleman-fp",
         description="Fixed-point solver and certification suite for the "
         "boundary two-point function",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run the fixed-point iteration")
-    _add_common(p_solve)
-
-    p_verify = sub.add_parser("verify", help="run certification suites")
-    p_verify.add_argument(
-        "--suite",
-        type=str,
-        default=None,
-        help="comma list of " + "|".join(sorted(SUITES)) + "|all",
-    )
-    p_verify.add_argument("--lambda-grid", dest="lambda_grid", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--pairs", type=int, default=None)
-    p_verify.add_argument("--members", type=int, default=None)
-    p_verify.add_argument("--out", type=str, default=None)
-    p_verify.add_argument("--manifest", type=str, default=None)
-    p_verify.add_argument("--config", type=str, default=None)
-
-    p_fig = sub.add_parser("figure2", help="emit the envelope comparison dataset")
-    _add_common(p_fig)
-
-    p_gab = sub.add_parser("gab", help="reconstruct the two-variable function")
-    _add_common(p_gab)
-    p_gab.add_argument("--grid", type=int, default=None)
-    p_gab.add_argument("--a-min", dest="a_min", type=float, default=None)
-    p_gab.add_argument("--a-max", dest="a_max", type=float, default=None)
-
-    args = parser.parse_args(argv)
-    args._config = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    # expose merged lookups using flag-style keys
-    for attr, key in (
-        ("lam", "lambda"),
-        ("max_iters", "max-iters"),
-        ("lambda_grid", "lambda-grid"),
-        ("a_min", "a-min"),
-        ("a_max", "a-max"),
+    for name, out, summary in (
+        ("solve", "solution.csv", "run the fixed-point iteration"),
+        ("verify", "verification.json", "run certification suites"),
+        ("figure2", "figure2.csv", "emit the envelope comparison dataset"),
+        ("gab", "gab.csv", "reconstruct the two-variable function"),
     ):
-        if hasattr(args, attr):
-            setattr(args, key.replace("-", "_"), getattr(args, attr))
+        p = sub.add_parser(
+            name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        p.add_argument("--out", default=out, help="output file")
+        p.add_argument("--manifest", help="None writes OUT.manifest.json")
+        p.add_argument("--config", help="flat key=value file of defaults; flags win")
+        if name == "verify":
+            continue
+        p.add_argument("--lambda", dest="lam", type=float,
+                       default=-1.0 / (2.0 * math.pi) if name == "figure2" else None,
+                       help="coupling constant in [-1/6, 0]")
+        p.add_argument("--cutoff", type=float, default=1e6, help="grid cutoff")
+        p.add_argument("--nodes", type=int, default=2000, help="grid size")
+        p.add_argument("--tol", type=float, default=1e-8, help="norm tolerance")
+        p.add_argument("--max-iters", dest="max_iters", type=_count, default=500,
+                       help="iteration cap")
+        p.add_argument("--damping", type=float, default=1.0,
+                       help="mixing factor beta in (0, 1]")
+        p.add_argument("--exploratory", action="store_true",
+                       help="bypass the coupling range guard (diagnostic only)")
 
+    p = sub.choices["verify"]
+    p.add_argument("--suite", default="all",
+                   help="comma list of " + "|".join(sorted(SUITES)) + "|all")
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=_count, default=200,
+                   help="couplings in the ck scans")
+    p.add_argument("--seed", type=int, default=0, help="random-member seed")
+    p.add_argument("--pairs", type=_count, default=10, help="pairs per coupling")
+    p.add_argument("--members", type=_count, default=10, help="members per coupling")
+
+    p = sub.choices["gab"]
+    p.add_argument("--grid", type=_count, default=12, help="points per axis")
+    p.add_argument("--a-min", dest="a_min", type=float, default=1e-2, help="first point")
+    p.add_argument("--a-max", dest="a_max", type=float, default=1e2, help="last point")
+    return parser, sub.choices
+
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
+    args = parser.parse_args(argv)
+    command = commands[args.command]
+    if args.config:
+        # the file's values become the command's defaults; flags still win
+        command.set_defaults(**_config_defaults(command, args.config))
+        args = parser.parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "verify": cmd_verify,
         "figure2": cmd_figure2,
         "gab": cmd_gab,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except argparse.ArgumentError as exc:  # a setting argparse cannot check
+        command.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -34,25 +34,13 @@ def _branch_arctan(num, den):
 class TwoPointReconstruction:
     """Evaluates the two-variable function from a solved boundary grid."""
 
-    def __init__(
-        self,
-        f: GridFunction,
-        coupling: Coupling,
-        cfg: QuadratureConfig | None = None,
-    ):
+    def __init__(self, f: GridFunction, coupling: Coupling):
         if coupling.abs_lambda == 0.0:
             raise ValueError("reconstruction needs strictly negative coupling")
         self.f = f
         self.coupling = coupling
-        base = cfg or QuadratureConfig()
-        self.cfg = QuadratureConfig(
-            n_nodes=base.n_nodes,
-            lambda2=f.nodes[-1],
-            tail_mode=HARD_CUTOFF,
-            edge_refine_levels=base.edge_refine_levels,
-        )
         self.lambda2 = float(f.nodes[-1])
-        self._hilbert = HilbertOfExp(f, self.cfg)
+        self._hilbert = HilbertOfExp(f, QuadratureConfig(tail_mode=HARD_CUTOFF))
         al = coupling.abs_lambda
         inner = f.nodes[1:-1]
         quot = self._hilbert.quotient(inner)

@@ -26,14 +26,15 @@ SLOW_TAIL_THRESHOLD = -0.5
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the transform and operator quadratures."""
+    """Tail treatment of the transform and operator quadratures.
+
+    ``n_nodes`` and ``lambda2`` are validated but read by nothing else:
+    the grid a transform runs on is the sampled function's own.
+    """
 
     n_nodes: int = 2000
     lambda2: float = 1e6
     tail_mode: TailMode = POWER_LAW_EXTEND
-    tail_decades: float = 5.0       # extension beyond the cutoff (power-law mode)
-    tail_nodes_per_decade: int = 64
-    edge_refine_levels: int = 40    # dyadic refinement toward the cutoff (hard mode)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 64:
@@ -53,10 +54,6 @@ def make_nodes(n_nodes: int = 2000, lambda2: float = 1e6) -> np.ndarray:
     nodes = np.concatenate([head, tail])
     nodes[-1] = lambda2
     return nodes
-
-
-def nodes_for(cfg: QuadratureConfig) -> np.ndarray:
-    return make_nodes(cfg.n_nodes, cfg.lambda2)
 
 
 def _limited_slopes(nodes, values, derivs):
@@ -172,9 +169,6 @@ class GridFunction:
     def derivative_at(self, x):
         return hermite_eval(self.nodes, self.values, self.derivs, x, True)[1]
 
-    def exp_at(self, x):
-        return np.exp(self.at(x))
-
     # -- tail ---------------------------------------------------------
 
     def fitted_tail_exponent(self) -> float:
@@ -192,11 +186,6 @@ class GridFunction:
 
     def has_slow_tail(self) -> bool:
         return self.fitted_tail_exponent() > SLOW_TAIL_THRESHOLD
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(
-            self.nodes.copy(), self.values.copy(), self.derivs.copy(), self.tail_exponent
-        )
 
 
 def log_envelope_function(nodes: np.ndarray, exponent: float) -> GridFunction:

@@ -26,6 +26,9 @@ from .quadrature import fd_derivative_coeffs, panel_points
 from .specfun import hyp2f1_1mu
 
 _CHUNK = 128
+_TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
+_TAIL_NODES_PER_DECADE = 64
+_EDGE_REFINE_LEVELS = 40     # dyadic refinement toward the cutoff (hard mode)
 
 
 class QuadratureError(RuntimeError):
@@ -62,12 +65,12 @@ def power_law_tail_integral(coeff: float, p: float, a, x_end: float):
 def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     """Working grid for the transform quadratures.
 
-    Power-law mode appends log-spaced nodes for ``cfg.tail_decades``
-    decades past the cutoff, filled with the fitted power-law
-    continuation of f.  Hard-cutoff mode instead refines dyadically
-    toward the cutoff edge, where the truncated transform develops its
-    logarithmic edge behaviour.  Returns (extended GridFunction,
-    tail coefficient or None, tail exponent or None).
+    Power-law mode appends log-spaced nodes for five decades past the
+    cutoff, filled with the fitted power-law continuation of f.
+    Hard-cutoff mode instead refines dyadically toward the cutoff edge,
+    where the truncated transform develops its logarithmic edge
+    behaviour.  Returns (extended GridFunction, tail coefficient or None,
+    tail exponent or None).
     """
     lam2 = f.nodes[-1]
     if cfg.tail_mode == POWER_LAW_EXTEND:
@@ -77,8 +80,8 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
                 "power-law extension requires a decaying tail "
                 f"(fitted exponent {p:.3g}); use hard_cutoff"
             )
-        n_ext = int(round(cfg.tail_decades * cfg.tail_nodes_per_decade))
-        ext = np.geomspace(lam2, lam2 * 10.0**cfg.tail_decades, n_ext + 1)[1:]
+        n_ext = int(round(_TAIL_DECADES * _TAIL_NODES_PER_DECADE))
+        ext = np.geomspace(lam2, lam2 * 10.0**_TAIL_DECADES, n_ext + 1)[1:]
         coeff = math.exp(f.values[-1] - p * math.log1p(lam2))
         ext_vals = f.values[-1] + p * (np.log1p(ext) - math.log1p(lam2))
         ext_derivs = p / (1.0 + ext)
@@ -91,7 +94,7 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
         return g, coeff, p
 
     gap = lam2 - f.nodes[-2]
-    edge = lam2 - gap * 0.5 ** np.arange(1, cfg.edge_refine_levels + 1)
+    edge = lam2 - gap * 0.5 ** np.arange(1, _EDGE_REFINE_LEVELS + 1)
     vals, ders = hermite_eval(f.nodes, f.values, f.derivs, edge, with_derivative=True)
     nodes = np.concatenate([f.nodes[:-1], edge, [lam2]])
     values = np.concatenate([f.values[:-1], vals, [f.values[-1]]])

@@ -3,12 +3,15 @@
 Margins are oriented so that a nonnegative value means the inequality
 holds at every sampled point.  A strict check whose margin is positive
 but below the floating-point trust band is flagged "inconclusive"
-instead of passing silently.
+instead of passing silently.  A margin that is not finite fails: every
+scan starts from +inf, so an infinite worst margin means nothing was
+sampled.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -74,7 +77,7 @@ def make_report(
         domain=domain,
         worst_margin=float(worst_margin),
         worst_location=worst_location,
-        passed=bool(worst_margin >= floor),
+        passed=bool(math.isfinite(worst_margin) and worst_margin >= floor),
         strict=strict,
         notes=notes,
     )

@@ -16,7 +16,6 @@ whose factor is halved if the residual grows three times in a row.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -280,20 +279,15 @@ def lambda_scan(
     n_nodes: int = 600,
     tol_lb: float = 1e-8,
     max_iters: int = 500,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> list[dict]:
     """Diagnostic solve per coupling value.
 
     Couplings inside [-1/6, 0] are solved with envelope enforcement;
     values outside are run in exploratory mode and only recorded, never
-    asserted (the fixed-point domain itself degenerates there).  Worker
-    count defaults to the CARLEMAN_FP_THREADS environment cap.
+    asserted (the fixed-point domain itself degenerates there).  More
+    than one worker solves the couplings on a thread pool.
     """
-    if max_workers is None:
-        try:
-            max_workers = int(os.environ.get("CARLEMAN_FP_THREADS", "1"))
-        except ValueError:
-            max_workers = 1
 
     def one(lam: float) -> dict:
         exploratory = not lambda_in_theorem_range(lam)
@@ -320,7 +314,7 @@ def lambda_scan(
         return entry
 
     lambdas = list(lambdas)
-    if max_workers is None or max_workers <= 1:
+    if max_workers <= 1:
         return [one(lam) for lam in lambdas]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(one, lambdas))

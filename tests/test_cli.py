@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from carlemanfp.cli import main
+from carlemanfp.cli import EXIT_USAGE, main
+from carlemanfp.verification import run_suites
 
 LAM = "-0.159154"
 
@@ -119,6 +120,81 @@ class TestSolve:
         assert meta["config"]["nodes"] == 150  # flag beats config file
         assert meta["config"]["lambda"] == -0.05  # config beats default
 
+        cfgfile.write_text("seed=7\nsuite=lemma4\nlambda-grid=50\n")
+        out = tmp_path / "v.json"
+        code = main(["verify", "--config", str(cfgfile), "--seed=3", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((tmp_path / "v.json.manifest.json").read_text())
+        assert meta["config"]["seed"] == 3  # flag beats config file
+        assert meta["config"]["suites"] == ["lemma4"]  # config beats "all"
+        assert meta["config"]["lambda_grid"] == 50  # config beats 200
+
+        cfgfile.write_text(
+            f"lambda={LAM}\ncutoff=1e4\nnodes=300\ngrid=4\na-min=0.1\nmax-iters=50\n"
+        )
+        out = tmp_path / "g.csv"
+        code = main(["gab", "--config", str(cfgfile), "--grid=3", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+        assert meta["config"]["grid"] == 3  # flag beats config file
+        assert meta["config"]["a_min"] == 0.1  # config beats 1e-2
+        assert meta["config"]["max_iters"] == 50  # config beats 500
+        assert meta["config"]["a_max"] == 100.0  # default
+
+    def test_config_cannot_bypass_range_guard(self, tmp_path, capsys):
+        # a switch read from a file would turn "false" into a truthy string
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "x.csv"
+        for value in ("true", "false"):
+            cfgfile.write_text(f"lambda=-0.2\nexploratory={value}\n")
+            code = run(["solve", "--config", str(cfgfile), "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert "exploratory" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text, named",
+    [
+        (["solve", "--bogus"], None, "--bogus"),
+        (["solve", f"--lambda={LAM}", "--nodes=x"], None, "--nodes"),
+        (["solve", "--config", "{missing}"], None, "missing.cfg"),
+        (["solve", "--config", "{cfg}"], "lambda=-0.05\nnodes\n", "nodes"),
+        (["solve", "--config", "{cfg}"], "lambda=-0.05\nnode=150\n", "node"),
+        (["solve", "--config", "{cfg}"], "lambda=-0.05\nnodes=abc\n", "--nodes"),
+        (["solve", "--config", "{cfg}"], "lambda=-0.05\ngrid=4\n", "grid"),
+        (["verify", "--config", "{cfg}"], "nodes=300\n", "nodes"),
+        (["solve", "--config", "{cfg}"], "lambda=-0.05\nconfig=x\n", "config"),
+        (["solve"], None, "--lambda"),
+        (["gab", "--nodes=300"], None, "--lambda"),
+        (["solve", f"--lambda={LAM}", "--nodes=10"], None, "n_nodes"),
+        (["solve", f"--lambda={LAM}", "--damping=0"], None, "damping"),
+        (["solve", f"--lambda={LAM}", "--tol=0"], None, "tolerance"),
+        (["solve", f"--lambda={LAM}", "--max-iters=0"], None, "--max-iters"),
+        (["solve", "--lambda=-0.6", "--exploratory"], None, "coupling"),
+        (["verify", "--pairs=0"], None, "--pairs"),
+        (["verify", "--members=0"], None, "--members"),
+        (["verify", "--suite=ck", "--lambda-grid=0"], None, "--lambda-grid"),
+        (["gab", f"--lambda={LAM}", "--grid=0"], None, "--grid"),
+    ],
+)
+def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):
+    cfg = _write(tmp_path, "run.cfg", cfg_text) if cfg_text is not None else None
+    out = tmp_path / "out.csv"
+    argv = [
+        a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in argv
+    ] + ["--out", str(out)]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and named in err
+    assert list(tmp_path.iterdir()) == ([tmp_path / "run.cfg"] if cfg else [])
+
 
 class TestVerify:
     def test_appendix_suite(self, tmp_path):
@@ -132,6 +208,13 @@ class TestVerify:
         ids = {r["lemma_id"] for r in payload["reports"]}
         assert "appendix.residue-integral" in ids
         assert all(r["status"] == "pass" for r in payload["reports"])
+
+    def test_empty_scan_certifies_nothing(self):
+        reports = run_suites(
+            ["prop4", "equicont", "ck"], n_pairs=0, n_members=0, n_lambda=0
+        )
+        assert len(reports) == 8
+        assert all(r.status == "fail" for r in reports)
 
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(KeyError):
