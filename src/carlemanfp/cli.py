@@ -38,7 +38,7 @@ from .solver import (
     solve,
     solution_rows,
 )
-from .verification import SUITES, run_suites
+from .verification import SUITES, resolve_suites, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -147,7 +147,6 @@ def _run_solve_config(args) -> tuple[SolverConfig, dict]:
             tol_lb=args.tol,
             max_iters=args.max_iters,
         )
-        cfg.quadrature()
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc)) from exc
     snapshot = {
@@ -198,8 +197,12 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.time()
     suites = args.suite.split(",")
+    try:
+        names = resolve_suites([s.strip() for s in suites])
+    except KeyError as exc:
+        raise argparse.ArgumentError(None, f"--suite: {exc.args[0]}") from exc
     reports = run_suites(
-        [s.strip() for s in suites],
+        names,
         seed=args.seed,
         n_lambda=args.lambda_grid,
         n_pairs=args.pairs,
@@ -247,6 +250,12 @@ def cmd_figure2(args) -> int:
 def cmd_gab(args) -> int:
     t0 = time.time()
     cfg, snapshot = _run_solve_config(args)
+    if not 0.0 < args.a_min <= args.a_max < cfg.lambda2:
+        raise argparse.ArgumentError(
+            None,
+            f"--a-min={args.a_min} and --a-max={args.a_max} must satisfy "
+            f"0 < a-min <= a-max < cutoff ({cfg.lambda2:g})",
+        )
     res = _solve_or_exit(cfg, args.exploratory)
     rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
     grid = np.geomspace(args.a_min, args.a_max, args.grid)

@@ -9,6 +9,7 @@ fixed-point domain stay inside their envelope between nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -22,6 +23,14 @@ TailMode = Literal["power_law_extend", "hard_cutoff"]
 
 HEAD_NODES = 32           # linear nodes on [0, 1] before the log section
 SLOW_TAIL_THRESHOLD = -0.5
+
+
+def check_cutoff(lambda2: float) -> None:
+    """ValueError unless the cutoff is finite and beyond the linear head."""
+    if not 1.0 < lambda2 < math.inf:
+        raise ValueError(
+            f"cutoff must be finite and exceed the linear head [0, 1], got {lambda2}"
+        )
 
 
 @dataclass(frozen=True)
@@ -39,16 +48,14 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 64:
             raise ValueError("n_nodes must be >= 64")
-        if self.lambda2 <= 0.0:
-            raise ValueError("cutoff must be positive")
+        check_cutoff(self.lambda2)
         if self.tail_mode not in (POWER_LAW_EXTEND, HARD_CUTOFF):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 
 
 def make_nodes(n_nodes: int = 2000, lambda2: float = 1e6) -> np.ndarray:
     """Node layout: linear head on [0, 1], log-spaced up to the cutoff."""
-    if lambda2 <= 1.0:
-        raise ValueError("cutoff must exceed the linear head [0, 1]")
+    check_cutoff(lambda2)
     head = np.linspace(0.0, 1.0, HEAD_NODES)
     tail = np.geomspace(1.0, lambda2, n_nodes - HEAD_NODES + 1)[1:]
     nodes = np.concatenate([head, tail])

@@ -22,10 +22,9 @@ from .grids import (
     QuadratureConfig,
     hermite_eval,
 )
-from .quadrature import fd_derivative_coeffs, panel_points
+from .quadrature import fd_derivative_coeffs, panel_points, row_blocks
 from .specfun import hyp2f1_1mu
 
-_CHUNK = 128
 _TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
 _TAIL_NODES_PER_DECADE = 64
 _EDGE_REFINE_LEVELS = 40     # dyadic refinement toward the cutoff (hard mode)
@@ -110,10 +109,17 @@ def _pv(sub_x, sub_w, sub_s, x_end: float, a: np.ndarray, s_a: np.ndarray):
     ``sub_s`` the samples of s there and ``s_a`` its values at ``a``.
     """
     out = np.empty_like(a)
-    for lo in range(0, a.size, _CHUNK):
-        blk = slice(lo, min(lo + _CHUNK, a.size))
-        diff = sub_x[None, :] - a[blk, None]
-        out[blk] = ((sub_s[None, :] - s_a[blk, None]) / diff) @ sub_w
+    blocks = row_blocks(a.size, 2 * sub_x.itemsize * sub_x.size)
+    rows = max(blk.stop - blk.start for blk in blocks)
+    diff = np.empty((rows, sub_x.size))
+    quot = np.empty_like(diff)
+    for blk in blocks:
+        d = diff[: blk.stop - blk.start]
+        q = quot[: blk.stop - blk.start]
+        np.subtract(sub_x, a[blk, None], out=d)
+        np.subtract(sub_s, s_a[blk, None], out=q)
+        np.divide(q, d, out=q)
+        out[blk] = q @ sub_w
     out += s_a * np.log((x_end - a) / a)
     return out / math.pi
 
@@ -152,16 +158,20 @@ class HilbertOfExp:
             hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, self.sub_x)
         )
 
-    def quotient(self, a, allow_extension: bool = False):
+    def quotient(self, a, allow_extension: bool = False, exp_f=None):
         """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff), or in
-        (0, end of the working grid) with ``allow_extension``."""
+        (0, end of the working grid) with ``allow_extension``.  A caller
+        that has already evaluated the Hermite interpolant of ``self.ext``
+        at a passes its exponential as ``exp_f``."""
         hi = self.x_end if allow_extension else self.lambda2
         a, scalar = _points_inside(
             a, hi, f"evaluation points must lie strictly inside (0, {hi:g})"
         )
-        s_a = np.exp(
-            hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
-        )
+        s_a = exp_f
+        if s_a is None:
+            s_a = np.exp(
+                hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
+            )
         h = _pv(self.sub_x, self.sub_w, self.sub_g, self.x_end, a, s_a)
         if self.tail_coeff is not None:
             h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)

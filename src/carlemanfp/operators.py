@@ -29,9 +29,7 @@ from .grids import (
     hermite_eval,
 )
 from .hilbert import HilbertOfExp, QuadratureError
-from .quadrature import composite_weights, cumulative_integral
-
-_CHUNK = 256
+from .quadrature import composite_weights, cumulative_integral, row_blocks
 
 
 class PoleRegionError(RuntimeError):
@@ -105,7 +103,7 @@ class TOperator:
         if al == 0.0:
             rf[1:] = np.exp(-f_t)
         else:
-            quot = he.quotient(t[1:], allow_extension=True)
+            quot = he.quotient(t[1:], allow_extension=True, exp_f=np.exp(f_t))
             rf[1:] = np.exp(-f_t) - al * math.pi * t[1:] * quot
         w = composite_weights(t)
         r0 = r1 = None
@@ -172,10 +170,15 @@ class TOperator:
             )
         alpha2 = (al * math.pi * cache.t_nodes) ** 2
         integral = np.empty_like(b_arr)
-        for lo in range(0, b_arr.size, _CHUNK):
-            blk = slice(lo, min(lo + _CHUNK, b_arr.size))
-            denom = alpha2[None, :] + (b_arr[blk, None] + cache.rf[None, :]) ** 2
-            integral[blk] = (1.0 / denom) @ cache.weights
+        blocks = row_blocks(b_arr.size, alpha2.itemsize * alpha2.size)
+        kernel = np.empty((max(blk.stop - blk.start for blk in blocks), alpha2.size))
+        for blk in blocks:
+            k = kernel[: blk.stop - blk.start]
+            np.add(b_arr[blk, None], cache.rf, out=k)
+            np.square(k, out=k)
+            np.add(alpha2, k, out=k)
+            np.divide(1.0, k, out=k)
+            integral[blk] = k @ cache.weights
         if cache.tail_r0 is not None:
             integral += self._tail_integral(cache, b_arr)
         out = -1.0 / (1.0 + b_arr) + al * integral

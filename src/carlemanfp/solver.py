@@ -70,8 +70,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol_lb <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol_lb < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol_lb}")
+        self.quadrature()  # validates the cutoff and the node count
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(n_nodes=self.n_nodes, lambda2=self.lambda2)

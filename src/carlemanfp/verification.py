@@ -252,12 +252,19 @@ SUITES = {
 }
 
 
-def run_suites(names, **kwargs) -> list[VerificationReport]:
+def resolve_suites(names) -> list[str]:
+    """The suites to run, in order; 'all' names every suite.  KeyError on
+    an unknown name."""
     if "all" in names:
-        names = list(SUITES)
-    reports: list[VerificationReport] = []
+        return list(SUITES)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return list(names)
+
+
+def run_suites(names, **kwargs) -> list[VerificationReport]:
+    reports: list[VerificationReport] = []
+    for name in resolve_suites(names):
         reports.extend(SUITES[name](**kwargs))
     return reports

@@ -182,6 +182,18 @@ def _write(tmp_path, name, text):
         (["verify", "--members=0"], None, "--members"),
         (["verify", "--suite=ck", "--lambda-grid=0"], None, "--lambda-grid"),
         (["gab", f"--lambda={LAM}", "--grid=0"], None, "--grid"),
+        (["solve", "--lambda=-0.1", "--cutoff=1", "--nodes=100"], None, "cutoff"),
+        (["solve", f"--lambda={LAM}", "--cutoff=inf"], None, "cutoff"),
+        (["solve", f"--lambda={LAM}", "--cutoff=nan"], None, "cutoff"),
+        (["solve", f"--lambda={LAM}", "--tol=nan"], None, "tolerance"),
+        (["solve", f"--lambda={LAM}", "--tol=inf"], None, "tolerance"),
+        (["gab", f"--lambda={LAM}", "--a-min=-1"], None, "--a-min"),
+        (["gab", f"--lambda={LAM}", "--a-min=nan"], None, "--a-min"),
+        (["gab", f"--lambda={LAM}", "--a-max=1e6"], None, "--a-max"),
+        (["gab", f"--lambda={LAM}", "--cutoff=1e4", "--a-max=2e4"], None, "--a-max"),
+        (["gab", f"--lambda={LAM}", "--a-min=10", "--a-max=1"], None, "--a-min"),
+        (["verify", "--suite=nope"], None, "nope"),
+        (["verify", "--suite=prop4,nope"], None, "nope"),
     ],
 )
 def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):
@@ -216,9 +228,12 @@ class TestVerify:
         assert len(reports) == 8
         assert all(r.status == "fail" for r in reports)
 
-    def test_unknown_suite(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(["verify", "--suite=nope", "--out", str(tmp_path / "r.json")])
+    def test_unknown_suite(self, tmp_path, capsys):
+        code = run(["verify", "--suite=nope", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_USAGE
+        assert "unknown suite 'nope'" in capsys.readouterr().err
+        with pytest.raises(KeyError):  # the library call still raises
+            run_suites(["nope"])
 
 
 class TestFigure2:

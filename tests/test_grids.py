@@ -38,8 +38,11 @@ def test_make_nodes_layout():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(n_nodes=32)
-    with pytest.raises(ValueError):
-        QuadratureConfig(lambda2=-1.0)
+    for cutoff in (-1.0, 1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="cutoff"):
+            QuadratureConfig(lambda2=cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            make_nodes(200, cutoff)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_mode="nope")
 

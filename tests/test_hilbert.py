@@ -6,7 +6,9 @@ from scipy import integrate
 
 from carlemanfp.grids import (
     HARD_CUTOFF,
+    POWER_LAW_EXTEND,
     QuadratureConfig,
+    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -17,6 +19,7 @@ from carlemanfp.hilbert import (
     SampledPVTransform,
     hilbert_of_exp,
     hilbert_power_law,
+    power_law_tail_integral,
 )
 
 # Independently computed closed form 2 atanh(1/2)/pi.
@@ -166,3 +169,67 @@ class TestSampledTransformLinearity:
         got = SampledPVTransform(nodes).at_zero(vals)
         exact = math.log1p(1e4) / math.pi
         assert got == pytest.approx(exact, rel=1e-6)
+
+
+def chunked_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
+    """Reference for the row-blocked kernel: the PV quadrature in 128-row
+    chunks with fresh temporaries, as it was computed before blocking."""
+    out = np.empty_like(a)
+    for lo in range(0, a.size, 128):
+        blk = slice(lo, min(lo + 128, a.size))
+        diff = sub_x[None, :] - a[blk, None]
+        out[blk] = ((sub_s[None, :] - s_a[blk, None]) / diff) @ sub_w
+    out += s_a * np.log((x_end - a) / a)
+    return out / math.pi
+
+
+def chunked_quotient(he, a):
+    s_a = np.exp(hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, a))
+    h = chunked_pv(he.sub_x, he.sub_w, he.sub_g, he.x_end, a, s_a)
+    if he.tail_coeff is not None:
+        h += power_law_tail_integral(he.tail_coeff, he.tail_p, a, he.x_end)
+    return h / s_a
+
+
+# one point, fewer points than one row block, and a count that is a
+# multiple of neither the block nor 4
+EXACT_COUNTS = [1, 3, 1201]
+
+
+class TestBlockedKernelExact:
+    """The row-blocked kernel runs the same arithmetic as the chunked one,
+    so its results are bit-identical, not merely close."""
+
+    @pytest.mark.parametrize("n", EXACT_COUNTS)
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    def test_quotient(self, fig_coupling, mode, n):
+        lam2 = 1e4 if mode == HARD_CUTOFF else 1e6
+        cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=mode)
+        f = random_klambda(fig_coupling, make_nodes(400, lam2), np.random.default_rng(n))
+        he = HilbertOfExp(f, cfg)
+        a = np.geomspace(1e-3, 0.9 * lam2, n)
+        assert np.array_equal(he.quotient(a), chunked_quotient(he, a))
+
+    @pytest.mark.parametrize("n", EXACT_COUNTS)
+    def test_sampled_transform(self, n):
+        nodes = make_nodes(300, 1e4)
+        vals = np.sin(np.log1p(nodes)) * np.log1p(nodes)
+        transform = SampledPVTransform(nodes)
+        a = np.geomspace(1e-3, 9e3, n)
+        values, derivs = transform._samples(vals)
+        sub_s = hermite_eval(nodes, values, derivs, transform.sub_x)
+        s_a = hermite_eval(nodes, values, derivs, a)
+        want = chunked_pv(
+            transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a
+        )
+        assert np.array_equal(transform.at(vals, a), want)
+
+    def test_every_count_up_to_one_chunk(self, fig_coupling, rng):
+        # every remainder modulo 4 and modulo the block, including a lone
+        # last row; past 128 the reference's own last chunk can be a single
+        # row, whose dot product sums in another order
+        f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
+        he = HilbertOfExp(f, QuadratureConfig(n_nodes=400, lambda2=1e6))
+        for n in range(1, 129):
+            a = np.geomspace(1e-2, 1e5, n)
+            assert np.array_equal(he.quotient(a), chunked_quotient(he, a)), n

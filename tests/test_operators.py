@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from carlemanfp import bounds
+from carlemanfp import bounds, hilbert, operators
 from carlemanfp.coupling import Coupling
 from carlemanfp.grids import (
     HARD_CUTOFF,
     QuadratureConfig,
+    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -152,6 +153,64 @@ class TestTOp:
         out = t_op(f, fig_coupling, cfg600)
         assert out.rf_nodes.size == out.rf_values.size
         assert out.rf_values[0] == 1.0  # R(0) = exp(-f(0))
+
+
+def chunked_derivative(op, cache, b):
+    """Reference for the row-blocked (Tf)' integral: 256-row chunks with
+    fresh temporaries, as it was computed before blocking."""
+    al = op.coupling.abs_lambda
+    alpha2 = (al * math.pi * cache.t_nodes) ** 2
+    integral = np.empty_like(b)
+    for lo in range(0, b.size, 256):
+        blk = slice(lo, min(lo + 256, b.size))
+        denom = alpha2[None, :] + (b[blk, None] + cache.rf[None, :]) ** 2
+        integral[blk] = (1.0 / denom) @ cache.weights
+    if cache.tail_r0 is not None:
+        integral += op._tail_integral(cache, b)
+    return -1.0 / (1.0 + b) + al * integral
+
+
+class TestBlockedDerivativeExact:
+    """Same arithmetic as the chunked integral, so bit-identical results."""
+
+    @pytest.mark.parametrize("n", [1, 3, 1201])
+    def test_matches_chunked(self, grid600, cfg600, fig_coupling, rng, n):
+        op = TOperator(fig_coupling, cfg600, grid600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        b = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, n - 1)])
+        assert np.array_equal(op.derivative(cache, b), chunked_derivative(op, cache, b))
+
+    def test_every_count_up_to_one_chunk(self, grid600, cfg600, fig_coupling, rng):
+        # past 256 the reference's own last chunk can be a single row
+        op = TOperator(fig_coupling, cfg600, grid600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        for n in range(1, 257):
+            b = np.geomspace(1e-2, 1e5, n)
+            assert np.array_equal(
+                op.derivative(cache, b), chunked_derivative(op, cache, b)
+            ), n
+
+    def test_rf_cache_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
+                                       monkeypatch):
+        f = random_klambda(fig_coupling, grid600, rng)
+        op = TOperator(fig_coupling, cfg600, grid600)
+        calls = []
+
+        def counted(nodes, values, derivs, x, **kw):
+            calls.append(np.size(x))
+            return hermite_eval(nodes, values, derivs, x, **kw)
+
+        monkeypatch.setattr(operators, "hermite_eval", counted)
+        monkeypatch.setattr(hilbert, "hermite_eval", counted)
+        cache = op.rf_cache(f)
+        he, t = cache.hilbert, cache.t_nodes
+        # panel samples once, then f once at the R nodes
+        assert calls == [he.sub_x.size, t.size - 1]
+        monkeypatch.undo()
+        f_t = hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, t[1:])
+        quot = he.quotient(t[1:], allow_extension=True)
+        rf = np.exp(-f_t) - fig_coupling.abs_lambda * math.pi * t[1:] * quot
+        assert np.array_equal(cache.rf[1:], rf)
 
 
 class TestEquicontinuity:

@@ -3,10 +3,12 @@ import pytest
 
 from carlemanfp.grids import make_nodes
 from carlemanfp.quadrature import (
+    _BLOCK_BYTES,
     composite_weights,
     cumulative_integral,
     fd_derivative_coeffs,
     panel_points,
+    row_blocks,
 )
 
 
@@ -60,3 +62,17 @@ def test_fd_derivatives(grid):
     # grade coarser than the rest of the grid
     assert np.max(scaled_err) < 1e-4
     assert np.max(scaled_err[8:-2]) < 1e-5
+
+
+@pytest.mark.parametrize("row_bytes", [8, 16 * 2876, 8 * 2319, 16 * 9276, 10**7])
+def test_row_blocks_tile_rows_in_aligned_blocks(row_bytes):
+    for n in range(0, 400):
+        blocks = row_blocks(n, row_bytes)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        for prev, blk in zip(blocks, blocks[1:]):
+            assert blk.start == prev.stop and blk.start % 4 == 0
+        if n > 1:
+            assert all(blk.stop - blk.start > 1 for blk in blocks)
+        longest = max(blk.stop - blk.start for blk in blocks)
+        # within the budget, give or take the lone last row folded in
+        assert longest <= max(4, _BLOCK_BYTES // row_bytes) + 1
