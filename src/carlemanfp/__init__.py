@@ -12,17 +12,8 @@ from .grids import (
     make_nodes,
     random_klambda,
 )
-from .hilbert import HilbertOfExp, hilbert_of_exp, hilbert_power_law
-from .operators import (
-    OperatorOutput,
-    PoleRegionError,
-    TOperator,
-    lb_distance,
-    lb_norm,
-    r_op,
-    t_op,
-    t_prime,
-)
+from .hilbert import HilbertOfExp, hilbert_power_law
+from .operators import PoleRegionError, TOperator, lb_distance, lb_norm, r_op
 from .report import VerificationReport
 from .solver import (
     EnvelopeEscapeError,
@@ -45,16 +36,12 @@ __all__ = [
     "make_nodes",
     "random_klambda",
     "HilbertOfExp",
-    "hilbert_of_exp",
     "hilbert_power_law",
-    "OperatorOutput",
     "PoleRegionError",
     "TOperator",
     "lb_distance",
     "lb_norm",
     "r_op",
-    "t_op",
-    "t_prime",
     "VerificationReport",
     "EnvelopeEscapeError",
     "IterationReport",

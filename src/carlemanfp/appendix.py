@@ -20,7 +20,7 @@ from .grids import (
     make_nodes,
     zero_function,
 )
-from .operators import t_op
+from .operators import TOperator
 
 
 def _integrand(u: float):
@@ -86,12 +86,12 @@ def t0_profile(
     """
     cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=lambda2, tail_mode=HARD_CUTOFF)
     f0 = zero_function(make_nodes(n_nodes, lambda2))
-    out = t_op(f0, coupling, cfg, require_positive=False)
+    image = TOperator(coupling, cfg, f0.nodes).apply(f0, require_positive=False)
     return (
         f0.nodes,
-        out.grid.values,
+        image.values,
         t0_closed(f0.nodes, coupling, lambda2),
-        out.grid.derivs,
+        image.derivs,
     )
 
 

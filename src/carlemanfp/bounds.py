@@ -429,12 +429,15 @@ def c_tilde_aux(alpha, coupling: Coupling):
     return _ret(out, scalar)
 
 
-def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    grid = np.geomspace(lo, hi, n)
+SUP_SCAN_POINTS = 4000  # log-spaced points of the auxiliary-sup scans
+
+
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    grid = np.geomspace(lo, hi, SUP_SCAN_POINTS)
     return grid[np.abs(grid - 1.0) > 1e-6]
 
 
-def sup_c_aux(coupling: Coupling, n: int = 4000) -> float:
+def sup_c_aux(coupling: Coupling) -> float:
     """Scan sup of ``c_aux`` over the arguments reachable from b >= 0."""
     al = coupling.abs_lambda
     lr = coupling.lambda_r
@@ -442,16 +445,16 @@ def sup_c_aux(coupling: Coupling, n: int = 4000) -> float:
     h_lam = 1.0 - al / 5.0
     lo = h_lam * math.sin(x) * math.cos(x) / (al * math.pi)
     hi = math.exp(4.0 / al)
-    return float(np.max(c_aux(_scan_grid(lo, hi, n), coupling)))
+    return float(np.max(c_aux(_scan_grid(lo, hi), coupling)))
 
 
-def sup_c_tilde_aux(coupling: Coupling, n: int = 4000) -> float:
+def sup_c_tilde_aux(coupling: Coupling) -> float:
     al = coupling.abs_lambda
     lr = coupling.lambda_r
     x = lr * math.pi
     lo = math.sin(x) * math.cos(x) / (al * math.pi)
     hi = math.exp(4.0 / al)
-    return float(np.max(c_tilde_aux(_scan_grid(lo, hi, n), coupling)))
+    return float(np.max(c_tilde_aux(_scan_grid(lo, hi), coupling)))
 
 
 def log_sq_integral_2(alpha: float) -> float:

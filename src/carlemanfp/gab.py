@@ -20,6 +20,7 @@ from .grids import GridFunction, HARD_CUTOFF, QuadratureConfig
 from .hilbert import HilbertOfExp, SampledPVTransform
 
 _BRANCH_EPS = 1e-12
+BOUNDARY_A0 = 1e-4  # finest-but-one level of the a -> 0 Richardson limit
 
 
 def _branch_arctan(num, den):
@@ -41,14 +42,10 @@ class TwoPointReconstruction:
         self.coupling = coupling
         self.lambda2 = float(f.nodes[-1])
         self._hilbert = HilbertOfExp(f, QuadratureConfig(tail_mode=HARD_CUTOFF))
-        al = coupling.abs_lambda
-        inner = f.nodes[1:-1]
-        quot = self._hilbert.quotient(inner)
-        r = np.empty_like(f.nodes)
-        r[0] = math.exp(-f.values[0])
-        r[1:-1] = np.exp(-f.values[1:-1]) - al * math.pi * inner * quot
-        r[-1] = math.inf  # truncated transform diverges at the cutoff edge
-        self._r_nodes = r
+        # the truncated transform diverges at the cutoff edge
+        self._r_nodes = np.append(
+            self._hilbert.r(f.nodes[:-1], coupling.abs_lambda), math.inf
+        )
         self._angle = SampledPVTransform(f.nodes)
         self._h0_tau0 = self._angle.at_zero(self.tau_values(0.0))
 
@@ -67,8 +64,7 @@ class TwoPointReconstruction:
         al = self.coupling.abs_lambda
         if a <= 0.0 or a >= self.lambda2:
             raise ValueError("a must lie strictly inside (0, cutoff)")
-        quot = self._hilbert.quotient(float(a))
-        r = math.exp(-float(self.f.at(a))) - al * math.pi * a * quot
+        r = self._hilbert.r(float(a), al)
         return float(_branch_arctan(al * math.pi * a, b + r))
 
     # -- two-point values ------------------------------------------------
@@ -85,13 +81,10 @@ class TwoPointReconstruction:
             raise ValueError("two-point values must be positive")
         return g_val
 
-    def _r_at(self, a_values: np.ndarray) -> np.ndarray:
-        al = self.coupling.abs_lambda
-        quot = self._hilbert.quotient(a_values)
-        return np.exp(-self.f.at(a_values)) - al * math.pi * a_values * quot
-
-    def boundary_limit(self, b: float, a0: float = 1e-4) -> float:
-        """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4}."""
+    def boundary_limit(self, b: float) -> float:
+        """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4},
+        a0 = BOUNDARY_A0."""
+        a0 = BOUNDARY_A0
         g1 = self.g(a0, b)
         g2 = self.g(a0 / 2.0, b)
         g3 = self.g(a0 / 4.0, b)
@@ -140,7 +133,7 @@ class TwoPointReconstruction:
         a_grid = np.asarray(a_grid, dtype=float)
         b_grid = np.asarray(b_grid, dtype=float)
         al = self.coupling.abs_lambda
-        r_a = self._r_at(a_grid)
+        r_a = self._hilbert.r(a_grid, al)
         gmat = np.empty((a_grid.size, b_grid.size))
         taumat = np.empty_like(gmat)
         for j, b in enumerate(b_grid):

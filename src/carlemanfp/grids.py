@@ -22,6 +22,7 @@ HARD_CUTOFF = "hard_cutoff"
 TailMode = Literal["power_law_extend", "hard_cutoff"]
 
 HEAD_NODES = 32           # linear nodes on [0, 1] before the log section
+RANDOM_MEMBER_BLOCKS = 16  # log(1+x) blocks of a random member's mixing profile
 SLOW_TAIL_THRESHOLD = -0.5
 
 
@@ -212,7 +213,6 @@ def random_klambda(
     coupling: Coupling,
     nodes: np.ndarray,
     rng: np.random.Generator,
-    n_blocks: int = 16,
 ) -> GridFunction:
     """Random member of the fixed-point domain.
 
@@ -224,9 +224,9 @@ def random_klambda(
     nodes = np.asarray(nodes, dtype=float)
     u = np.log1p(nodes)
     u_max = u[-1]
-    edges = np.linspace(0.0, u_max, n_blocks + 1)
+    edges = np.linspace(0.0, u_max, RANDOM_MEMBER_BLOCKS + 1)
     centres = 0.5 * (edges[:-1] + edges[1:])
-    theta_blocks = rng.uniform(0.0, 1.0, n_blocks)
+    theta_blocks = rng.uniform(0.0, 1.0, RANDOM_MEMBER_BLOCKS)
     breaks = np.concatenate([[0.0], centres, [u_max]])
     theta = np.concatenate([[theta_blocks[0]], theta_blocks, [theta_blocks[-1]]])
 

@@ -143,9 +143,10 @@ def _finite(out: np.ndarray) -> np.ndarray:
 class HilbertOfExp:
     """PV transform of exp(f) for a sampled f, evaluated at many points.
 
-    ``quotient(a)`` returns H_a[exp(f)] / exp(f(a)); in power-law mode
-    this is the untruncated transform, in hard-cutoff mode the
-    transform truncated at the grid cutoff.
+    ``quotient(a)`` returns H_a[exp(f)] / exp(f(a)) and ``r(a, |lam|)``
+    the rescaled transform R f(a) built from it; in power-law mode the
+    transform is the untruncated one, in hard-cutoff mode the transform
+    truncated at the grid cutoff.
     """
 
     def __init__(self, f: GridFunction, cfg: QuadratureConfig):
@@ -154,35 +155,50 @@ class HilbertOfExp:
         self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, cfg)
         self.x_end = float(self.ext.nodes[-1])
         self.sub_x, self.sub_w = panel_points(self.ext.nodes)
-        self.sub_g = np.exp(
-            hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, self.sub_x)
-        )
+        self.sub_g = np.exp(self._f_at(self.sub_x))
 
-    def quotient(self, a, allow_extension: bool = False, exp_f=None):
+    def _f_at(self, a: np.ndarray) -> np.ndarray:
+        """Hermite interpolant of the working grid at points a."""
+        return hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
+
+    def _quotient(self, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
+        """H_a[exp(f)] / exp(f(a)) at points a > 0, given s_a = exp(f(a))."""
+        h = _pv(self.sub_x, self.sub_w, self.sub_g, self.x_end, a, s_a)
+        if self.tail_coeff is not None:
+            h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)
+        return _finite(h) / s_a
+
+    def quotient(self, a, allow_extension: bool = False):
         """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff), or in
-        (0, end of the working grid) with ``allow_extension``.  A caller
-        that has already evaluated the Hermite interpolant of ``self.ext``
-        at a passes its exponential as ``exp_f``."""
+        (0, end of the working grid) with ``allow_extension``."""
         hi = self.x_end if allow_extension else self.lambda2
         a, scalar = _points_inside(
             a, hi, f"evaluation points must lie strictly inside (0, {hi:g})"
         )
-        s_a = exp_f
-        if s_a is None:
-            s_a = np.exp(
-                hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
-            )
-        h = _pv(self.sub_x, self.sub_w, self.sub_g, self.x_end, a, s_a)
-        if self.tail_coeff is not None:
-            h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)
-        out = _finite(h) / s_a
+        out = self._quotient(a, np.exp(self._f_at(a)))
         return float(out[0]) if scalar else out
 
+    def r(self, a, abs_lambda: float, allow_extension: bool = False):
+        """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a).
 
-def hilbert_of_exp(f: GridFunction, a, cfg: QuadratureConfig | None = None):
-    """Transform quotient H_a[exp(f)]/exp(f(a)) at points a in (0, cutoff)."""
-    cfg = cfg or QuadratureConfig()
-    return HilbertOfExp(f, cfg).quotient(a)
+        Formed as exp(-f(a)) - |lam| pi a * quotient, so no large
+        exponentials appear; f is interpolated once per point and R f(0)
+        = exp(-f(0)).  Points lie in [0, cutoff), or in [0, end of the
+        working grid) with ``allow_extension``.
+        """
+        hi = self.x_end if allow_extension else self.lambda2
+        scalar = np.ndim(a) == 0
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        if not np.all((a >= 0.0) & (a < hi)):
+            raise ValueError(f"evaluation points must lie in [0, {hi:g})")
+        f_a = self._f_at(a)
+        out = np.exp(-f_a)
+        inside = a > 0.0
+        if abs_lambda != 0.0 and np.any(inside):
+            a_in = a[inside]
+            quot = self._quotient(a_in, np.exp(f_a[inside]))
+            out[inside] -= abs_lambda * math.pi * a_in * quot
+        return float(out[0]) if scalar else out
 
 
 class SampledPVTransform:

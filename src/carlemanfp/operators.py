@@ -1,8 +1,8 @@
-"""The rescaled transform map R, the fixed-point map T, and the norm.
+"""The fixed-point map T, built on the rescaled transform R, and the norm.
 
-R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a) is assembled from the
-transform quotient, so no large exponentials appear.  The derivative of
-the image,
+R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a) has one home,
+``HilbertOfExp.r``; ``r_op`` evaluates it at arbitrary points.  The
+derivative of the image,
 
     (T f)'(b) = -1/(1+b) + |lam| int_0^inf dt / ((|lam| pi t)^2 + (b + Rf(t))^2),
 
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling
-from .grids import (
-    GridFunction,
-    HARD_CUTOFF,
-    POWER_LAW_EXTEND,
-    QuadratureConfig,
-    hermite_eval,
-)
+from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, QuadratureConfig
 from .hilbert import HilbertOfExp, QuadratureError
 from .quadrature import composite_weights, cumulative_integral, row_blocks
 
@@ -62,16 +56,6 @@ class RfCache:
     min_rf: float
 
 
-@dataclass
-class OperatorOutput:
-    """Image grid function together with the shared R cache it used."""
-
-    grid: GridFunction
-    rf_nodes: np.ndarray
-    rf_values: np.ndarray
-    direct_form_diff: float | None = None
-
-
 class TOperator:
     """Fixed-point map bound to a coupling, a node set and quadrature knobs."""
 
@@ -90,21 +74,13 @@ class TOperator:
     def rf_cache(self, f: GridFunction) -> RfCache:
         if not np.array_equal(f.nodes, self.nodes):
             raise ValueError("grid function nodes do not match the operator grid")
-        al = self.coupling.abs_lambda
         he = HilbertOfExp(f, self.cfg)
         t = he.ext.nodes[:-1]
         if self.cfg.tail_mode == HARD_CUTOFF:
             # The truncated-transform integrand develops a sharp ridge where
             # b + R crosses zero; halve the mesh to resolve it.
             t = np.sort(np.concatenate([t, 0.5 * (t[1:] + t[:-1])]))
-        rf = np.empty_like(t)
-        rf[0] = math.exp(-f.values[0])
-        f_t = hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, t[1:])
-        if al == 0.0:
-            rf[1:] = np.exp(-f_t)
-        else:
-            quot = he.quotient(t[1:], allow_extension=True, exp_f=np.exp(f_t))
-            rf[1:] = np.exp(-f_t) - al * math.pi * t[1:] * quot
+        rf = he.r(t, self.coupling.abs_lambda, allow_extension=True)
         w = composite_weights(t)
         r0 = r1 = None
         if self.cfg.tail_mode == POWER_LAW_EXTEND:
@@ -144,13 +120,8 @@ class TOperator:
         exact_zero = 1.0 / ((alpha**2 + cache.tail_r1**2) * t_end)
         return np.where(beta == 0.0, exact_zero, out)
 
-    def derivative(
-        self,
-        f_or_cache: GridFunction | RfCache,
-        b,
-        require_positive: bool = True,
-    ):
-        """(Tf)'(b), vectorised over b >= 0."""
+    def derivative(self, cache: RfCache, b, require_positive: bool = True):
+        """(Tf)'(b) from the R samples of ``rf_cache``, vectorised over b >= 0."""
         b_arr = np.atleast_1d(np.asarray(b, dtype=float))
         scalar = np.ndim(b) == 0
         if np.any(b_arr < 0.0):
@@ -159,11 +130,6 @@ class TOperator:
         if al == 0.0:
             out = -1.0 / (1.0 + b_arr)
             return float(out[0]) if scalar else out
-        cache = (
-            f_or_cache
-            if isinstance(f_or_cache, RfCache)
-            else self.rf_cache(f_or_cache)
-        )
         if require_positive and b_arr.min() + cache.min_rf <= 0.0:
             raise PoleRegionError(
                 f"b + Rf(t) <= 0 at b={b_arr.min():g} (min Rf = {cache.min_rf:g})"
@@ -207,83 +173,22 @@ class TOperator:
             val += b * alpha / (math.pi * (alpha**2 + r1**2) * t_end)
         return -math.log1p(b) + val
 
-    def apply(
-        self,
-        f: GridFunction,
-        require_positive: bool = True,
-        debug_check: bool = False,
-    ) -> OperatorOutput:
-        """Full image T f on the operator grid (values, derivatives, tail)."""
-        al = self.coupling.abs_lambda
-        if al == 0.0:
-            grid = GridFunction(
+    def apply(self, f: GridFunction, require_positive: bool = True) -> GridFunction:
+        """The image T f on the operator grid (values, derivatives, tail)."""
+        if self.coupling.abs_lambda == 0.0:
+            return GridFunction(
                 self.nodes,
                 -np.log1p(self.nodes),
                 -1.0 / (1.0 + self.nodes),
                 tail_exponent=-1.0,
             )
-            return OperatorOutput(grid, self.nodes, np.exp(-f.values))
         cache = self.rf_cache(f)
         d = self.derivative(cache, self.nodes, require_positive=require_positive)
         values = cumulative_integral(self.nodes, d)
-        grid = GridFunction(self.nodes, values, d).with_fitted_tail()
-        diff = None
-        if debug_check:
-            rng = np.random.default_rng(0x5EED)
-            picks = rng.integers(1, self.nodes.size, size=3)
-            diff = max(
-                abs(values[i] - self.direct_value(cache, float(self.nodes[i])))
-                for i in picks
-            )
-        return OperatorOutput(grid, cache.t_nodes, cache.rf, diff)
+        return GridFunction(self.nodes, values, d).with_fitted_tail()
 
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers
-# ---------------------------------------------------------------------------
 
 def r_op(f: GridFunction, a, coupling: Coupling, cfg: QuadratureConfig | None = None):
-    """R f(a) = exp(-f(a)) - |lam| pi a * (H_a[exp f]/exp f(a)); R f(0) = 1."""
-    cfg = cfg or QuadratureConfig()
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    scalar = np.ndim(a) == 0
-    if np.any(a_arr < 0.0) or np.any(a_arr >= f.nodes[-1]):
-        raise ValueError("evaluation points must lie in [0, cutoff)")
-    al = coupling.abs_lambda
-    out = np.empty_like(a_arr)
-    zero = a_arr == 0.0
-    out[zero] = math.exp(-f.values[0])
-    if np.any(~zero):
-        if al == 0.0:
-            out[~zero] = np.exp(-f.at(a_arr[~zero]))
-        else:
-            he = HilbertOfExp(f, cfg)
-            quot = he.quotient(a_arr[~zero])
-            out[~zero] = np.exp(-f.at(a_arr[~zero])) - al * math.pi * a_arr[~zero] * quot
-    return float(out[0]) if scalar else out
+    """R f at points a in [0, cutoff); R f(0) = exp(-f(0))."""
+    return HilbertOfExp(f, cfg or QuadratureConfig()).r(a, coupling.abs_lambda)
 
-
-def t_prime(
-    f: GridFunction,
-    b,
-    coupling: Coupling,
-    cfg: QuadratureConfig | None = None,
-    require_positive: bool = True,
-):
-    """(T f)'(b); absolute accuracy is tied to the grid resolution of f."""
-    cfg = cfg or QuadratureConfig()
-    op = TOperator(coupling, cfg, f.nodes)
-    return op.derivative(f, b, require_positive=require_positive)
-
-
-def t_op(
-    f: GridFunction,
-    coupling: Coupling,
-    cfg: QuadratureConfig | None = None,
-    require_positive: bool = True,
-    debug_check: bool = False,
-) -> OperatorOutput:
-    """T f sampled on f's nodes, with T f(0) = 0 exact by construction."""
-    cfg = cfg or QuadratureConfig()
-    op = TOperator(coupling, cfg, f.nodes)
-    return op.apply(f, require_positive=require_positive, debug_check=debug_check)

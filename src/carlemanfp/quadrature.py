@@ -3,13 +3,13 @@
 All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
 per interval on the smooth integrands this package produces.  Stencil
 weights are solved from scaled Vandermonde systems once per grid and
-kept in a small cache keyed by the node positions, so every caller on
-the same grid shares them.
+kept in a small least-recently-used cache keyed by the node positions,
+so every caller on the same grid shares them.  The cache is not locked:
+the package runs single-threaded.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -76,7 +76,6 @@ def _scaled_stencils(x: np.ndarray, starts: np.ndarray):
 
 _WEIGHT_CACHE_SIZE = 16
 _weight_cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_weight_lock = threading.Lock()
 
 
 def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,18 +89,16 @@ def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.size < 4:
         raise ValueError("need at least 4 nodes for cubic quadrature")
     key = x.tobytes()
-    with _weight_lock:
-        hit = _weight_cache.get(key)
-        if hit is not None:
-            _weight_cache.move_to_end(key)
-            return hit
+    hit = _weight_cache.get(key)
+    if hit is not None:
+        _weight_cache.move_to_end(key)
+        return hit
     idx, w = _solve_interval_weights(x)
     idx.setflags(write=False)
     w.setflags(write=False)
-    with _weight_lock:
-        _weight_cache[key] = (idx, w)
-        if len(_weight_cache) > _WEIGHT_CACHE_SIZE:
-            _weight_cache.popitem(last=False)
+    _weight_cache[key] = (idx, w)
+    if len(_weight_cache) > _WEIGHT_CACHE_SIZE:
+        _weight_cache.popitem(last=False)
     return idx, w
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +212,7 @@ def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
     grew = 0
     prev_residual = math.inf
     for it in range(1, cfg.max_iters + 1):
-        out = op.apply(f, require_positive=enforce_envelope)
-        tf = out.grid
+        tf = op.apply(f, require_positive=enforce_envelope)
         lower, upper = tf.envelope_margins(coupling)
         margin = float(min(lower.min(), upper.min()))
         if enforce_envelope and margin < -cfg.envelope_slack:
@@ -280,17 +278,15 @@ def lambda_scan(
     n_nodes: int = 600,
     tol_lb: float = 1e-8,
     max_iters: int = 500,
-    max_workers: int = 1,
 ) -> list[dict]:
-    """Diagnostic solve per coupling value.
+    """Diagnostic solve per coupling value, one after the other.
 
     Couplings inside [-1/6, 0] are solved with envelope enforcement;
     values outside are run in exploratory mode and only recorded, never
-    asserted (the fixed-point domain itself degenerates there).  More
-    than one worker solves the couplings on a thread pool.
+    asserted (the fixed-point domain itself degenerates there).
     """
-
-    def one(lam: float) -> dict:
+    entries = []
+    for lam in lambdas:
         exploratory = not lambda_in_theorem_range(lam)
         entry: dict = {"lam": float(lam), "exploratory": exploratory}
         try:
@@ -312,13 +308,8 @@ def lambda_scan(
             )
         except Exception as exc:  # diagnostic mode records failures
             entry.update(converged=False, error=f"{type(exc).__name__}: {exc}")
-        return entry
-
-    lambdas = list(lambdas)
-    if max_workers <= 1:
-        return [one(lam) for lam in lambdas]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, lambdas))
+        entries.append(entry)
+    return entries
 
 
 def envelope_curves(coupling: Coupling, b) -> tuple[np.ndarray, np.ndarray]:

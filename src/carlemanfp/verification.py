@@ -18,7 +18,10 @@ from .grids import QuadratureConfig, make_nodes, random_klambda
 from .operators import TOperator, lb_distance, r_op
 from .report import VerificationReport, make_report
 
-DEFAULT_COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
+COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
+SUITE_NODES = 400       # grid size of the random-member suites
+APPENDIX_LAMBDA = -1.0 / (2.0 * math.pi)
+APPENDIX_NODES = 1200
 
 
 def suite_lemma3(**_) -> list[VerificationReport]:
@@ -43,20 +46,14 @@ def _random_pairs(coupling, nodes, rng, n_pairs):
         )
 
 
-def suite_prop4(
-    seed: int = 0,
-    n_pairs: int = 10,
-    n_nodes: int = 400,
-    couplings=DEFAULT_COUPLINGS,
-    **_,
-) -> list[VerificationReport]:
+def suite_prop4(seed: int = 0, n_pairs: int = 10, **_) -> list[VerificationReport]:
     """Pointwise domination of |Rf - Rg| by the three-component bound."""
     rng = np.random.default_rng(seed)
-    nodes = make_nodes(n_nodes, 1e6)
-    cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=1e6)
+    nodes = make_nodes(SUITE_NODES, 1e6)
+    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     t_probe = np.concatenate([[0.0], np.geomspace(1e-2, 9e5, 25)])
     reports = []
-    for lam in couplings:
+    for lam in COUPLINGS:
         coupling = Coupling(lam)
         worst = math.inf
         loc = None
@@ -83,20 +80,14 @@ def suite_prop4(
     return reports
 
 
-def suite_prop5(
-    seed: int = 0,
-    n_pairs: int = 20,
-    n_nodes: int = 400,
-    couplings=DEFAULT_COUPLINGS,
-    **_,
-) -> list[VerificationReport]:
+def suite_prop5(seed: int = 0, n_pairs: int = 20, **_) -> list[VerificationReport]:
     """Measured image distances against the continuity constant, plus the
     two auxiliary suprema that enter its derivation."""
     rng = np.random.default_rng(seed)
-    nodes = make_nodes(n_nodes, 1e6)
-    cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=1e6)
+    nodes = make_nodes(SUITE_NODES, 1e6)
+    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     reports = []
-    for lam in couplings:
+    for lam in COUPLINGS:
         coupling = Coupling(lam)
         op = TOperator(coupling, cfg, nodes)
         kconst = bounds.continuity_constant(coupling)
@@ -105,7 +96,7 @@ def suite_prop5(
             delta = lb_distance(f, g)
             if delta < 1e-12:
                 continue
-            dist = lb_distance(op.apply(f).grid, op.apply(g).grid)
+            dist = lb_distance(op.apply(f), op.apply(g))
             worst_ratio = max(worst_ratio, dist / delta)
         reports.append(
             make_report(
@@ -116,7 +107,7 @@ def suite_prop5(
                 notes=f"continuity constant {kconst:.5f}, 1% slack",
             )
         )
-    for lam in couplings:
+    for lam in COUPLINGS:
         coupling = Coupling(lam)
         al = coupling.abs_lambda
         reports.append(
@@ -140,30 +131,24 @@ def suite_prop5(
     return reports
 
 
-def suite_equicont(
-    seed: int = 0,
-    n_members: int = 10,
-    n_nodes: int = 400,
-    couplings=DEFAULT_COUPLINGS,
-    **_,
-) -> list[VerificationReport]:
+def suite_equicont(seed: int = 0, n_members: int = 10, **_) -> list[VerificationReport]:
     """|(1+a)(Tf)'(a) - (1+b)(Tf)'(b)| <= |a-b| over close node pairs."""
     rng = np.random.default_rng(seed)
-    nodes = make_nodes(n_nodes, 1e6)
-    cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=1e6)
+    nodes = make_nodes(SUITE_NODES, 1e6)
+    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     near = nodes[nodes <= 65.0]
     m = near.size
     gaps = np.abs(near[:, None] - near[None, :])
     mask = (gaps > 0.0) & (gaps <= 1.0)
     reports = []
-    for lam in couplings:
+    for lam in COUPLINGS:
         coupling = Coupling(lam)
         op = TOperator(coupling, cfg, nodes)
         worst = math.inf
         loc = None
         for _ in range(n_members):
             f = random_klambda(coupling, nodes, rng)
-            s = op.apply(f).grid.scaled_derivs()[:m]
+            s = op.apply(f).scaled_derivs()[:m]
             spread = np.abs(s[:, None] - s[None, :])
             margins = np.where(mask, gaps * (1.0 + 1e-6) - spread, math.inf)
             i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
@@ -181,14 +166,10 @@ def suite_equicont(
     return reports
 
 
-def suite_appendix(
-    coupling: Coupling | None = None,
-    n_nodes: int = 1200,
-    **_,
-) -> list[VerificationReport]:
+def suite_appendix(**_) -> list[VerificationReport]:
     """Residue identity for the constant-input integral and the closed form
     of the map applied to zero."""
-    coupling = coupling or Coupling(-1.0 / (2.0 * math.pi))
+    coupling = Coupling(APPENDIX_LAMBDA)
     reports = []
     worst = math.inf
     loc = None
@@ -212,7 +193,7 @@ def suite_appendix(
     loc = None
     window = 1e3  # pointwise convergence lives on a cutoff-independent window
     for lam2 in (1e4, 1e6):
-        nodes, computed, formula, _ = t0_profile(coupling, lam2, n_nodes=n_nodes)
+        nodes, computed, formula, _ = t0_profile(coupling, lam2, n_nodes=APPENDIX_NODES)
         err = np.abs(computed - formula)
         sups.append(float(np.abs(computed[nodes <= window]).max()))
         i = int(np.argmax(err))
@@ -254,13 +235,11 @@ SUITES = {
 
 def resolve_suites(names) -> list[str]:
     """The suites to run, in order; 'all' names every suite.  KeyError on
-    an unknown name."""
-    if "all" in names:
-        return list(SUITES)
+    an unknown name, also next to 'all'."""
     for name in names:
-        if name not in SUITES:
+        if name != "all" and name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return list(names)
+    return list(SUITES) if "all" in names else list(names)
 
 
 def run_suites(names, **kwargs) -> list[VerificationReport]:

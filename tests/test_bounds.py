@@ -156,7 +156,7 @@ class TestMasterExpression:
         ub = bounds.upper_bound_master(b, c)
         for _ in range(3):
             f = random_klambda(c, nodes, rng)
-            lhs = op.derivative(f, b) + (1.0 - c.lambda_r) / (1.0 + b)
+            lhs = op.derivative(op.rf_cache(f), b) + (1.0 - c.lambda_r) / (1.0 + b)
             assert np.all(lhs <= ub + 1e-9)
 
 

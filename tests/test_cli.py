@@ -194,6 +194,7 @@ def _write(tmp_path, name, text):
         (["gab", f"--lambda={LAM}", "--a-min=10", "--a-max=1"], None, "--a-min"),
         (["verify", "--suite=nope"], None, "nope"),
         (["verify", "--suite=prop4,nope"], None, "nope"),
+        (["verify", "--suite=all,nope"], None, "nope"),
     ],
 )
 def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):

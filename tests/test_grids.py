@@ -5,7 +5,6 @@ from carlemanfp.coupling import Coupling
 from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
-    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,

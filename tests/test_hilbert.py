@@ -17,7 +17,6 @@ from carlemanfp.grids import (
 from carlemanfp.hilbert import (
     HilbertOfExp,
     SampledPVTransform,
-    hilbert_of_exp,
     hilbert_power_law,
     power_law_tail_integral,
 )
@@ -87,7 +86,7 @@ class TestHilbertOfExp:
         cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(400, lam2))
         a = np.array([0.7, 13.0, 4000.0])
-        got = hilbert_of_exp(f, a, cfg)
+        got = HilbertOfExp(f, cfg).quotient(a)
         assert np.allclose(got, np.log((lam2 - a) / a) / math.pi, atol=1e-14)
 
     # includes |lam| and lambda_r of the reference coupling
@@ -104,7 +103,7 @@ class TestHilbertOfExp:
         mu, a = 0.3, 1.0
         cfg = QuadratureConfig(n_nodes=1500, lambda2=1e6)
         f = log_envelope_function(make_nodes(1500, 1e6), mu - 1.0)
-        got = hilbert_of_exp(f, a, cfg)
+        got = HilbertOfExp(f, cfg).quotient(a)
         assert got == pytest.approx(brute_pv_quotient(1.0, mu, a), rel=1e-6)
 
     def test_prefactor_kills_origin_divergence(self, fig_coupling, rng):
@@ -133,9 +132,9 @@ class TestHilbertOfExp:
         cfg = QuadratureConfig(n_nodes=200, lambda2=1e4)
         f = log_envelope_function(make_nodes(200, 1e4), -0.8)
         with pytest.raises(ValueError):
-            hilbert_of_exp(f, 0.0, cfg)
+            HilbertOfExp(f, cfg).quotient(0.0)
         with pytest.raises(ValueError):
-            hilbert_of_exp(f, 1e4, cfg)
+            HilbertOfExp(f, cfg).quotient(1e4)
 
     def test_non_decaying_tail_rejected(self):
         cfg = QuadratureConfig(n_nodes=200, lambda2=1e4)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from carlemanfp import bounds, hilbert, operators
+from carlemanfp import bounds, gab, grids, hilbert, operators
 from carlemanfp.coupling import Coupling
+from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import (
     HARD_CUTOFF,
+    POWER_LAW_EXTEND,
     QuadratureConfig,
     hermite_eval,
     log_envelope_function,
@@ -14,14 +16,13 @@ from carlemanfp.grids import (
     random_klambda,
     zero_function,
 )
+from carlemanfp.hilbert import HilbertOfExp
 from carlemanfp.operators import (
     PoleRegionError,
     TOperator,
     lb_distance,
     lb_norm,
     r_op,
-    t_op,
-    t_prime,
 )
 
 
@@ -33,6 +34,32 @@ def grid600():
 @pytest.fixture(scope="module")
 def cfg600():
     return QuadratureConfig(n_nodes=600, lambda2=1e6)
+
+
+@pytest.fixture
+def f_evaluations(monkeypatch):
+    """``watch(f)`` returns a list that collects the point count of every
+    Hermite evaluation of f, or of its working-grid extension, through
+    every module binding of ``hermite_eval``."""
+    watched, sizes = [], []
+
+    def counted(nodes, values, derivs, x, **kw):
+        if watched:
+            head = watched[0].values[:-1]
+            if np.array_equal(values[: head.size], head):
+                sizes.append(np.size(x))
+        return hermite_eval(nodes, values, derivs, x, **kw)
+
+    for mod in (grids, hilbert, operators, gab):
+        if hasattr(mod, "hermite_eval"):
+            monkeypatch.setattr(mod, "hermite_eval", counted)
+
+    def watch(f):
+        watched[:] = [f]
+        sizes.clear()
+        return sizes
+
+    return watch
 
 
 class TestNorm:
@@ -90,7 +117,8 @@ class TestTPrime:
         cfg = QuadratureConfig(n_nodes=800, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(800, lam2))
         b = np.array([0.0, 1.0, 10.0, 500.0])
-        got = t_prime(f, b, fig_coupling, cfg, require_positive=False)
+        op = TOperator(fig_coupling, cfg, f.nodes)
+        got = op.derivative(op.rf_cache(f), b, require_positive=False)
         want = -1.0 / (fig_coupling.abs_lambda * lam2 + 1.0 + b)
         assert np.allclose(got, want, atol=2e-6)
 
@@ -98,8 +126,9 @@ class TestTPrime:
         lam2 = 1e4
         cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(400, lam2))
+        op = TOperator(fig_coupling, cfg, f.nodes)
         with pytest.raises(PoleRegionError):
-            t_prime(f, 0.0, fig_coupling, cfg)  # R dips below 0 for this input
+            op.derivative(op.rf_cache(f), 0.0)  # R dips below 0 for this input
 
     @pytest.mark.parametrize("lam", [-0.02, -1.0 / (2.0 * math.pi), -1.0 / 6.0])
     def test_envelope_bounds_random_members(self, grid600, cfg600, lam, rng):
@@ -107,7 +136,7 @@ class TestTPrime:
         op = TOperator(c, cfg600, grid600)
         for _ in range(4):
             f = random_klambda(c, grid600, rng)
-            d = op.derivative(f, grid600)
+            d = op.derivative(op.rf_cache(f), grid600)
             s = (1.0 + grid600) * d
             assert np.all(s >= -(1.0 - c.abs_lambda) - 1e-6)
             assert np.all(s <= -(1.0 - c.lambda_r) + 1e-6)
@@ -115,44 +144,50 @@ class TestTPrime:
     def test_zero_coupling(self, grid600, cfg600):
         c = Coupling(0.0)
         f = log_envelope_function(grid600, -1.0)
-        got = t_prime(f, np.array([0.0, 3.0, 100.0]), c, cfg600)
+        op = TOperator(c, cfg600, grid600)
+        got = op.derivative(op.rf_cache(f), np.array([0.0, 3.0, 100.0]))
         assert np.allclose(got, -1.0 / np.array([1.0, 4.0, 101.0]), rtol=1e-14)
 
 
 class TestTOp:
     def test_image_vanishes_at_origin(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
-        out = t_op(f, fig_coupling, cfg600)
-        assert out.grid.values[0] == 0.0
+        image = TOperator(fig_coupling, cfg600, grid600).apply(f)
+        assert image.values[0] == 0.0
 
     def test_zero_input_full_profile(self, fig_coupling):
         lam2 = 1e4
         cfg = QuadratureConfig(n_nodes=800, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(800, lam2))
-        out = t_op(f, fig_coupling, cfg, require_positive=False)
+        image = TOperator(fig_coupling, cfg, f.nodes).apply(f, require_positive=False)
         want = np.log(1.0 / (1.0 + f.nodes / (1.0 + fig_coupling.abs_lambda * lam2)))
-        assert np.max(np.abs(out.grid.values - want)) < 1e-6
+        assert np.max(np.abs(image.values - want)) < 1e-6
 
     def test_two_arctan_forms_agree(self, fig_coupling, rng):
         nodes = make_nodes(2000, 1e6)
         cfg = QuadratureConfig(n_nodes=2000, lambda2=1e6)
         f = random_klambda(fig_coupling, nodes, rng)
-        out = t_op(f, fig_coupling, cfg, debug_check=True)
-        assert out.direct_form_diff is not None
-        assert out.direct_form_diff <= 1e-7
+        op = TOperator(fig_coupling, cfg, nodes)
+        values = op.apply(f).values
+        cache = op.rf_cache(f)
+        picks = np.random.default_rng(0x5EED).integers(1, nodes.size, size=3)
+        diff = max(
+            abs(values[i] - op.direct_value(cache, float(nodes[i]))) for i in picks
+        )
+        assert diff <= 1e-7
 
     def test_lower_edge_stays_inside(self, grid600, cfg600, fig_coupling):
         f = log_envelope_function(grid600, -(1.0 - fig_coupling.abs_lambda))
-        out = t_op(f, fig_coupling, cfg600)
-        lower, upper = out.grid.envelope_margins(fig_coupling)
+        image = TOperator(fig_coupling, cfg600, grid600).apply(f)
+        lower, upper = image.envelope_margins(fig_coupling)
         assert lower.min() >= -1e-6
         assert upper.min() >= -1e-6
 
     def test_rf_cache_exposed(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
-        out = t_op(f, fig_coupling, cfg600)
-        assert out.rf_nodes.size == out.rf_values.size
-        assert out.rf_values[0] == 1.0  # R(0) = exp(-f(0))
+        cache = TOperator(fig_coupling, cfg600, grid600).rf_cache(f)
+        assert cache.t_nodes.size == cache.rf.size
+        assert cache.rf[0] == 1.0  # R(0) = exp(-f(0))
 
 
 def chunked_derivative(op, cache, b):
@@ -191,21 +226,14 @@ class TestBlockedDerivativeExact:
             ), n
 
     def test_rf_cache_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
-                                       monkeypatch):
+                                       f_evaluations, monkeypatch):
         f = random_klambda(fig_coupling, grid600, rng)
         op = TOperator(fig_coupling, cfg600, grid600)
-        calls = []
-
-        def counted(nodes, values, derivs, x, **kw):
-            calls.append(np.size(x))
-            return hermite_eval(nodes, values, derivs, x, **kw)
-
-        monkeypatch.setattr(operators, "hermite_eval", counted)
-        monkeypatch.setattr(hilbert, "hermite_eval", counted)
+        calls = f_evaluations(f)
         cache = op.rf_cache(f)
         he, t = cache.hilbert, cache.t_nodes
         # panel samples once, then f once at the R nodes
-        assert calls == [he.sub_x.size, t.size - 1]
+        assert calls == [he.sub_x.size, t.size]
         monkeypatch.undo()
         f_t = hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, t[1:])
         quot = he.quotient(t[1:], allow_extension=True)
@@ -223,7 +251,7 @@ class TestEquicontinuity:
             mask = (gaps > 0.0) & (gaps <= 1.0)
             for _ in range(3):
                 f = random_klambda(c, grid600, rng)
-                s = op.apply(f).grid.scaled_derivs()[: near.size]
+                s = op.apply(f).scaled_derivs()[: near.size]
                 spread = np.abs(s[:, None] - s[None, :])
                 assert np.all(spread[mask] <= gaps[mask] * (1.0 + 1e-6))
 
@@ -242,5 +270,65 @@ class TestContinuityModulus:
                 delta = lb_distance(f, g)
                 if delta < 1e-12:
                     continue
-                dist = lb_distance(op.apply(f).grid, op.apply(g).grid)
+                dist = lb_distance(op.apply(f), op.apply(g))
                 assert dist <= bound * delta
+
+
+def two_evaluation_r(f, a, coupling, cfg):
+    """Reference for the one R home: f interpolated on its own nodes for
+    exp(-f), and again on the working grid inside the transform quotient.
+    Where the two interpolants agree the home must match it bit for bit."""
+    quot = HilbertOfExp(f, cfg).quotient(a)
+    return np.exp(-f.at(a)) - coupling.abs_lambda * math.pi * a * quot
+
+
+class TestRHome:
+    """HilbertOfExp.r is the one place R is formed; every caller
+    interpolates f once per point, with the bits of the old formula."""
+
+    def test_r_op_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
+                                   f_evaluations):
+        f = random_klambda(fig_coupling, grid600, rng)
+        a = np.concatenate([[0.0], np.geomspace(1e-3, 9e5, 49)])
+        panels = HilbertOfExp(f, cfg600).sub_x.size
+        calls = f_evaluations(f)
+        r_op(f, a, fig_coupling, cfg600)
+        assert calls == [panels, a.size]
+
+    def test_reconstruction_evaluates_f_once(self, fig_coupling, rng,
+                                             f_evaluations):
+        f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
+        calls = f_evaluations(f)
+        rec = TwoPointReconstruction(f, fig_coupling)
+        # edge refinement, panel samples, then f once at the nodes below the cutoff
+        assert calls == [
+            hilbert._EDGE_REFINE_LEVELS, rec._hilbert.sub_x.size, f.nodes.size - 1
+        ]
+        calls.clear()
+        rec.tau_at(3.0, 0.5)
+        assert calls == [1]
+        calls.clear()
+        grid = np.geomspace(1e-2, 1e2, 12)
+        rec.table(grid, grid)
+        assert calls == [grid.size]
+
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    def test_bits_of_the_two_evaluation_formula(self, fig_coupling, rng, mode):
+        nodes = make_nodes(400, 1e6)
+        cfg = QuadratureConfig(n_nodes=400, lambda2=1e6, tail_mode=mode)
+        f = random_klambda(fig_coupling, nodes, rng)
+        # power-law mode: all of (0, cutoff); hard cutoff: below the last
+        # interval, where the working grid refines toward the edge
+        hi = nodes[-1] if mode == POWER_LAW_EXTEND else nodes[-2]
+        inner = nodes[(nodes > 0.0) & (nodes < hi)]
+        a = np.concatenate([
+            inner,
+            0.5 * (inner[1:] + inner[:-1]),
+            np.geomspace(1e-9, hi, 300, endpoint=False),
+            [np.nextafter(hi, 0.0)],
+        ])
+        got = HilbertOfExp(f, cfg).r(a, fig_coupling.abs_lambda)
+        assert np.array_equal(got, two_evaluation_r(f, a, fig_coupling, cfg))
+        assert HilbertOfExp(f, cfg).r(0.0, fig_coupling.abs_lambda) == math.exp(
+            -f.values[0]
+        )
