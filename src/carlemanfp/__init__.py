@@ -23,7 +23,6 @@ from .solver import (
     SolverConfig,
     consistency_residual,
     initial_guess,
-    lambda_scan,
     solve,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "SolverConfig",
     "consistency_residual",
     "initial_guess",
-    "lambda_scan",
     "solve",
 ]

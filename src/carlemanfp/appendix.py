@@ -13,13 +13,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .coupling import Coupling
-from .grids import (
-    HARD_CUTOFF,
-    QuadratureConfig,
-    hermite_eval,
-    make_nodes,
-    zero_function,
-)
+from .grids import HARD_CUTOFF, QuadratureConfig, make_nodes, zero_function
 from .operators import TOperator
 
 
@@ -94,9 +88,3 @@ def t0_profile(
         image.derivs,
     )
 
-
-def t0_check(b: float, coupling: Coupling, lambda2: float, n_nodes: int = 2000):
-    """(computed, closed-form) pair for the zero-input image at one point."""
-    nodes, values, _, derivs = t0_profile(coupling, lambda2, n_nodes=n_nodes)
-    computed = float(hermite_eval(nodes, values, derivs, float(b)))
-    return computed, float(t0_closed(b, coupling, lambda2))

@@ -2,17 +2,16 @@
 
 Contents: the lower-bound correction F entering the sandwich on the
 rescaled transform, its rescaled-family parent fhat, the piecewise
-tangent minorant S, the abbreviation constants, the explicit master
-expression that dominates the derivative of the image under the
-fixed-point map, the printed tail coefficients, the pointwise
-difference bounds for R, the norm-continuity constant, and the two
-auxiliary functions whose suprema enter that constant.
+tangent minorant S, the explicit master expression that dominates the
+derivative of the image under the fixed-point map, the printed tail
+coefficients, the pointwise difference bounds for R, the norm-continuity
+constant, and the two auxiliary functions whose suprema enter that
+constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,16 +114,6 @@ def fhat_prime(lambda_r: float, a):
     return _ret(out, scalar)
 
 
-def fhat_second(lambda_r: float, a):
-    a, scalar = _asarray(a)
-    if np.any(a <= 0.0):
-        raise ValueError("argument must be > 0")
-    z = 1.0 / (1.0 + a)
-    h = hyp2f1(2.0, lambda_r, 3.0 + lambda_r, z)
-    out = 2.0 * z * z / (a * (1.0 + lambda_r) * (2.0 + lambda_r)) * h
-    return _ret(out, scalar)
-
-
 @lru_cache(maxsize=1)
 def _tangent_data() -> dict:
     return {
@@ -153,53 +142,6 @@ def s_bound(a):
     out = np.where(a <= 0.5, t1, np.where(a < 6.0, t2, d["F6"]))
     out = np.where(a == 0.5, np.minimum(t1, t2), out)
     return _ret(out, scalar)
-
-
-def s_bound_jump() -> float:
-    """Size of the minorant's one-sided disagreement at the breakpoint 1/2."""
-    d = _tangent_data()
-    t1 = d["F15"] + 0.3 * d["Fp15"]
-    t2 = d["F32"] - d["Fp32"]
-    return abs(t1 - t2)
-
-
-# ---------------------------------------------------------------------------
-# Abbreviation constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeltaConstants:
-    """Tangent-data abbreviations entering the master expression."""
-
-    delta1: float
-    delta2: float
-    delta3: float
-    delta4: float
-    delta5: float
-    delta6: float
-    gamma_cot: float
-
-    @classmethod
-    def for_coupling(cls, coupling: Coupling) -> "DeltaConstants":
-        d = _tangent_data()
-        if not d["Fp15"] < 0.0:
-            raise AssertionError("tangent slope at 1/5 must be negative")
-        pi = math.pi
-        lr = coupling.lambda_r
-        return cls(
-            delta1=(d["F15"] + 0.3 * d["Fp15"]) / pi,
-            delta2=(d["F15"] - 0.2 * d["Fp15"]) / pi,
-            delta3=(d["F32"] - d["Fp32"]) / pi,
-            delta4=(d["F32"] - 1.5 * d["Fp32"]) / pi,
-            delta5=(d["F32"] + 4.5 * d["Fp32"]) / pi,
-            delta6=d["F6"] / pi,
-            gamma_cot=1.0 / math.tan(lr * pi) if lr > 0.0 else math.inf,
-        )
-
-    def beta_of_b(self, b, coupling: Coupling):
-        if coupling.abs_lambda == 0.0:
-            raise ValueError("beta is undefined at zero coupling")
-        return (np.asarray(b, dtype=float) + 1.0) / (coupling.abs_lambda * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +397,6 @@ def sup_c_tilde_aux(coupling: Coupling) -> float:
     lo = math.sin(x) * math.cos(x) / (al * math.pi)
     hi = math.exp(4.0 / al)
     return float(np.max(c_tilde_aux(_scan_grid(lo, hi), coupling)))
-
-
-def log_sq_integral_2(alpha: float) -> float:
-    """Closed form of int_0^inf log^2(1+t)/(t+alpha)^2 dt."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        return 2.0
-    if alpha < 1.0:
-        return 2.0 * dilog(1.0 - alpha) / (1.0 - alpha)
-    return (math.log(alpha) ** 2 + 2.0 * dilog(1.0 - 1.0 / alpha)) / (alpha - 1.0)
-
-
-def log_sq_integral_3(alpha: float) -> float:
-    """Closed form of int_0^inf log^2(1+t)/(t+alpha)^3 dt."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        return 0.25
-    if alpha < 1.0:
-        return (-math.log(alpha) - dilog(1.0 - alpha)) / (1.0 - alpha) ** 2
-    return (
-        0.5 * math.log(alpha) ** 2 - math.log(alpha) + dilog(1.0 - 1.0 / alpha)
-    ) / (alpha - 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,9 @@ def cmd_solve(args) -> int:
     t0 = time.time()
     cfg, snapshot = _run_solve_config(args)
     res = _solve_or_exit(cfg, args.exploratory)
+    f = res.grid_function
     meta = dict(snapshot, iterations=res.iterations, residual=res.residual,
-                tail_exponent=res.tail_exponent, slow_tail=res.slow_tail)
+                tail_exponent=f.fitted_tail_exponent(), slow_tail=f.has_slow_tail())
     _emit(args, "solve", snapshot, t0,
           ["b", "f", "g0b", "lower_envelope", "upper_envelope"],
           solution_rows(res, cfg.coupling), meta, res.history)

@@ -27,8 +27,8 @@ class Coupling:
     """Coupling ``lam`` in ``[-1/6, 0]`` with cached ``lambda_r``.
 
     ``exploratory=True`` relaxes the range check (used only by the
-    diagnostic coupling scan; no bound is asserted outside the theorem
-    range).
+    CLI's ``--exploratory`` diagnostic runs; no bound is asserted outside
+    the theorem range).
     """
 
     lam: float

@@ -92,12 +92,6 @@ class TwoPointReconstruction:
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0
 
-    def symmetry_defect(self, a: float, b: float) -> float:
-        """Relative asymmetry |G(a,b) - G(b,a)| / G(a,b); reported, not asserted."""
-        gab = self.g(a, b)
-        gba = self.g(b, a)
-        return abs(gab - gba) / gab
-
     def boundary_consistency(self, b_values=None) -> float:
         """Worst relative deviation of the a -> 0 limit from exp(f(b)).
 
@@ -113,16 +107,6 @@ class TwoPointReconstruction:
             ref = math.exp(float(self.f.at(b)))
             worst = max(worst, abs(self.boundary_limit(float(b)) - ref) / ref)
         return worst
-
-    def cutoff_sensitivity(self, b: float) -> float:
-        """Heuristic size of the angle-transform tail lost to truncation.
-
-        The angle decays only logarithmically toward the cutoff edge, so
-        the last-node angle over pi estimates the per-decade truncation
-        error of its transform; values above 1e-3 warrant a warning.
-        """
-        tau = self.tau_values(b)
-        return float(tau[-2] / math.pi)
 
     def table(self, a_grid, b_grid) -> np.ndarray:
         """Columns a, b, tau, G(a,b), symmetry defect on a rectangular grid.

@@ -26,6 +26,13 @@ RANDOM_MEMBER_BLOCKS = 16  # log(1+x) blocks of a random member's mixing profile
 SLOW_TAIL_THRESHOLD = -0.5
 
 
+def check_node_count(n_nodes: int) -> None:
+    """ValueError unless the grid has a log section of at least HEAD_NODES
+    nodes past the linear head."""
+    if n_nodes < 64:
+        raise ValueError(f"n_nodes must be >= 64, got {n_nodes}")
+
+
 def check_cutoff(lambda2: float) -> None:
     """ValueError unless the cutoff is finite and beyond the linear head."""
     if not 1.0 < lambda2 < math.inf:
@@ -47,8 +54,7 @@ class QuadratureConfig:
     tail_mode: TailMode = POWER_LAW_EXTEND
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 64:
-            raise ValueError("n_nodes must be >= 64")
+        check_node_count(self.n_nodes)
         check_cutoff(self.lambda2)
         if self.tail_mode not in (POWER_LAW_EXTEND, HARD_CUTOFF):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
@@ -56,6 +62,7 @@ class QuadratureConfig:
 
 def make_nodes(n_nodes: int = 2000, lambda2: float = 1e6) -> np.ndarray:
     """Node layout: linear head on [0, 1], log-spaced up to the cutoff."""
+    check_node_count(n_nodes)
     check_cutoff(lambda2)
     head = np.linspace(0.0, 1.0, HEAD_NODES)
     tail = np.geomspace(1.0, lambda2, n_nodes - HEAD_NODES + 1)[1:]
@@ -161,8 +168,8 @@ class GridFunction:
     def envelope_margins(self, coupling: Coupling):
         """Signed distances of (1+x) f' to the envelope band (>=0 inside)."""
         s = self.scaled_derivs()
-        lower = s + (1.0 - coupling.abs_lambda)
-        upper = -(1.0 - coupling.lambda_r) - s
+        lower = s - coupling.lower_envelope_exponent()
+        upper = coupling.upper_envelope_exponent() - s
         return lower, upper
 
     def in_envelope(self, coupling: Coupling, slack: float = 1e-6) -> bool:
@@ -230,8 +237,8 @@ def random_klambda(
     breaks = np.concatenate([[0.0], centres, [u_max]])
     theta = np.concatenate([[theta_blocks[0]], theta_blocks, [theta_blocks[-1]]])
 
-    lo = -(1.0 - coupling.abs_lambda)
-    hi = -(1.0 - coupling.lambda_r)
+    lo = coupling.lower_envelope_exponent()
+    hi = coupling.upper_envelope_exponent()
     d_breaks = lo * theta + hi * (1.0 - theta)        # piecewise linear in u
 
     # Exact antiderivative of the piecewise-linear profile.

@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .coupling import Coupling, lambda_in_theorem_range
+from .coupling import Coupling
 from .grids import (
     GridFunction,
     QuadratureConfig,
@@ -64,11 +65,14 @@ class SolverConfig:
     damping: float = 1.0
     tol_lb: float = 1e-8
     max_iters: int = 500
-    envelope_slack: float = 1e-6
+    # how far (1+b) f' may leave the band before an image raises or a mix is refused
+    envelope_slack: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 < self.tol_lb < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol_lb}")
         self.quadrature()  # validates the cutoff and the node count
@@ -93,12 +97,12 @@ class IterationReport:
 
 @dataclass
 class SolveResult:
+    """A converged solve (one that does not converge raises); the tail
+    exponent and slow-tail flag live on ``grid_function``."""
+
     grid_function: GridFunction
     history: list[IterationReport]
-    converged: bool
     residual: float
-    tail_exponent: float
-    slow_tail: bool
 
     @property
     def iterations(self) -> int:
@@ -107,7 +111,7 @@ class SolveResult:
 
 def initial_guess(coupling: Coupling, nodes: np.ndarray) -> GridFunction:
     """Steep-envelope start -(1-|lam|) log(1+b); lies in the domain exactly."""
-    return log_envelope_function(nodes, -(1.0 - coupling.abs_lambda))
+    return log_envelope_function(nodes, coupling.lower_envelope_exponent())
 
 
 class AndersonMixer:
@@ -221,14 +225,7 @@ def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
         residual = lb_distance(tf, f)
         if residual < cfg.tol_lb:
             history.append(IterationReport(it, residual, margin, residual))
-            return SolveResult(
-                grid_function=tf,
-                history=history,
-                converged=True,
-                residual=residual,
-                tail_exponent=tf.fitted_tail_exponent(),
-                slow_tail=tf.has_slow_tail(),
-            )
+            return SolveResult(grid_function=tf, history=history, residual=residual)
         grown = residual > prev_residual
         new, depth = _next_iterate(mixer, f, tf, coupling, omega, slack, grown)
         history.append(
@@ -270,46 +267,6 @@ def consistency_residual(
     if b_max is not None:
         rel = rel[f.nodes <= b_max]
     return float(rel.max())
-
-
-def lambda_scan(
-    lambdas,
-    lambda2: float = 1e6,
-    n_nodes: int = 600,
-    tol_lb: float = 1e-8,
-    max_iters: int = 500,
-) -> list[dict]:
-    """Diagnostic solve per coupling value, one after the other.
-
-    Couplings inside [-1/6, 0] are solved with envelope enforcement;
-    values outside are run in exploratory mode and only recorded, never
-    asserted (the fixed-point domain itself degenerates there).
-    """
-    entries = []
-    for lam in lambdas:
-        exploratory = not lambda_in_theorem_range(lam)
-        entry: dict = {"lam": float(lam), "exploratory": exploratory}
-        try:
-            coupling = Coupling(lam, exploratory=exploratory)
-            cfg = SolverConfig(
-                coupling=coupling,
-                lambda2=lambda2,
-                n_nodes=n_nodes,
-                tol_lb=tol_lb,
-                max_iters=max_iters,
-            )
-            res = solve(cfg, enforce_envelope=not exploratory)
-            entry.update(
-                converged=res.converged,
-                iterations=res.iterations,
-                final_distance=res.history[-1].lb_distance,
-                envelope_min_margin=min(r.envelope_min_margin for r in res.history),
-                tail_exponent=res.tail_exponent,
-            )
-        except Exception as exc:  # diagnostic mode records failures
-            entry.update(converged=False, error=f"{type(exc).__name__}: {exc}")
-        entries.append(entry)
-    return entries
 
 
 def envelope_curves(coupling: Coupling, b) -> tuple[np.ndarray, np.ndarray]:

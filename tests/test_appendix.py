@@ -5,11 +5,11 @@ import pytest
 
 from carlemanfp.appendix import (
     cauchy_integral,
-    t0_check,
     t0_closed,
     t0_derivative_closed,
     t0_profile,
 )
+from carlemanfp.grids import GridFunction
 
 
 class TestResidueIntegral:
@@ -35,7 +35,9 @@ class TestResidueIntegral:
 
 class TestZeroInputImage:
     def test_point_check(self, fig_coupling):
-        computed, formula = t0_check(10.0, fig_coupling, 1e6, n_nodes=1200)
+        nodes, values, _, derivs = t0_profile(fig_coupling, 1e6, n_nodes=1200)
+        computed = GridFunction(nodes, values, derivs).at(10.0)
+        formula = float(t0_closed(10.0, fig_coupling, 1e6))
         assert formula == pytest.approx(
             math.log(1.0 / (1.0 + 10.0 / (1.0 + fig_coupling.abs_lambda * 1e6))),
             rel=1e-14,
@@ -43,9 +45,10 @@ class TestZeroInputImage:
         assert abs(computed - formula) <= 1e-6
 
     def test_origin(self, fig_coupling):
-        computed, formula = t0_check(0.0, fig_coupling, 1e4, n_nodes=800)
-        assert computed == 0.0
-        assert formula == 0.0
+        nodes, computed, formula, _ = t0_profile(fig_coupling, 1e4, n_nodes=800)
+        assert nodes[0] == 0.0
+        assert computed[0] == 0.0
+        assert formula[0] == 0.0
 
     @pytest.mark.parametrize("lam2", [1e4, 1e6])
     def test_profile_agreement(self, fig_coupling, lam2):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from carlemanfp import bounds
 from carlemanfp.coupling import Coupling
@@ -55,10 +54,6 @@ class TestFhat:
             for a in (0.4, 1.5, 10.0):
                 fd1 = (bounds.fhat(lr, a + h) - bounds.fhat(lr, a - h)) / (2.0 * h)
                 assert bounds.fhat_prime(lr, a) == pytest.approx(fd1, rel=1e-7)
-                fd2 = (
-                    bounds.fhat_prime(lr, a + h) - bounds.fhat_prime(lr, a - h)
-                ) / (2.0 * h)
-                assert bounds.fhat_second(lr, a) == pytest.approx(fd2, rel=1e-6)
 
     def test_tangent_crossing_reference(self):
         lr = 0.25
@@ -100,10 +95,9 @@ class TestSBound:
         assert bounds.s_bound(0.0) == pytest.approx(want, rel=1e-14)
 
     def test_breakpoint_jump_reported_and_min_used(self):
-        gap = bounds.s_bound_jump()
-        assert gap > 0.0
         t1 = bounds.f_bound(0.2) + 0.3 * bounds.f_bound_prime(0.2)
         t2 = bounds.f_bound(1.5) - bounds.f_bound_prime(1.5)
+        assert t1 != t2  # the two tangents disagree at the breakpoint
         assert bounds.s_bound(0.5) == pytest.approx(min(t1, t2), rel=1e-14)
 
     def test_minorant_certificate(self):
@@ -178,20 +172,6 @@ class TestPrintedCoefficients:
             bounds.c_coeffs_printed(Coupling(0.0))
 
 
-class TestDeltaConstants:
-    def test_ordering_from_negative_slope(self, fig_coupling):
-        d = bounds.DeltaConstants.for_coupling(fig_coupling)
-        assert d.delta2 > d.delta1  # tangent slope at 1/5 is negative
-        assert d.delta5 > d.delta4  # slope at 3/2 is positive
-        assert d.delta6 == pytest.approx(bounds.f_bound(6.0) / math.pi, rel=1e-14)
-        assert d.gamma_cot == pytest.approx(
-            1.0 / math.tan(fig_coupling.lambda_r * math.pi), rel=1e-14
-        )
-        assert d.beta_of_b(0.0, fig_coupling) == pytest.approx(
-            1.0 / (fig_coupling.abs_lambda * math.pi)
-        )
-
-
 class TestDeltaRBounds:
     def test_trivial_zeros(self, fig_coupling):
         assert np.all(bounds.delta_r_bounds(0.0, 1.0, fig_coupling) == 0.0)
@@ -237,24 +217,6 @@ class TestContinuityConstant:
 
 
 class TestAuxiliaryFunctions:
-    @pytest.mark.parametrize("alpha,expected", [(1.0, 2.0), (1.0 + 1e-30, 2.0)])
-    def test_log_integral_2_at_one(self, alpha, expected):
-        assert bounds.log_sq_integral_2(alpha) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.7, 4.0, 25.0])
-    def test_log_integrals_against_quadrature(self, alpha):
-        ref2 = integrate.quad(
-            lambda t: np.log1p(t) ** 2 / (t + alpha) ** 2, 0, np.inf, limit=400
-        )[0]
-        ref3 = integrate.quad(
-            lambda t: np.log1p(t) ** 2 / (t + alpha) ** 3, 0, np.inf, limit=400
-        )[0]
-        assert bounds.log_sq_integral_2(alpha) == pytest.approx(ref2, rel=1e-9)
-        assert bounds.log_sq_integral_3(alpha) == pytest.approx(ref3, rel=1e-9)
-
-    def test_log_integral_3_at_one(self):
-        assert bounds.log_sq_integral_3(1.0) == pytest.approx(0.25, rel=1e-12)
-
     def test_c_tilde_limit_is_one(self):
         # the limit is approached like 1/log(alpha^|lam|), so only a loose
         # band is reachable inside float range; check band plus trend

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carlemanfp.coupling import Coupling
+from carlemanfp.coupling import Coupling, lambda_in_theorem_range
 from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
@@ -23,6 +23,18 @@ def test_coupling_basics():
     assert Coupling(-0.2, exploratory=True).lambda_r == pytest.approx(0.2 / 0.6)
 
 
+def test_coupling_range_rule():
+    # below -1/6 by more than the guard's 1e-15 of rounding room: refused
+    outside = -1.0 / 6.0 - 1e-13
+    assert not lambda_in_theorem_range(outside)
+    with pytest.raises(ValueError):
+        Coupling(outside)
+    # within the rounding room: accepted
+    inside = -1.0 / 6.0 - 1e-16
+    assert lambda_in_theorem_range(inside)
+    assert Coupling(inside).in_theorem_range
+
+
 def test_make_nodes_layout():
     nodes = make_nodes(2000, 1e6)
     assert nodes.size == 2000
@@ -32,6 +44,19 @@ def test_make_nodes_layout():
     assert np.all(np.diff(nodes) > 0)
     # linear head spacing
     assert np.allclose(np.diff(nodes[:32]), 1.0 / 31.0)
+
+
+@pytest.mark.parametrize("n_nodes", [20, 32, 63])
+def test_make_nodes_rejects_short_grid(n_nodes):
+    with pytest.raises(ValueError, match=f"n_nodes must be >= 64, got {n_nodes}"):
+        make_nodes(n_nodes, 1e6)
+
+
+def test_make_nodes_minimum_grid():
+    nodes = make_nodes(64, 1e6)
+    assert nodes.size == 64
+    assert nodes[31] == 1.0
+    assert np.all(np.diff(nodes) > 0)
 
 
 def test_quadrature_config_validation():
