@@ -13,7 +13,7 @@ from .grids import (
     random_klambda,
 )
 from .hilbert import HilbertOfExp, hilbert_power_law
-from .operators import PoleRegionError, TOperator, lb_distance, lb_norm, r_op
+from .operators import PoleRegionError, TOperator, lb_distance, lb_norm
 from .report import VerificationReport
 from .solver import (
     EnvelopeEscapeError,
@@ -40,7 +40,6 @@ __all__ = [
     "TOperator",
     "lb_distance",
     "lb_norm",
-    "r_op",
     "VerificationReport",
     "EnvelopeEscapeError",
     "IterationReport",

@@ -80,7 +80,7 @@ def t0_profile(
     """
     cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=lambda2, tail_mode=HARD_CUTOFF)
     f0 = zero_function(make_nodes(n_nodes, lambda2))
-    image = TOperator(coupling, cfg, f0.nodes).apply(f0, require_positive=False)
+    image = TOperator(coupling, cfg).apply(f0, require_positive=False)
     return (
         f0.nodes,
         image.values,

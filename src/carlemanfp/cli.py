@@ -163,14 +163,15 @@ def _run_solve_config(args) -> tuple[SolverConfig, dict]:
     return cfg, snapshot
 
 
-def _solve_or_exit(cfg: SolverConfig, exploratory: bool) -> SolveResult:
+def _solve_or_exit(cfg: SolverConfig) -> SolveResult:
     try:
-        return solve(cfg, enforce_envelope=not exploratory)
+        return solve(cfg)
     except NonConvergenceError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NONCONVERGENCE)
-    except EnvelopeEscapeError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
+    except EnvelopeEscapeError as exc:  # only in-range runs check the band
+        print(f"solve failed: {exc}; T keeps the band for lambda in [-1/6, 0], so "
+              "the grid is too coarse: raise --nodes", file=sys.stderr)
         raise SystemExit(EXIT_ENVELOPE)
     except (QuadratureError, PoleRegionError) as exc:
         # exploratory couplings can break the transform's structure
@@ -181,7 +182,7 @@ def _solve_or_exit(cfg: SolverConfig, exploratory: bool) -> SolveResult:
 def cmd_solve(args) -> int:
     t0 = time.time()
     cfg, snapshot = _run_solve_config(args)
-    res = _solve_or_exit(cfg, args.exploratory)
+    res = _solve_or_exit(cfg)
     f = res.grid_function
     meta = dict(snapshot, iterations=res.iterations, residual=res.residual,
                 tail_exponent=f.fitted_tail_exponent(), slow_tail=f.has_slow_tail())
@@ -230,7 +231,7 @@ _FIG2_WINDOWS = (
 def cmd_figure2(args) -> int:
     t0 = time.time()
     cfg, snapshot = _run_solve_config(args)
-    res = _solve_or_exit(cfg, args.exploratory)
+    res = _solve_or_exit(cfg)
     f = res.grid_function
     lower, upper = envelope_curves(cfg.coupling, f.nodes)
     g0b = np.exp(f.values)
@@ -257,7 +258,7 @@ def cmd_gab(args) -> int:
             f"--a-min={args.a_min} and --a-max={args.a_max} must satisfy "
             f"0 < a-min <= a-max < cutoff ({cfg.lambda2:g})",
         )
-    res = _solve_or_exit(cfg, args.exploratory)
+    res = _solve_or_exit(cfg)
     rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
     grid = np.geomspace(args.a_min, args.a_max, args.grid)
     table = rec.table(grid, grid)

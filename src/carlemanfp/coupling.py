@@ -26,9 +26,9 @@ def lambda_in_theorem_range(lam: float) -> bool:
 class Coupling:
     """Coupling ``lam`` in ``[-1/6, 0]`` with cached ``lambda_r``.
 
-    ``exploratory=True`` relaxes the range check (used only by the
-    CLI's ``--exploratory`` diagnostic runs; no bound is asserted outside
-    the theorem range).
+    ``exploratory=True`` (the CLI's ``--exploratory``) marks a diagnostic
+    run: it relaxes the range check, and ``solve`` then enforces neither
+    the envelope band nor the pole guard; no bound is asserted.
     """
 
     lam: float
@@ -57,10 +57,6 @@ class Coupling:
     @property
     def abs_lambda(self) -> float:
         return abs(self.lam)
-
-    @property
-    def in_theorem_range(self) -> bool:
-        return lambda_in_theorem_range(self.lam)
 
     def lower_envelope_exponent(self) -> float:
         """Exponent ``-(1 - |lambda|)`` of the steep envelope edge."""

@@ -10,7 +10,7 @@ fixed-point domain stay inside their envelope between nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -172,10 +172,6 @@ class GridFunction:
         upper = coupling.upper_envelope_exponent() - s
         return lower, upper
 
-    def in_envelope(self, coupling: Coupling, slack: float = 1e-6) -> bool:
-        lower, upper = self.envelope_margins(coupling)
-        return bool(np.all(lower >= -slack) and np.all(upper >= -slack))
-
     # -- evaluation ---------------------------------------------------
 
     def at(self, x):
@@ -195,9 +191,6 @@ class GridFunction:
         k = min(k, self.nodes.size - 2)
         du = np.log1p(x_end) - np.log1p(self.nodes[k])
         return float((self.values[-1] - self.values[k]) / du)
-
-    def with_fitted_tail(self) -> "GridFunction":
-        return replace(self, tail_exponent=self.fitted_tail_exponent())
 
     def has_slow_tail(self) -> bool:
         return self.fitted_tail_exponent() > SLOW_TAIL_THRESHOLD

@@ -1,8 +1,7 @@
 """The fixed-point map T, built on the rescaled transform R, and the norm.
 
 R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a) has one home,
-``HilbertOfExp.r``; ``r_op`` evaluates it at arbitrary points.  The
-derivative of the image,
+``HilbertOfExp.r``.  The derivative of the image,
 
     (T f)'(b) = -1/(1+b) + |lam| int_0^inf dt / ((|lam| pi t)^2 + (b + Rf(t))^2),
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, QuadratureConfig
+from .grids import log_envelope_function
 from .hilbert import HilbertOfExp, QuadratureError
 from .quadrature import composite_weights, cumulative_integral, row_blocks
 
@@ -57,23 +57,16 @@ class RfCache:
 
 
 class TOperator:
-    """Fixed-point map bound to a coupling, a node set and quadrature knobs."""
+    """Fixed-point map bound to a coupling and the quadrature's tail
+    treatment; the grid is the sampled function's own."""
 
-    def __init__(
-        self,
-        coupling: Coupling,
-        cfg: QuadratureConfig,
-        nodes: np.ndarray,
-    ):
+    def __init__(self, coupling: Coupling, cfg: QuadratureConfig):
         self.coupling = coupling
         self.cfg = cfg
-        self.nodes = np.asarray(nodes, dtype=float)
 
     # -- R ----------------------------------------------------------------
 
     def rf_cache(self, f: GridFunction) -> RfCache:
-        if not np.array_equal(f.nodes, self.nodes):
-            raise ValueError("grid function nodes do not match the operator grid")
         he = HilbertOfExp(f, self.cfg)
         t = he.ext.nodes[:-1]
         if self.cfg.tail_mode == HARD_CUTOFF:
@@ -174,21 +167,10 @@ class TOperator:
         return -math.log1p(b) + val
 
     def apply(self, f: GridFunction, require_positive: bool = True) -> GridFunction:
-        """The image T f on the operator grid (values, derivatives, tail)."""
+        """The image T f on the nodes of f (values and derivatives)."""
         if self.coupling.abs_lambda == 0.0:
-            return GridFunction(
-                self.nodes,
-                -np.log1p(self.nodes),
-                -1.0 / (1.0 + self.nodes),
-                tail_exponent=-1.0,
-            )
+            return log_envelope_function(f.nodes, -1.0)  # T f = -log(1+b)
         cache = self.rf_cache(f)
-        d = self.derivative(cache, self.nodes, require_positive=require_positive)
-        values = cumulative_integral(self.nodes, d)
-        return GridFunction(self.nodes, values, d).with_fitted_tail()
-
-
-def r_op(f: GridFunction, a, coupling: Coupling, cfg: QuadratureConfig | None = None):
-    """R f at points a in [0, cutoff); R f(0) = exp(-f(0))."""
-    return HilbertOfExp(f, cfg or QuadratureConfig()).r(a, coupling.abs_lambda)
+        d = self.derivative(cache, f.nodes, require_positive=require_positive)
+        return GridFunction(f.nodes, cumulative_integral(f.nodes, d), d)
 

@@ -102,11 +102,14 @@ class SolveResult:
 
     grid_function: GridFunction
     history: list[IterationReport]
-    residual: float
 
     @property
     def iterations(self) -> int:
         return len(self.history)
+
+    @property
+    def residual(self) -> float:
+        return self.history[-1].residual
 
 
 def initial_guess(coupling: Coupling, nodes: np.ndarray) -> GridFunction:
@@ -161,19 +164,31 @@ def _minus_differences(newest: tuple, states: list, gamma: np.ndarray) -> tuple:
     return tuple(out)
 
 
+def _band_margin(f: GridFunction, coupling: Coupling) -> tuple[float, float]:
+    """Worst signed distance of (1+b) f' to the envelope band (>= 0
+    inside, NaN if any margin is NaN) and the node where it occurs."""
+    worst = np.minimum(*f.envelope_margins(coupling))
+    i = int(np.argmin(worst))  # argmin picks the first NaN
+    return float(worst[i]), float(f.nodes[i])
+
+
+def _escapes(margin: float) -> bool:
+    """The band check: a NaN margin counts as outside."""
+    return not margin >= -SolverConfig.envelope_slack
+
+
 def _next_iterate(
     mixer: AndersonMixer,
     f: GridFunction,
     tf: GridFunction,
     coupling: Coupling,
     beta: float,
-    slack: float | None,
     restart: bool,
 ) -> tuple[GridFunction, int]:
     """Safeguarded Anderson step from f, whose image is tf.
 
-    ``restart`` (the residual grew) or a mix leaving the envelope band by
-    more than ``slack`` (None: no band check) clears the history and
+    ``restart`` (the residual grew) or a mix leaving the envelope band
+    (checked unless the coupling is exploratory) clears the history and
     takes the damped Picard step instead.
     """
     mixer.push(
@@ -183,51 +198,42 @@ def _next_iterate(
     if restart:
         mixer.restart()
     (values, derivs), depth = mixer.step(beta)
-    new = GridFunction(f.nodes, values, derivs).with_fitted_tail()
-    if depth and slack is not None and not new.in_envelope(coupling, slack):
+    new = GridFunction(f.nodes, values, derivs)
+    if depth and not coupling.exploratory and _escapes(_band_margin(new, coupling)[0]):
         mixer.restart()
         (values, derivs), depth = mixer.step(beta)
-        new = GridFunction(f.nodes, values, derivs).with_fitted_tail()
+        new = GridFunction(f.nodes, values, derivs)
     return new, depth
 
 
-def solve(cfg: SolverConfig, enforce_envelope: bool = True) -> SolveResult:
+def solve(cfg: SolverConfig) -> SolveResult:
     """Safeguarded Anderson iteration until ||T f - f||_LB drops below
     tolerance; returns the last image T f.
 
-    Raises NonConvergenceError at the iteration cap and, when envelope
-    enforcement is on, EnvelopeEscapeError if an image's scaled
-    derivative leaves the admissible band by more than the slack.
+    Raises NonConvergenceError at the iteration cap.  Unless the coupling
+    is exploratory, an image must keep b + Rf(t) > 0 (PoleRegionError)
+    and its scaled derivative must stay in the envelope band up to the
+    slack (EnvelopeEscapeError).
     """
     coupling = cfg.coupling
-    if enforce_envelope and not coupling.in_theorem_range:
-        raise ValueError(
-            "coupling outside the stability range; pass enforce_envelope=False "
-            "or construct an exploratory coupling for diagnostic runs"
-        )
-    quad = cfg.quadrature()
-    nodes = make_nodes(cfg.n_nodes, cfg.lambda2)
-    op = TOperator(coupling, quad, nodes)
-    f = initial_guess(coupling, nodes)
+    op = TOperator(coupling, cfg.quadrature())
+    f = initial_guess(coupling, make_nodes(cfg.n_nodes, cfg.lambda2))
     history: list[IterationReport] = []
     mixer = AndersonMixer()
-    slack = cfg.envelope_slack if enforce_envelope else None
     omega = cfg.damping
     grew = 0
     prev_residual = math.inf
     for it in range(1, cfg.max_iters + 1):
-        tf = op.apply(f, require_positive=enforce_envelope)
-        lower, upper = tf.envelope_margins(coupling)
-        margin = float(min(lower.min(), upper.min()))
-        if enforce_envelope and margin < -cfg.envelope_slack:
-            node = tf.nodes[int(np.argmin(np.minimum(lower, upper)))]
-            raise EnvelopeEscapeError(it, float(node), margin)
+        tf = op.apply(f, require_positive=not coupling.exploratory)
+        margin, node = _band_margin(tf, coupling)
+        if not coupling.exploratory and _escapes(margin):
+            raise EnvelopeEscapeError(it, node, margin)
         residual = lb_distance(tf, f)
         if residual < cfg.tol_lb:
             history.append(IterationReport(it, residual, margin, residual))
-            return SolveResult(grid_function=tf, history=history, residual=residual)
+            return SolveResult(grid_function=tf, history=history)
         grown = residual > prev_residual
-        new, depth = _next_iterate(mixer, f, tf, coupling, omega, slack, grown)
+        new, depth = _next_iterate(mixer, f, tf, coupling, omega, grown)
         history.append(
             IterationReport(it, lb_distance(new, f), margin, residual, depth)
         )
@@ -256,8 +262,7 @@ def consistency_residual(
     ``b_max`` restricts the check to nodes <= b_max (the pointwise
     convergence diagnostics need a cutoff-independent window).
     """
-    cfg = cfg or QuadratureConfig()
-    op = TOperator(coupling, cfg, f.nodes)
+    op = TOperator(coupling, cfg or QuadratureConfig())
     cache = op.rf_cache(f)
     d = op.derivative(cache, f.nodes, require_positive=False)
     inner = cumulative_integral(f.nodes, d + 1.0 / (1.0 + f.nodes))

@@ -1,8 +1,9 @@
 """Named certification suites combining bound formulas with operator runs.
 
 Each suite returns a list of VerificationReports; the command-line
-driver serialises them.  Suites that need random members of the
-fixed-point domain take an explicit seed so runs are reproducible.
+driver serialises them and owns every default: the settings a suite
+reads (``seed``, ``n_pairs``, ``n_members``, ``n_lambda``) are
+keyword-only, with no default here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from . import bounds
 from .appendix import cauchy_integral, t0_profile
 from .coupling import Coupling
 from .grids import QuadratureConfig, make_nodes, random_klambda
-from .operators import TOperator, lb_distance, r_op
+from .hilbert import HilbertOfExp
+from .operators import TOperator, lb_distance
 from .report import VerificationReport, make_report
 
 COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
@@ -32,7 +34,7 @@ def suite_lemma4(**_) -> list[VerificationReport]:
     return [bounds.verify_f_ge_s()]
 
 
-def suite_ck(n_lambda: int = 200, **_) -> list[VerificationReport]:
+def suite_ck(*, n_lambda: int, **_) -> list[VerificationReport]:
     return [
         bounds.verify_master_inequality(n_lambda=n_lambda),
         bounds.verify_c_coeffs(n_lambda=n_lambda),
@@ -46,7 +48,7 @@ def _random_pairs(coupling, nodes, rng, n_pairs):
         )
 
 
-def suite_prop4(seed: int = 0, n_pairs: int = 10, **_) -> list[VerificationReport]:
+def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     """Pointwise domination of |Rf - Rg| by the three-component bound."""
     rng = np.random.default_rng(seed)
     nodes = make_nodes(SUITE_NODES, 1e6)
@@ -60,7 +62,8 @@ def suite_prop4(seed: int = 0, n_pairs: int = 10, **_) -> list[VerificationRepor
         for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
             delta = lb_distance(f, g)
             measured = np.abs(
-                r_op(f, t_probe, coupling, cfg) - r_op(g, t_probe, coupling, cfg)
+                HilbertOfExp(f, cfg).r(t_probe, coupling.abs_lambda)
+                - HilbertOfExp(g, cfg).r(t_probe, coupling.abs_lambda)
             )
             allowed = bounds.delta_r_bounds(t_probe, delta, coupling).sum(axis=0)
             margins = allowed + 1e-6 - measured
@@ -80,7 +83,7 @@ def suite_prop4(seed: int = 0, n_pairs: int = 10, **_) -> list[VerificationRepor
     return reports
 
 
-def suite_prop5(seed: int = 0, n_pairs: int = 20, **_) -> list[VerificationReport]:
+def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     """Measured image distances against the continuity constant, plus the
     two auxiliary suprema that enter its derivation."""
     rng = np.random.default_rng(seed)
@@ -89,7 +92,7 @@ def suite_prop5(seed: int = 0, n_pairs: int = 20, **_) -> list[VerificationRepor
     reports = []
     for lam in COUPLINGS:
         coupling = Coupling(lam)
-        op = TOperator(coupling, cfg, nodes)
+        op = TOperator(coupling, cfg)
         kconst = bounds.continuity_constant(coupling)
         worst_ratio = 0.0
         for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
@@ -131,7 +134,7 @@ def suite_prop5(seed: int = 0, n_pairs: int = 20, **_) -> list[VerificationRepor
     return reports
 
 
-def suite_equicont(seed: int = 0, n_members: int = 10, **_) -> list[VerificationReport]:
+def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport]:
     """|(1+a)(Tf)'(a) - (1+b)(Tf)'(b)| <= |a-b| over close node pairs."""
     rng = np.random.default_rng(seed)
     nodes = make_nodes(SUITE_NODES, 1e6)
@@ -143,7 +146,7 @@ def suite_equicont(seed: int = 0, n_members: int = 10, **_) -> list[Verification
     reports = []
     for lam in COUPLINGS:
         coupling = Coupling(lam)
-        op = TOperator(coupling, cfg, nodes)
+        op = TOperator(coupling, cfg)
         worst = math.inf
         loc = None
         for _ in range(n_members):

@@ -127,7 +127,7 @@ def test_criterion_06_domain_preservation():
     worst = math.inf
     for lam in (-0.02, -0.08, FIG_LAMBDA, -1.0 / 6.0):
         coupling = Coupling(lam)
-        op = TOperator(coupling, cfg, nodes)
+        op = TOperator(coupling, cfg)
         lo_edge = -(1.0 - coupling.abs_lambda)
         hi_edge = -(1.0 - coupling.lambda_r)
         for _ in range(50):
@@ -193,7 +193,7 @@ def test_criterion_09_continuity_modulus():
     worst = math.inf
     for lam in (-0.05, FIG_LAMBDA, -1.0 / 6.0):
         coupling = Coupling(lam)
-        op = TOperator(coupling, cfg, nodes)
+        op = TOperator(coupling, cfg)
         budget = bounds.continuity_constant(coupling) * 1.01
         for _ in range(100):
             f = random_klambda(coupling, nodes, rng)
@@ -224,7 +224,7 @@ def test_criterion_10_equicontinuity():
     worst = math.inf
     for lam in (-0.05, FIG_LAMBDA, -1.0 / 6.0):
         coupling = Coupling(lam)
-        op = TOperator(coupling, cfg, nodes)
+        op = TOperator(coupling, cfg)
         for _ in range(8):
             f = random_klambda(coupling, nodes, rng)
             s = op.apply(f).scaled_derivs()[:m]

@@ -9,7 +9,7 @@ from carlemanfp import bounds
 from carlemanfp.coupling import Coupling
 from carlemanfp.grids import QuadratureConfig, make_nodes, random_klambda
 from carlemanfp.hilbert import HilbertOfExp
-from carlemanfp.operators import lb_distance, r_op
+from carlemanfp.operators import lb_distance
 
 
 class TestFBound:
@@ -145,7 +145,7 @@ class TestMasterExpression:
         c = Coupling(-1.0 / 6.0)
         nodes = make_nodes(400, 1e6)
         cfg = QuadratureConfig(n_nodes=400, lambda2=1e6)
-        op = TOperator(c, cfg, nodes)
+        op = TOperator(c, cfg)
         b = np.geomspace(1e-2, 1e4, 20)
         ub = bounds.upper_bound_master(b, c)
         for _ in range(3):
@@ -191,7 +191,8 @@ class TestDeltaRBounds:
             g = random_klambda(fig_coupling, nodes, rng)
             delta = lb_distance(f, g)
             measured = np.abs(
-                r_op(f, t, fig_coupling, cfg) - r_op(g, t, fig_coupling, cfg)
+                HilbertOfExp(f, cfg).r(t, fig_coupling.abs_lambda)
+                - HilbertOfExp(g, cfg).r(t, fig_coupling.abs_lambda)
             )
             allowed = bounds.delta_r_bounds(t, delta, fig_coupling).sum(axis=0)
             assert np.all(measured <= allowed + 1e-6)

@@ -86,6 +86,17 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_envelope_escape_exit_code(self, tmp_path, capsys):
+        # at the range edge 64 nodes are too coarse: the first image leaves
+        # the band, and the one-line message names the remedy
+        out = tmp_path / "esc.csv"
+        code = run(["solve", "--lambda=-0.16666666666666666", "--nodes=64",
+                    "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "--nodes" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconvergence_exit_code(self, tmp_path):
         code = run(
             [
@@ -224,10 +235,16 @@ class TestVerify:
 
     def test_empty_scan_certifies_nothing(self):
         reports = run_suites(
-            ["prop4", "equicont", "ck"], n_pairs=0, n_members=0, n_lambda=0
+            ["prop4", "equicont", "ck"], seed=0, n_pairs=0, n_members=0, n_lambda=0
         )
         assert len(reports) == 8
         assert all(r.status == "fail" for r in reports)
+
+    @pytest.mark.parametrize("suite", ["ck", "prop4", "prop5", "equicont"])
+    def test_settings_have_one_home(self, suite):
+        # the command line owns the defaults; a library call must name them
+        with pytest.raises(TypeError):
+            run_suites([suite])
 
     def test_unknown_suite(self, tmp_path, capsys):
         code = run(["verify", "--suite=nope", "--out", str(tmp_path / "r.json")])

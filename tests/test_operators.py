@@ -22,7 +22,6 @@ from carlemanfp.operators import (
     TOperator,
     lb_distance,
     lb_norm,
-    r_op,
 )
 
 
@@ -88,14 +87,14 @@ class TestNorm:
 class TestROp:
     def test_value_at_zero(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
-        assert r_op(f, 0.0, fig_coupling, cfg600) == 1.0
+        assert HilbertOfExp(f, cfg600).r(0.0, fig_coupling.abs_lambda) == 1.0
 
     def test_constant_function_closed_form(self, fig_coupling):
         lam2 = 1e4
         cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(400, lam2))
         a = np.array([0.5, 20.0, 3000.0])
-        got = r_op(f, a, fig_coupling, cfg)
+        got = HilbertOfExp(f, cfg).r(a, fig_coupling.abs_lambda)
         want = 1.0 - fig_coupling.abs_lambda * a * np.log((lam2 - a) / a)
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -106,7 +105,7 @@ class TestROp:
         upper = al * math.pi * a / math.tan(al * math.pi) + 1.0
         for _ in range(8):
             f = random_klambda(fig_coupling, grid600, rng)
-            rv = r_op(f, a, fig_coupling, cfg600)
+            rv = HilbertOfExp(f, cfg600).r(a, fig_coupling.abs_lambda)
             assert np.all(rv >= lower - 1e-6)
             assert np.all(rv <= upper + 1e-6)
 
@@ -117,7 +116,7 @@ class TestTPrime:
         cfg = QuadratureConfig(n_nodes=800, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(800, lam2))
         b = np.array([0.0, 1.0, 10.0, 500.0])
-        op = TOperator(fig_coupling, cfg, f.nodes)
+        op = TOperator(fig_coupling, cfg)
         got = op.derivative(op.rf_cache(f), b, require_positive=False)
         want = -1.0 / (fig_coupling.abs_lambda * lam2 + 1.0 + b)
         assert np.allclose(got, want, atol=2e-6)
@@ -126,14 +125,14 @@ class TestTPrime:
         lam2 = 1e4
         cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(400, lam2))
-        op = TOperator(fig_coupling, cfg, f.nodes)
+        op = TOperator(fig_coupling, cfg)
         with pytest.raises(PoleRegionError):
             op.derivative(op.rf_cache(f), 0.0)  # R dips below 0 for this input
 
     @pytest.mark.parametrize("lam", [-0.02, -1.0 / (2.0 * math.pi), -1.0 / 6.0])
     def test_envelope_bounds_random_members(self, grid600, cfg600, lam, rng):
         c = Coupling(lam)
-        op = TOperator(c, cfg600, grid600)
+        op = TOperator(c, cfg600)
         for _ in range(4):
             f = random_klambda(c, grid600, rng)
             d = op.derivative(op.rf_cache(f), grid600)
@@ -144,7 +143,7 @@ class TestTPrime:
     def test_zero_coupling(self, grid600, cfg600):
         c = Coupling(0.0)
         f = log_envelope_function(grid600, -1.0)
-        op = TOperator(c, cfg600, grid600)
+        op = TOperator(c, cfg600)
         got = op.derivative(op.rf_cache(f), np.array([0.0, 3.0, 100.0]))
         assert np.allclose(got, -1.0 / np.array([1.0, 4.0, 101.0]), rtol=1e-14)
 
@@ -152,14 +151,14 @@ class TestTPrime:
 class TestTOp:
     def test_image_vanishes_at_origin(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
-        image = TOperator(fig_coupling, cfg600, grid600).apply(f)
+        image = TOperator(fig_coupling, cfg600).apply(f)
         assert image.values[0] == 0.0
 
     def test_zero_input_full_profile(self, fig_coupling):
         lam2 = 1e4
         cfg = QuadratureConfig(n_nodes=800, lambda2=lam2, tail_mode=HARD_CUTOFF)
         f = zero_function(make_nodes(800, lam2))
-        image = TOperator(fig_coupling, cfg, f.nodes).apply(f, require_positive=False)
+        image = TOperator(fig_coupling, cfg).apply(f, require_positive=False)
         want = np.log(1.0 / (1.0 + f.nodes / (1.0 + fig_coupling.abs_lambda * lam2)))
         assert np.max(np.abs(image.values - want)) < 1e-6
 
@@ -167,7 +166,7 @@ class TestTOp:
         nodes = make_nodes(2000, 1e6)
         cfg = QuadratureConfig(n_nodes=2000, lambda2=1e6)
         f = random_klambda(fig_coupling, nodes, rng)
-        op = TOperator(fig_coupling, cfg, nodes)
+        op = TOperator(fig_coupling, cfg)
         values = op.apply(f).values
         cache = op.rf_cache(f)
         picks = np.random.default_rng(0x5EED).integers(1, nodes.size, size=3)
@@ -178,14 +177,27 @@ class TestTOp:
 
     def test_lower_edge_stays_inside(self, grid600, cfg600, fig_coupling):
         f = log_envelope_function(grid600, -(1.0 - fig_coupling.abs_lambda))
-        image = TOperator(fig_coupling, cfg600, grid600).apply(f)
+        image = TOperator(fig_coupling, cfg600).apply(f)
         lower, upper = image.envelope_margins(fig_coupling)
         assert lower.min() >= -1e-6
         assert upper.min() >= -1e-6
 
+    def test_image_lives_on_the_input_grid(self, grid600, cfg600, fig_coupling, rng):
+        # the operator holds no grid: one instance serves every node set
+        grid400 = make_nodes(400, 1e6)
+        shared = TOperator(fig_coupling, cfg600)
+        for nodes in (grid400, grid600, grid400):
+            f = random_klambda(fig_coupling, nodes, rng)
+            image = shared.apply(f)
+            own = QuadratureConfig(n_nodes=nodes.size, lambda2=1e6)
+            alone = TOperator(fig_coupling, own).apply(f)
+            assert np.array_equal(image.nodes, nodes)
+            assert np.array_equal(image.values, alone.values)
+            assert np.array_equal(image.derivs, alone.derivs)
+
     def test_rf_cache_exposed(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
-        cache = TOperator(fig_coupling, cfg600, grid600).rf_cache(f)
+        cache = TOperator(fig_coupling, cfg600).rf_cache(f)
         assert cache.t_nodes.size == cache.rf.size
         assert cache.rf[0] == 1.0  # R(0) = exp(-f(0))
 
@@ -210,14 +222,14 @@ class TestBlockedDerivativeExact:
 
     @pytest.mark.parametrize("n", [1, 3, 1201])
     def test_matches_chunked(self, grid600, cfg600, fig_coupling, rng, n):
-        op = TOperator(fig_coupling, cfg600, grid600)
+        op = TOperator(fig_coupling, cfg600)
         cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
         b = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, n - 1)])
         assert np.array_equal(op.derivative(cache, b), chunked_derivative(op, cache, b))
 
     def test_every_count_up_to_one_chunk(self, grid600, cfg600, fig_coupling, rng):
         # past 256 the reference's own last chunk can be a single row
-        op = TOperator(fig_coupling, cfg600, grid600)
+        op = TOperator(fig_coupling, cfg600)
         cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
         for n in range(1, 257):
             b = np.geomspace(1e-2, 1e5, n)
@@ -228,7 +240,7 @@ class TestBlockedDerivativeExact:
     def test_rf_cache_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
                                        f_evaluations, monkeypatch):
         f = random_klambda(fig_coupling, grid600, rng)
-        op = TOperator(fig_coupling, cfg600, grid600)
+        op = TOperator(fig_coupling, cfg600)
         calls = f_evaluations(f)
         cache = op.rf_cache(f)
         he, t = cache.hilbert, cache.t_nodes
@@ -245,7 +257,7 @@ class TestEquicontinuity:
     def test_scaled_derivative_modulus(self, grid600, cfg600, rng):
         for lam in (-0.05, -1.0 / 6.0):
             c = Coupling(lam)
-            op = TOperator(c, cfg600, grid600)
+            op = TOperator(c, cfg600)
             near = grid600[grid600 <= 65.0]
             gaps = np.abs(near[:, None] - near[None, :])
             mask = (gaps > 0.0) & (gaps <= 1.0)
@@ -262,7 +274,7 @@ class TestContinuityModulus:
         cfg = QuadratureConfig(n_nodes=400, lambda2=1e6)
         for lam in (-0.05, -1.0 / 6.0):
             c = Coupling(lam)
-            op = TOperator(c, cfg, nodes)
+            op = TOperator(c, cfg)
             bound = bounds.continuity_constant(c) * 1.01
             for _ in range(10):
                 f = random_klambda(c, nodes, rng)
@@ -292,7 +304,7 @@ class TestRHome:
         a = np.concatenate([[0.0], np.geomspace(1e-3, 9e5, 49)])
         panels = HilbertOfExp(f, cfg600).sub_x.size
         calls = f_evaluations(f)
-        r_op(f, a, fig_coupling, cfg600)
+        HilbertOfExp(f, cfg600).r(a, fig_coupling.abs_lambda)
         assert calls == [panels, a.size]
 
     def test_reconstruction_evaluates_f_once(self, fig_coupling, rng,

@@ -10,7 +10,9 @@ from carlemanfp.solver import (
     ANDERSON_DEPTH,
     AndersonMixer,
     SolverConfig,
+    _band_margin,
     _next_iterate,
+    _escapes,
     consistency_residual,
     envelope_curves,
     initial_guess,
@@ -62,7 +64,7 @@ class TestSolve:
     def test_residual_of_fixed_point(self, small_solution):
         cfg, res = small_solution
         f = res.grid_function
-        image = TOperator(cfg.coupling, cfg.quadrature(), f.nodes).apply(f)
+        image = TOperator(cfg.coupling, cfg.quadrature()).apply(f)
         assert lb_distance(image, f) < cfg.tol_lb
 
     def test_history_monotone_convergence(self, small_solution):
@@ -84,9 +86,12 @@ class TestSolve:
         assert all(0 <= d <= ANDERSON_DEPTH for d in depths)
 
     def test_range_guard(self):
+        # past the stability range the coupling itself switches the band
+        # and pole checks off; just past -1/6 the iteration still lands
         cfg = SolverConfig(coupling=Coupling(-0.2, exploratory=True), n_nodes=300)
-        with pytest.raises(ValueError):
-            solve(cfg)  # envelope enforcement demands the stability range
+        res = solve(cfg)
+        assert res.iterations < cfg.max_iters
+        assert res.residual == res.history[-1].residual < cfg.tol_lb
 
 
 class TestAndersonMixer:
@@ -123,34 +128,45 @@ class TestAndersonMixer:
         nodes = make_nodes(64, 1e4)
         first = self._pair(nodes, -0.84, -0.80)
         second = self._pair(nodes, -0.80, -0.77)
+        # an exploratory coupling has the same band but leaves it unchecked
+        exploratory = Coupling(fig_coupling.lam, exploratory=True)
         unguarded = AndersonMixer()
-        _next_iterate(unguarded, *first, fig_coupling, 1.0, None, False)
-        mixed, depth = _next_iterate(unguarded, *second, fig_coupling, 1.0, None, False)
+        _next_iterate(unguarded, *first, exploratory, 1.0, False)
+        mixed, depth = _next_iterate(unguarded, *second, exploratory, 1.0, False)
         assert depth == 1
         assert np.allclose(mixed.scaled_derivs(), -0.68)
 
         mixer = AndersonMixer()
-        _next_iterate(mixer, *first, fig_coupling, 1.0, 1e-6, False)
-        new, depth = _next_iterate(mixer, *second, fig_coupling, 1.0, 1e-6, False)
+        _next_iterate(mixer, *first, fig_coupling, 1.0, False)
+        new, depth = _next_iterate(mixer, *second, fig_coupling, 1.0, False)
         assert depth == 0
         assert np.array_equal(new.values, second[1].values)
         assert np.array_equal(new.derivs, second[1].derivs)
         # the history was cleared down to the newest pair
         _, depth = _next_iterate(
-            mixer, *self._pair(nodes, -0.77, -0.775), fig_coupling, 1.0, 1e-6, False
+            mixer, *self._pair(nodes, -0.77, -0.775), fig_coupling, 1.0, False
         )
         assert depth == 1
+
+    def test_nan_margin_counts_as_outside(self, fig_coupling):
+        nodes = make_nodes(64, 1e4)
+        f = log_envelope_function(nodes, fig_coupling.lower_envelope_exponent())
+        assert not _escapes(_band_margin(f, fig_coupling)[0])
+        f.derivs[5] = math.nan
+        margin, node = _band_margin(f, fig_coupling)
+        assert math.isnan(margin) and node == nodes[5]
+        assert _escapes(margin)
 
     def test_growing_residual_falls_back_to_damped_picard(self, fig_coupling):
         nodes = make_nodes(64, 1e4)
         mixer = AndersonMixer()
-        _next_iterate(mixer, *self._pair(nodes, -0.84, -0.80), fig_coupling, 0.5, 1e-6, False)
+        _next_iterate(mixer, *self._pair(nodes, -0.84, -0.80), fig_coupling, 0.5, False)
         f, tf = self._pair(nodes, -0.80, -0.79)
-        new, depth = _next_iterate(mixer, f, tf, fig_coupling, 0.5, 1e-6, True)
+        new, depth = _next_iterate(mixer, f, tf, fig_coupling, 0.5, True)
         assert depth == 0
         assert np.allclose(new.scaled_derivs(), -0.795, rtol=0, atol=1e-15)
         _, depth = _next_iterate(
-            mixer, *self._pair(nodes, -0.795, -0.79), fig_coupling, 0.5, 1e-6, False
+            mixer, *self._pair(nodes, -0.795, -0.79), fig_coupling, 0.5, False
         )
         assert depth == 1
 
