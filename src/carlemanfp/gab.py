@@ -60,34 +60,40 @@ class TwoPointReconstruction:
         out[-1] = 0.0
         return out
 
-    def tau_at(self, a: float, b: float) -> float:
+    def tau_at(self, a, b: float):
+        """The angle tau_b at points a in (0, cutoff)."""
         al = self.coupling.abs_lambda
-        if a <= 0.0 or a >= self.lambda2:
+        scalar = np.ndim(a) == 0
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        if np.any(a <= 0.0) or np.any(a >= self.lambda2):
             raise ValueError("a must lie strictly inside (0, cutoff)")
-        r = self._hilbert.r(float(a), al)
-        return float(_branch_arctan(al * math.pi * a, b + r))
+        tau = _branch_arctan(al * math.pi * a, b + self._hilbert.r(a, al))
+        return float(tau[0]) if scalar else tau
 
     # -- two-point values ------------------------------------------------
 
-    def g(self, a: float, b: float) -> float:
-        """G(a, b); ValueError if the angle leaves [0, pi] or G <= 0."""
+    def _g_at(self, a: np.ndarray, b: float) -> np.ndarray:
+        """G(a, b) at points a for one b, with one R and one angle
+        transform for all of them; ValueError as for ``g``."""
         al = self.coupling.abs_lambda
         tau = self.tau_at(a, b)
-        if not (0.0 <= tau <= math.pi):
+        if not np.all((0.0 <= tau) & (tau <= math.pi)):
             raise ValueError("angle must lie in [0, pi]")
-        h_tau = self._angle.at(self.tau_values(b), float(a))
-        g_val = math.exp(-(h_tau - self._h0_tau0)) * math.sin(tau) / (al * math.pi * a)
-        if not g_val > 0.0:
+        h_tau = self._angle.at(self.tau_values(b), a)
+        g_val = np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a)
+        if not np.all(g_val > 0.0):
             raise ValueError("two-point values must be positive")
         return g_val
+
+    def g(self, a: float, b: float) -> float:
+        """G(a, b); ValueError if the angle leaves [0, pi] or G <= 0."""
+        return float(self._g_at(np.array([float(a)]), b)[0])
 
     def boundary_limit(self, b: float) -> float:
         """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4},
         a0 = BOUNDARY_A0."""
         a0 = BOUNDARY_A0
-        g1 = self.g(a0, b)
-        g2 = self.g(a0 / 2.0, b)
-        g3 = self.g(a0 / 4.0, b)
+        g1, g2, g3 = self._g_at(np.array([a0, a0 / 2.0, a0 / 4.0]), b)
         e1 = 2.0 * g2 - g1
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0

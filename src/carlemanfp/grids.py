@@ -9,6 +9,7 @@ fixed-point domain stay inside their envelope between nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -61,13 +62,23 @@ class QuadratureConfig:
 
 
 def make_nodes(n_nodes: int = 2000, lambda2: float = 1e6) -> np.ndarray:
-    """Node layout: linear head on [0, 1], log-spaced up to the cutoff."""
+    """Node layout: linear head on [0, 1], log-spaced up to the cutoff.
+
+    The array is read-only and shared by every caller on the same grid,
+    so solutions kept on one grid share their nodes.
+    """
     check_node_count(n_nodes)
     check_cutoff(lambda2)
+    return _node_layout(int(n_nodes), float(lambda2))
+
+
+@functools.lru_cache(maxsize=8)
+def _node_layout(n_nodes: int, lambda2: float) -> np.ndarray:
     head = np.linspace(0.0, 1.0, HEAD_NODES)
     tail = np.geomspace(1.0, lambda2, n_nodes - HEAD_NODES + 1)[1:]
     nodes = np.concatenate([head, tail])
     nodes[-1] = lambda2
+    nodes.setflags(write=False)
     return nodes
 
 

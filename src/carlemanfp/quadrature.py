@@ -22,10 +22,13 @@ _GL4_WEIGHTS = np.array(
 )
 
 
-# Work-array budget of one row block of the O(N^2) kernels (the PV transform
-# and the (Tf)' integral).  Blocks this size stay in a 2 MiB L2 cache through
-# the elementwise passes and the matrix-vector product that reads them; at
-# 2000 nodes, blocks of a quarter of L2 measured faster than blocks of all of it.
+# Work-array budget of one row block of the kernels that are still summed
+# row by row: the dense PV and (Tf)' sums for at most farfield.DENSE_MAX
+# targets, and beyond that the near field of the PV sum with its far-field
+# rows, and the (Tf)' sum at the Chebyshev proxies.  Blocks this size stay
+# in a 2 MiB L2 cache through the elementwise passes and the matrix-vector
+# product that reads them; at 2000 nodes, blocks of a quarter of L2 measured
+# faster than blocks of all of it.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -35,9 +38,10 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
 
     Blocks start at multiples of 4 rows.  OpenBLAS's dgemv forms the dot
     products four rows at a time, so every 4-aligned blocking puts each
-    row in the same group of four and gives bit-identical results.  A
-    product of a single row takes another summation path, so a lone last
-    row joins the block before it.
+    row in the same group of four and gives bit-identical results; the
+    dense sums keep the bits of the unblocked ones this way.  A product
+    of a single row takes another summation path, so a lone last row
+    joins the block before it.
     """
     rows = max(4, _BLOCK_BYTES // row_bytes // 4 * 4)
     stops = list(range(rows, n_rows, rows)) + [n_rows]

@@ -20,7 +20,7 @@ from .coupling import Coupling
 
 EULER_GAMMA = 0.57721566490153286061
 
-_SERIES_SWITCH = 0.8     # direct Gauss series below, log-split above
+_SERIES_SWITCH = 0.5     # direct Gauss series below, log-split above
 _SERIES_RTOL = 1e-17
 _SERIES_MAX_TERMS = 2000
 
@@ -30,55 +30,69 @@ def _as_float_array(x):
     return arr, arr.ndim == 0
 
 
-def _kahan_step(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _compensated_series(first: np.ndarray, terms) -> np.ndarray:
+    """first + sum_{k>=1} of the terms, per point, by compensated summation.
+
+    The points come sorted from the slowest-converging down, and
+    ``terms(k, live)`` returns the k-th terms of the first ``live`` of them.
+    Each point stops once its term falls below ``_SERIES_RTOL`` of its
+    sum, so the points still running are always a leading slice.
+    """
+    total = first.copy()
+    comp = np.zeros_like(total)
+    live = total.size
+    for k in range(1, _SERIES_MAX_TERMS):
+        if live == 0:
+            return total
+        term = terms(k, live)
+        t_l, c_l = total[:live], comp[:live]
+        y = term - c_l
+        t = t_l + y
+        c_l[...] = (t - t_l) - y
+        t_l[...] = t
+        running = np.abs(term) > _SERIES_RTOL * np.abs(t)
+        last = live - 1 - int(running[::-1].argmax())
+        live = last + 1 if running[last] else 0
+    raise RuntimeError("hypergeometric series did not converge")
 
 
 def _gauss_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
-    """mu * sum_k z^k / (mu + k), compensated summation."""
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
+    """mu * sum_k z^k / (mu + k), for z sorted in decreasing order."""
     zk = np.ones_like(z)
-    for k in range(1, _SERIES_MAX_TERMS):
-        zk = zk * z
-        term = mu * zk / (mu + k)
-        total, comp = _kahan_step(total, comp, term)
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            break
-    else:
-        raise RuntimeError("hypergeometric series did not converge")
-    return total
+
+    def terms(k, live):
+        zk_l = zk[:live]
+        zk_l *= z[:live]
+        return zk_l * (mu / (mu + k))
+
+    return _compensated_series(np.ones_like(z), terms)
 
 
 def _log_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
-    """Rearrangement near z=1 splitting off the -log(1-z) divergence.
+    """Rearrangement near z=1 splitting off the -log(1-z) divergence, for
+    z sorted in increasing order.
 
     2F1(1,mu;1+mu;z) = mu * sum_n (mu)_n/n! * (psi(n+1) - psi(mu+n)
     - log(1-z)) * (1-z)^n, valid for the zero-balanced parameter set.
     """
     w = 1.0 - z
     logw = np.log(w)
+    wn = np.ones_like(z)
     coeff = 1.0                      # (mu)_n / n!
     psi_n = -EULER_GAMMA             # psi(1)
     psi_mun = float(_sp.psi(mu))     # psi(mu)
-    total = mu * (psi_n - psi_mun - logw)
-    comp = np.zeros_like(z)
-    wn = np.ones_like(z)
-    for n in range(1, _SERIES_MAX_TERMS):
+    first = mu * (psi_n - psi_mun - logw)
+
+    def terms(n, live):
+        nonlocal coeff, psi_n, psi_mun
         coeff *= (mu + n - 1.0) / n
         psi_n += 1.0 / n
         psi_mun += 1.0 / (mu + n - 1.0)
-        wn = wn * w
-        term = mu * coeff * (psi_n - psi_mun - logw) * wn
-        total, comp = _kahan_step(total, comp, term)
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            break
-    else:
-        raise RuntimeError("log-split hypergeometric series did not converge")
-    return total
+        wn_l = wn[:live]
+        wn_l *= w[:live]
+        return mu * coeff * ((psi_n - psi_mun) - logw[:live]) * wn_l
+
+    return _compensated_series(first, terms)
 
 
 def hyp2f1_1mu(mu: float, z):
@@ -86,19 +100,23 @@ def hyp2f1_1mu(mu: float, z):
 
     Equals ``mu * sum_k z^k/(mu+k)``; strictly increasing in z and >= 1.
     Relative accuracy is kept at ~1e-13 up to z = 1 - 1e-8 by switching
-    to the logarithmic rearrangement for z > 0.8.
+    to the logarithmic rearrangement for z > 0.5.
     """
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     z, scalar = _as_float_array(z)
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise ValueError("argument must satisfy 0 <= z < 1")
-    out = np.empty_like(z)
-    near = z > _SERIES_SWITCH
-    if np.any(~near):
-        out[~near] = _gauss_series_1mu(mu, z[~near])
-    if np.any(near):
-        out[near] = _log_series_1mu(mu, z[near])
+    # sorted, so that each series sees its slowest-converging points first
+    order = np.argsort(z.ravel(), kind="stable")
+    zs = z.ravel()[order]
+    split = int(np.searchsorted(zs, _SERIES_SWITCH, side="right"))
+    out = np.empty_like(zs)
+    if split:
+        out[order[:split][::-1]] = _gauss_series_1mu(mu, zs[:split][::-1])
+    if split < zs.size:
+        out[order[split:]] = _log_series_1mu(mu, zs[split:])
+    out = out.reshape(z.shape)
     return float(out) if scalar else out
 
 

@@ -23,6 +23,16 @@ def production_solution(fig_coupling):
 
 
 @pytest.fixture(scope="session")
+def edge_solution():
+    """Converged boundary solution at the edge of the stability range,
+    lambda = -1/6, full size."""
+    cfg = SolverConfig(
+        coupling=Coupling(-1.0 / 6.0), lambda2=1e6, n_nodes=2000, tol_lb=1e-8
+    )
+    return cfg, solve(cfg)
+
+
+@pytest.fixture(scope="session")
 def small_solution(fig_coupling):
     """Cheap converged solution for reconstruction tests."""
     cfg = SolverConfig(

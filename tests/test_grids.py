@@ -59,6 +59,14 @@ def test_make_nodes_minimum_grid():
     assert np.all(np.diff(nodes) > 0)
 
 
+def test_make_nodes_shares_one_read_only_array_per_grid():
+    nodes = make_nodes(300, 1e4)
+    assert make_nodes(300, 1e4) is nodes
+    assert make_nodes(300, 1e5) is not nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(n_nodes=32)

@@ -14,6 +14,8 @@ from carlemanfp.grids import (
     random_klambda,
     zero_function,
 )
+from carlemanfp import hilbert
+from carlemanfp.farfield import DENSE_MAX
 from carlemanfp.hilbert import (
     HilbertOfExp,
     SampledPVTransform,
@@ -171,8 +173,9 @@ class TestSampledTransformLinearity:
 
 
 def chunked_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
-    """Reference for the row-blocked kernel: the PV quadrature in 128-row
-    chunks with fresh temporaries, as it was computed before blocking."""
+    """Dense reference for the PV kernel: the PV quadrature in 128-row
+    chunks with fresh temporaries, as it was computed before blocking and
+    compression."""
     out = np.empty_like(a)
     for lo in range(0, a.size, 128):
         blk = slice(lo, min(lo + 128, a.size))
@@ -182,22 +185,47 @@ def chunked_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
     return out / math.pi
 
 
-def chunked_quotient(he, a):
+def reversed_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
+    """The dense reference summed over the columns in reverse order."""
+    return chunked_pv(sub_x[::-1].copy(), sub_w[::-1].copy(), sub_s[::-1].copy(),
+                      x_end, a, s_a)
+
+
+def chunked_quotient(he, a, pv=chunked_pv):
     s_a = np.exp(hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, a))
-    h = chunked_pv(he.sub_x, he.sub_w, he.sub_g, he.x_end, a, s_a)
+    h = pv(he.sub_x, he.sub_w, he.sub_g, he.x_end, a, s_a)
     if he.tail_coeff is not None:
         h += power_law_tail_integral(he.tail_coeff, he.tail_p, a, he.x_end)
     return h / s_a
 
 
-# one point, fewer points than one row block, and a count that is a
-# multiple of neither the block nor 4
+# Two dense sums that differ only in the order of their columns differ by
+# their rounding; the compressed sum, with its own order, may differ from
+# either by twice that, and the (Tf)' interpolation multiplies the rounding
+# of its proxy values by its Lebesgue constant, 2.9 for 20 Chebyshev points.
+ROUNDING_FACTOR = 4.0
+
+
+def assert_matches_dense(got, dense, reordered):
+    """Bit for bit on the dense path (at most DENSE_MAX points); beyond it,
+    within ROUNDING_FACTOR times the spread of the two dense column orders."""
+    if got.size <= DENSE_MAX:
+        assert np.array_equal(got, dense)
+    else:
+        spread = np.max(np.abs(reordered - dense))
+        assert np.max(np.abs(got - dense)) <= ROUNDING_FACTOR * spread
+
+
+# one point, fewer points than one row block, and a count past the dense
+# path that is a multiple of neither the block nor 4
 EXACT_COUNTS = [1, 3, 1201]
 
 
 class TestBlockedKernelExact:
-    """The row-blocked kernel runs the same arithmetic as the chunked one,
-    so its results are bit-identical, not merely close."""
+    """Up to DENSE_MAX points the row-blocked kernel runs the same
+    arithmetic as the chunked one, so its results are bit-identical, not
+    merely close; past it the far field is compressed and agrees to
+    within rounding."""
 
     @pytest.mark.parametrize("n", EXACT_COUNTS)
     @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
@@ -207,7 +235,9 @@ class TestBlockedKernelExact:
         f = random_klambda(fig_coupling, make_nodes(400, lam2), np.random.default_rng(n))
         he = HilbertOfExp(f, cfg)
         a = np.geomspace(1e-3, 0.9 * lam2, n)
-        assert np.array_equal(he.quotient(a), chunked_quotient(he, a))
+        assert_matches_dense(
+            he.quotient(a), chunked_quotient(he, a), chunked_quotient(he, a, reversed_pv)
+        )
 
     @pytest.mark.parametrize("n", EXACT_COUNTS)
     def test_sampled_transform(self, n):
@@ -218,10 +248,8 @@ class TestBlockedKernelExact:
         values, derivs = transform._samples(vals)
         sub_s = hermite_eval(nodes, values, derivs, transform.sub_x)
         s_a = hermite_eval(nodes, values, derivs, a)
-        want = chunked_pv(
-            transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a
-        )
-        assert np.array_equal(transform.at(vals, a), want)
+        args = (transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a)
+        assert_matches_dense(transform.at(vals, a), chunked_pv(*args), reversed_pv(*args))
 
     def test_every_count_up_to_one_chunk(self, fig_coupling, rng):
         # every remainder modulo 4 and modulo the block, including a lone
@@ -232,3 +260,45 @@ class TestBlockedKernelExact:
         for n in range(1, 129):
             a = np.geomspace(1e-2, 1e5, n)
             assert np.array_equal(he.quotient(a), chunked_quotient(he, a)), n
+
+
+class TestCompressedTransform:
+    """The far-field compression of the PV sum (more than DENSE_MAX points)."""
+
+    # worst relative error against the closed form at the 1670 nodes of the
+    # 2000-node grid inside (1e-3, 1e5), on the dense path, to 2 digits
+    DENSE_ORACLE_ERRORS = {0.1: 2.6e-6, 0.25: 1.4e-6, 0.45: 1.1e-6}
+
+    @pytest.mark.parametrize("mu", sorted(DENSE_ORACLE_ERRORS))
+    def test_power_law_oracle_at_every_node(self, mu):
+        nodes = make_nodes(2000, 1e6)
+        he = HilbertOfExp(log_envelope_function(nodes, mu - 1.0), QuadratureConfig())
+        a = nodes[(nodes > 1e-3) & (nodes < 1e5)]
+        assert a.size == 1670
+        oracle = hilbert_power_law(1.0, mu, a)
+        err = np.max(np.abs(he.quotient(a) / oracle - 1.0))
+        dense_err = np.max(np.abs(chunked_quotient(he, a) / oracle - 1.0))
+        assert float(f"{err:.1e}") == self.DENSE_ORACLE_ERRORS[mu]
+        assert float(f"{dense_err:.1e}") == self.DENSE_ORACLE_ERRORS[mu]
+
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    def test_results_agree_across_the_crossover(self, fig_coupling, rng, mode):
+        lam2 = 1e4 if mode == HARD_CUTOFF else 1e6
+        cfg = QuadratureConfig(n_nodes=400, lambda2=lam2, tail_mode=mode)
+        he = HilbertOfExp(random_klambda(fig_coupling, make_nodes(400, lam2), rng), cfg)
+        a = np.geomspace(1e-4, 0.9 * lam2, DENSE_MAX + 1)
+        dense, compressed = he.quotient(a[:-1]), he.quotient(a)[:-1]
+        reordered = chunked_quotient(he, a[:-1], reversed_pv)
+        assert np.array_equal(dense, chunked_quotient(he, a[:-1]))
+        spread = np.max(np.abs(reordered - dense))
+        assert np.max(np.abs(compressed - dense)) <= ROUNDING_FACTOR * spread
+
+    def test_constant_function_is_bit_identical(self, monkeypatch):
+        # exp(0) = 1: the near field, the far-field difference S - s(a) T and
+        # the s(a) log term are exact, so the compressed path adds nothing
+        cfg = QuadratureConfig(n_nodes=400, lambda2=1e4, tail_mode=HARD_CUTOFF)
+        he = HilbertOfExp(zero_function(make_nodes(400, 1e4)), cfg)
+        a = np.geomspace(1e-3, 9e3, 1201)
+        compressed = he.quotient(a)
+        monkeypatch.setattr(hilbert, "DENSE_MAX", a.size)
+        assert np.array_equal(compressed, he.quotient(a))

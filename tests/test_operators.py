@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carlemanfp import bounds, gab, grids, hilbert, operators
+from carlemanfp import appendix, bounds, gab, grids, hilbert, operators
 from carlemanfp.coupling import Coupling
 from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import (
@@ -16,6 +16,7 @@ from carlemanfp.grids import (
     random_klambda,
     zero_function,
 )
+from carlemanfp.farfield import DENSE_MAX
 from carlemanfp.hilbert import HilbertOfExp
 from carlemanfp.operators import (
     PoleRegionError,
@@ -23,6 +24,7 @@ from carlemanfp.operators import (
     lb_distance,
     lb_norm,
 )
+from test_hilbert import ROUNDING_FACTOR, assert_matches_dense
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +86,7 @@ class TestNorm:
             lb_distance(f, g)
 
 
-class TestROp:
+class TestR:
     def test_value_at_zero(self, grid600, cfg600, fig_coupling, rng):
         f = random_klambda(fig_coupling, grid600, rng)
         assert HilbertOfExp(f, cfg600).r(0.0, fig_coupling.abs_lambda) == 1.0
@@ -202,30 +204,40 @@ class TestTOp:
         assert cache.rf[0] == 1.0  # R(0) = exp(-f(0))
 
 
-def chunked_derivative(op, cache, b):
-    """Reference for the row-blocked (Tf)' integral: 256-row chunks with
-    fresh temporaries, as it was computed before blocking."""
+def chunked_derivative(op, cache, b, reverse=False):
+    """Dense reference for the (Tf)' integral: 256-row chunks with fresh
+    temporaries, as it was computed before blocking and compression;
+    ``reverse`` sums the t columns in reverse order."""
     al = op.coupling.abs_lambda
-    alpha2 = (al * math.pi * cache.t_nodes) ** 2
+    order = slice(None, None, -1 if reverse else 1)
+    t, rf, weights = (v[order].copy() for v in (cache.t_nodes, cache.rf, cache.weights))
+    alpha2 = (al * math.pi * t) ** 2
     integral = np.empty_like(b)
     for lo in range(0, b.size, 256):
         blk = slice(lo, min(lo + 256, b.size))
-        denom = alpha2[None, :] + (b[blk, None] + cache.rf[None, :]) ** 2
-        integral[blk] = (1.0 / denom) @ cache.weights
+        denom = alpha2[None, :] + (b[blk, None] + rf[None, :]) ** 2
+        integral[blk] = (1.0 / denom) @ weights
     if cache.tail_r0 is not None:
         integral += op._tail_integral(cache, b)
     return -1.0 / (1.0 + b) + al * integral
 
 
 class TestBlockedDerivativeExact:
-    """Same arithmetic as the chunked integral, so bit-identical results."""
+    """Up to DENSE_MAX points the same arithmetic as the chunked integral,
+    so bit-identical results; past it the integral is interpolated and
+    agrees to within rounding."""
 
     @pytest.mark.parametrize("n", [1, 3, 1201])
     def test_matches_chunked(self, grid600, cfg600, fig_coupling, rng, n):
         op = TOperator(fig_coupling, cfg600)
         cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
         b = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, n - 1)])
-        assert np.array_equal(op.derivative(cache, b), chunked_derivative(op, cache, b))
+        # (1+b) (Tf)' is of order one at every b
+        assert_matches_dense(
+            (1.0 + b) * op.derivative(cache, b),
+            (1.0 + b) * chunked_derivative(op, cache, b),
+            (1.0 + b) * chunked_derivative(op, cache, b, reverse=True),
+        )
 
     def test_every_count_up_to_one_chunk(self, grid600, cfg600, fig_coupling, rng):
         # past 256 the reference's own last chunk can be a single row
@@ -251,6 +263,34 @@ class TestBlockedDerivativeExact:
         quot = he.quotient(t[1:], allow_extension=True)
         rf = np.exp(-f_t) - fig_coupling.abs_lambda * math.pi * t[1:] * quot
         assert np.array_equal(cache.rf[1:], rf)
+
+
+class TestCompressedDerivative:
+    """The interpolated (Tf)' integral (more than DENSE_MAX points)."""
+
+    @pytest.mark.parametrize("lam", [-1.0 / (2.0 * math.pi), -1.0 / 6.0])
+    def test_results_agree_across_the_crossover(self, grid600, cfg600, rng, lam):
+        c = Coupling(lam)
+        op = TOperator(c, cfg600)
+        cache = op.rf_cache(random_klambda(c, grid600, rng))
+        b = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, DENSE_MAX)])
+        dense = (1.0 + b[:-1]) * op.derivative(cache, b[:-1])
+        compressed = (1.0 + b[:-1]) * op.derivative(cache, b)[:-1]
+        reordered = (1.0 + b[:-1]) * chunked_derivative(op, cache, b[:-1], reverse=True)
+        spread = np.max(np.abs(reordered - dense))
+        assert np.max(np.abs(compressed - dense)) <= ROUNDING_FACTOR * spread
+
+    def test_hard_cutoff_zero_function_stays_dense(self, fig_coupling, monkeypatch):
+        # R dips to about -4e4 here, so every b is summed densely, and the
+        # PV sum of exp(0) = 1 is exact on the compressed path too
+        _, values, _, derivs = appendix.t0_profile(fig_coupling, 1e6, n_nodes=800)
+        for mod in (hilbert, operators):
+            monkeypatch.setattr(mod, "DENSE_MAX", 10**9)
+        _, dense_values, _, dense_derivs = appendix.t0_profile(
+            fig_coupling, 1e6, n_nodes=800
+        )
+        assert np.array_equal(values, dense_values)
+        assert np.array_equal(derivs, dense_derivs)
 
 
 class TestEquicontinuity:
@@ -298,8 +338,8 @@ class TestRHome:
     """HilbertOfExp.r is the one place R is formed; every caller
     interpolates f once per point, with the bits of the old formula."""
 
-    def test_r_op_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
-                                   f_evaluations):
+    def test_r_evaluates_f_once(self, grid600, cfg600, fig_coupling, rng,
+                                f_evaluations):
         f = random_klambda(fig_coupling, grid600, rng)
         a = np.concatenate([[0.0], np.geomspace(1e-3, 9e5, 49)])
         panels = HilbertOfExp(f, cfg600).sub_x.size

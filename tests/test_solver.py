@@ -187,10 +187,29 @@ class TestExactTailLaw:
         cfg, res = production_solution
         assert self._deviation(cfg.coupling.lam, res) <= 1e-6
 
-    def test_range_edge(self):
-        lam = -1.0 / 6.0
-        cfg = SolverConfig(coupling=Coupling(lam), lambda2=1e6, n_nodes=2000, tol_lb=1e-8)
-        assert self._deviation(lam, solve(cfg)) <= 1e-6
+    def test_range_edge(self, edge_solution):
+        cfg, res = edge_solution
+        assert self._deviation(cfg.coupling.lam, res) <= 1e-6
+
+
+class TestExactRSlope:
+    """R(t)/t of the solved f against the exact slope sqrt(1 - (lam pi)^2)
+    of the model's exact solution (Grosse-Hock-Wulkenhaar,
+    arXiv:1908.04543).  R is the PV transform's far field at large t, so
+    this also checks the compressed sum.  At 2000 nodes and cutoff 1e6 the
+    deviation of R(t)/t fell from 3.2e-4 at t = 1e3 to 2.6e-6 (lam =
+    -1/(2 pi)) and 2.9e-6 (lam = -1/6) at t = 1e6; the tail slope of
+    ``rf_cache`` was off by -1.9e-7 and -2.5e-8."""
+
+    @pytest.mark.parametrize("which", ["production_solution", "edge_solution"])
+    def test_slope_of_r(self, which, request):
+        cfg, res = request.getfixturevalue(which)
+        cache = TOperator(cfg.coupling, cfg.quadrature()).rf_cache(res.grid_function)
+        exact = math.sqrt(1.0 - (cfg.coupling.lam * math.pi) ** 2)
+        at_cutoff = cache.t_nodes == cfg.lambda2
+        assert at_cutoff.sum() == 1
+        assert abs(cache.rf[at_cutoff][0] / cfg.lambda2 - exact) <= 1e-5
+        assert abs(cache.tail_r1 - exact) <= 1e-6
 
 
 class TestConsistency:
