@@ -14,6 +14,7 @@ input (flag, config file or key, or setting: one line, no output).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -48,6 +49,7 @@ EXIT_RANGE = 4
 EXIT_USAGE = 5
 
 _FMT = "%.17g"
+_CSV_BLOCK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,14 +115,25 @@ def _emit(args, command: str, snapshot: dict, t0: float, header: list[str], rows
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    cell if isinstance(cell, str) else _FMT % cell for cell in row
-                )
-                + "\n"
-            )
+        fh.writelines(_csv_lines(rows))
     _write_manifest(args, command, snapshot, t0, history)
+
+
+def _csv_lines(rows):
+    """CSV text of the rows, numbers as ``_FMT`` and strings as they are;
+    every row has the shape of the first.  Each block of ``_CSV_BLOCK``
+    rows is formatted by one %-operation, which bounds the Python floats
+    alive at once."""
+    if len(rows) == 0:
+        return
+    line = ",".join("%s" if isinstance(cell, str) else _FMT for cell in rows[0]) + "\n"
+    for lo in range(0, len(rows), _CSV_BLOCK):
+        block = rows[lo : lo + _CSV_BLOCK]
+        if isinstance(block, np.ndarray):
+            cells = block.ravel().tolist()
+        else:
+            cells = list(itertools.chain.from_iterable(block))
+        yield (line * len(block)) % tuple(cells)
 
 
 def _coupling_or_exit(lam: float, exploratory: bool) -> Coupling:

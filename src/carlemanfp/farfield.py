@@ -14,6 +14,15 @@ interpolate values from them.  Both go through the Chebyshev expansion
 of the basis and the three-term recurrence, so no points-by-basis matrix
 is formed.
 
+The tree runs both passes of the method.  Upward, the charges of two
+boxes merge into those of their parent (M2M).  Downward, each box turns
+the charges of its interaction list into values at its own Chebyshev
+points (M2L: one matrix per level and offset, for kernels of the log
+distance alone) and passes the sum, interpolated, on to its children
+(L2L); the values of a level-0 box are its local expansion, evaluated at
+each target by interpolation (L2P).  Every target then costs O(p) far
+field, p = CHEB_POINTS, whatever the number of sources.
+
 With at most ``DENSE_MAX`` targets the compression does not pay and both
 sums run dense; the callers pick the path from the input alone.
 """
@@ -23,6 +32,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .quadrature import row_blocks
 
 # Chebyshev points per box.  Seen from a target one box away, the nearest
 # singularity of either kernel lies on the Bernstein ellipse of parameter
@@ -80,7 +91,7 @@ class LogBoxes:
 
 def _lagrange_rows(y: np.ndarray) -> np.ndarray:
     """L_l(y) for the points y in [-1, 1], one row per point."""
-    return np.column_stack(list(_chebyshev_terms(y))) @ _EXPAND
+    return np.array(list(_chebyshev_terms(y))).T @ _EXPAND
 
 
 # Right factors taking the charges of the lower and upper half of a box to
@@ -93,6 +104,12 @@ _TO_PARENT = (
 )
 
 
+# The interaction list of a box b of one level: the boxes b + d of that
+# level two or three boxes away whose parents are b's parent or one of its
+# neighbours.  The sign of d says whether the sources lie below or above.
+_FAR_OFFSETS = ((-2, 2, 3), (-3, -2, 2))   # for even b, for odd b
+
+
 class BoxTree:
     """The boxes of a layout merged pairwise, level by level, for sums of
     a kernel that is smooth between boxes one box apart at every level.
@@ -101,49 +118,95 @@ class BoxTree:
     target in level-0 box k sums boxes k-1 .. k+1 densely; every other
     source is reached exactly once, through the charges of the coarsest
     box that still has a box of its own level between it and the target
-    (the interaction lists of the fast multipole method).
+    (the interaction lists of the fast multipole method).  ``split`` lists
+    them for one target; ``downward`` gathers them for every level-0 box
+    at once, into local expansions passed down the tree.
     """
 
     def __init__(self, boxes: LogBoxes, n_boxes: int):
         self.n_boxes = n_boxes
+        self.width = boxes.width
         self.counts = [n_boxes]
         while self.counts[-1] > 1:
             self.counts.append((self.counts[-1] + 1) // 2)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
-        self.proxies = np.concatenate([
-            LogBoxes(boxes.u0, boxes.width * 2**level).proxies(np.arange(n)).ravel()
-            for level, n in enumerate(self.counts)
-        ])
 
     def upward(self, level0: np.ndarray) -> np.ndarray:
-        """Charges [kind, box, l] of every box of every level, the boxes in
-        the order of ``proxies``, from those of level 0."""
-        levels = [level0]
-        for _ in self.counts[1:]:
-            child = levels[-1]
+        """Charges [kind, box, l] of every box of every level, level by
+        level from 0 (box k of level l at offsets[l] + k), from those of
+        level 0."""
+        out = np.empty((level0.shape[0], self.offsets[-1], CHEB_POINTS))
+        out[:, : self.n_boxes] = level0
+        for level, n in enumerate(self.counts[1:]):
+            child = out[:, self.offsets[level] : self.offsets[level + 1]]
             if child.shape[1] % 2:
                 child = np.concatenate([child, np.zeros_like(child[:, :1])], axis=1)
-            levels.append(child[:, 0::2] @ _TO_PARENT[0] + child[:, 1::2] @ _TO_PARENT[1])
-        return np.concatenate(levels, axis=1)
+            out[:, self.offsets[level + 1] : self.offsets[level + 1] + n] = (
+                child[:, 0::2] @ _TO_PARENT[0] + child[:, 1::2] @ _TO_PARENT[1]
+            )
+        return out
 
     def split(self, k: int) -> tuple[slice, np.ndarray, np.ndarray]:
         """What a target in level-0 box k sums: the level-0 boxes it sums
-        densely, and the indices into ``proxies`` of the charges of the
-        boxes below it and of those above it.  A k below -1 or beyond the
-        last box acts as -1 or the last box + 1."""
+        densely, and the indices of the charges of the boxes below it and
+        of those above it in the [box, l] charges of ``upward``, flattened.
+        A k below -1 or beyond the last box acts as -1 or the last box + 1."""
         b = min(max(k, -1), self.n_boxes)
         near = slice(max(b - 1, 0), min(b + 2, self.n_boxes))
         below, above = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
         for level, n in enumerate(self.counts):
             if b - 1 <= 0 and b + 1 >= n - 1:
                 break
-            parent = b // 2
-            for c in range(max(2 * parent - 2, 0), min(2 * parent + 4, n)):
-                if abs(c - b) >= 2:
-                    first = (self.offsets[level] + c) * CHEB_POINTS
-                    (below if c < b else above).append(first + _M)
-            b = parent
+            for d in _FAR_OFFSETS[b % 2]:
+                if 0 <= b + d < n:
+                    first = (self.offsets[level] + b + d) * CHEB_POINTS
+                    (below if d < 0 else above).append(first + _M)
+            b //= 2
         return near, np.concatenate(below), np.concatenate(above)
+
+    def translations(self, kernel) -> list[dict[int, np.ndarray]]:
+        """Per level, the right factors M_d that take the charges of box
+        b + d to the values at box b's Chebyshev points, one for each
+        offset of an interaction list: Q_{b+d} @ M_d, with
+        M_d[l, m] = kernel(u_l - u_m) for the source proxy u_l and the
+        target proxy u_m.  The kernel depends on the proxies through
+        their difference only, so one matrix serves a whole level."""
+        out = []
+        for level in range(len(self.counts)):
+            width = self.width * 2**level
+            out.append({
+                d: kernel(width * (d + 0.5 * (CHEB_NODES[:, None] - CHEB_NODES[None, :])))
+                for d in (-3, -2, 2, 3)
+            })
+        return out
+
+    def downward(self, q: np.ndarray, m2l: list[dict[int, np.ndarray]]) -> np.ndarray:
+        """Local expansions [kind, box, m] of every level-0 box: the field
+        at its Chebyshev points of every source outside its three boxes.
+
+        ``q`` holds the charges [kind, box, l] of ``upward``; kind 0 is
+        summed from the boxes below a target, kind 1 from those above,
+        through the factors of ``translations``.  Each level adds its
+        interaction lists to what its parent passes down, interpolated at
+        the children's points (exact: the parent's field is a polynomial
+        of degree below CHEB_POINTS)."""
+        loc = np.zeros((2, 1, CHEB_POINTS))  # above the root: no field
+        for level in reversed(range(len(self.counts))):
+            n = self.counts[level]
+            src = q[:, self.offsets[level] : self.offsets[level + 1]]
+            here = np.zeros((2, n, CHEB_POINTS))
+            here[:, 0::2] = loc[:, : (n + 1) // 2] @ _TO_PARENT[0].T
+            here[:, 1::2] = loc[:, : n // 2] @ _TO_PARENT[1].T
+            for d, mat in m2l[level].items():
+                # the targets b with b + d in range and d in b's list
+                # (_FAR_OFFSETS): every b for d = +-2, even b for 3, odd
+                # b for -3
+                lo, hi, step = max(-d, 0), n - max(d, 0), 1 if abs(d) == 2 else 2
+                if lo < hi:
+                    kind = int(d > 0)
+                    here[kind, lo:hi:step] += src[kind, lo + d : hi + d : step] @ mat
+            loc = here
+        return loc
 
 
 def charges(x: np.ndarray, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -154,10 +217,27 @@ def charges(x: np.ndarray, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``q`` has one row per kind of charge.
     """
     held = starts[:-1] < starts[1:]
-    moments = np.zeros((q.shape[0], starts.size - 1, CHEB_POINTS))
+    moments = np.empty((CHEB_POINTS, q.shape[0], np.count_nonzero(held)))
     for m, t in enumerate(_chebyshev_terms(x)):
-        moments[:, held, m] = np.add.reduceat(q * t, starts[:-1][held], axis=1)
-    return moments @ _EXPAND
+        np.add.reduceat(q * t, starts[:-1][held], axis=1, out=moments[m])
+    out = np.zeros((q.shape[0], starts.size - 1, CHEB_POINTS))
+    out[:, held] = np.moveaxis(moments, 0, -1) @ _EXPAND
+    return out
+
+
+def evaluate_in_boxes(values, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_l v[..., k, l] L_l(y) per point, for each array v of the
+    sequence ``values``, stacked: the interpolants of values given at the
+    Chebyshev points of each box, at points of local position y in their
+    box k.  The arrays share the basis rows, and the points go in blocks,
+    so the gathered values and the rows stay within the cache budget."""
+    out = np.empty((len(values),) + values[0].shape[:-2] + y.shape)
+    sets = out.size // max(y.size, 1)
+    for blk in row_blocks(y.size, 8 * CHEB_POINTS * (sets + 4)):
+        rows = _lagrange_rows(y[blk])
+        for o, v in zip(out, values):
+            o[..., blk] = np.einsum("...pl,pl->...p", v[..., k[blk], :], rows)
+    return out
 
 
 def interpolate_in_boxes(fn, u: np.ndarray, boxes: LogBoxes) -> np.ndarray:
@@ -166,8 +246,4 @@ def interpolate_in_boxes(fn, u: np.ndarray, boxes: LogBoxes) -> np.ndarray:
     k = boxes.index(u)
     occupied, slot = np.unique(k, return_inverse=True)
     values = fn(boxes.proxies(occupied).ravel()).reshape(occupied.size, CHEB_POINTS)
-    coeffs = values @ _EXPAND.T
-    out = np.zeros_like(u)
-    for m, t in enumerate(_chebyshev_terms(boxes.local(u, k))):
-        out += coeffs[slot, m] * t
-    return out
+    return evaluate_in_boxes([values], slot, boxes.local(u, k))[0]

@@ -102,14 +102,18 @@ def _limited_slopes(nodes, values, derivs):
     return m_left, m_right
 
 
-def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False):
-    """Monotone-limited cubic Hermite interpolation of sampled data."""
+def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes=None):
+    """Monotone-limited cubic Hermite interpolation of sampled data.
+
+    ``slopes`` are the limited slopes of the data, if the caller keeps
+    them (``GridFunction.slopes``); otherwise they are computed here.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xf = np.atleast_1d(x)
     if np.any(xf < nodes[0]) or np.any(xf > nodes[-1]):
         raise ValueError("interpolation point outside the grid")
-    ml, mr = _limited_slopes(nodes, values, derivs)
+    ml, mr = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
     idx = np.clip(np.searchsorted(nodes, xf, side="right") - 1, 0, nodes.size - 2)
     h = nodes[idx + 1] - nodes[idx]
     t = (xf - nodes[idx]) / h
@@ -142,9 +146,33 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False):
     return v, d
 
 
+def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
+    """The interpolant of ``hermite_eval``, of limiter slopes ``slopes``,
+    at nodes[i] + c (nodes[i+1] - nodes[i]) for every interval i and
+    fraction c in [0, 1], interval by interval: the fixed fractions give
+    fixed basis weights, so no point is located on the grid."""
+    ml, mr = slopes
+    t = np.asarray(fractions, dtype=float)
+    t2 = t * t
+    t3 = t2 * t
+    h = np.diff(nodes)[:, None]
+    v = (
+        (2 * t3 - 3 * t2 + 1) * values[:-1, None]
+        + (t3 - 2 * t2 + t) * h * ml[:, None]
+        + (-2 * t3 + 3 * t2) * values[1:, None]
+        + (t3 - t2) * h * mr[:, None]
+    )
+    return v.ravel()
+
+
 @dataclass
 class GridFunction:
-    """Sampled member of the log-bounded function space."""
+    """Sampled member of the log-bounded function space.
+
+    The limiter slopes of the interpolant are computed at its first use
+    and kept, so ``values`` and ``derivs`` are not changed in place after
+    that.
+    """
 
     nodes: np.ndarray
     values: np.ndarray
@@ -185,11 +213,22 @@ class GridFunction:
 
     # -- evaluation ---------------------------------------------------
 
+    @functools.cached_property
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fritsch-Carlson limited endpoint slopes per interval."""
+        return _limited_slopes(self.nodes, self.values, self.derivs)
+
     def at(self, x):
-        return hermite_eval(self.nodes, self.values, self.derivs, x)
+        return hermite_eval(self.nodes, self.values, self.derivs, x, slopes=self.slopes)
 
     def derivative_at(self, x):
-        return hermite_eval(self.nodes, self.values, self.derivs, x, True)[1]
+        return hermite_eval(
+            self.nodes, self.values, self.derivs, x, True, slopes=self.slopes
+        )[1]
+
+    def at_fractions(self, fractions) -> np.ndarray:
+        """f at the same fractions of every interval (``hermite_at_fractions``)."""
+        return hermite_at_fractions(self.nodes, self.values, self.slopes, fractions)
 
     # -- tail ---------------------------------------------------------
 

@@ -9,10 +9,10 @@ form, so the transform is the untruncated one.  Both transforms below,
 of exp(f) and of an arbitrary sampled function, go through ``_pv``.  For
 a few points it sums the subtracted integrand over every panel point;
 for many it sums only each point's neighbourhood in log x that way and
-takes the farther panel points through Chebyshev charges on a tree of
-log-x boxes (``farfield``), in the split form sum w s/(x-a) - s(a) sum
-w/(x-a).  With those points a box or more from a in log x, the two ways
-agree to the rounding of the dense sum.
+takes the farther panel points through the fast multipole method on a
+tree of log-x boxes (``farfield``), in the split form sum w s/(x-a) -
+s(a) sum w/(x-a).  With those points a box or more from a in log x, the
+two ways agree to the rounding of the dense sum.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .farfield import DENSE_MAX, BoxTree, LogBoxes, charges
+from .farfield import DENSE_MAX, BoxTree, LogBoxes, charges, evaluate_in_boxes
 from .grids import (
     GridFunction,
     POWER_LAW_EXTEND,
     QuadratureConfig,
     hermite_eval,
 )
-from .quadrature import fd_derivative_coeffs, panel_points, row_blocks
+from .quadrature import PANEL_FRACTIONS, fd_derivative_coeffs, panel_points, row_blocks
 from .specfun import hyp2f1_1mu
 
 _TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
@@ -101,7 +101,9 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
 
     gap = lam2 - f.nodes[-2]
     edge = lam2 - gap * 0.5 ** np.arange(1, _EDGE_REFINE_LEVELS + 1)
-    vals, ders = hermite_eval(f.nodes, f.values, f.derivs, edge, with_derivative=True)
+    vals, ders = hermite_eval(
+        f.nodes, f.values, f.derivs, edge, with_derivative=True, slopes=f.slopes
+    )
     nodes = np.concatenate([f.nodes[:-1], edge, [lam2]])
     values = np.concatenate([f.values[:-1], vals, [f.values[-1]]])
     derivs = np.concatenate([f.derivs[:-1], ders, [f.derivs[-1]]])
@@ -131,22 +133,49 @@ def _subtracted_sum(x, w, s, a, s_a):
 
 
 # PV boxes hold this many panel points on average: their width in log x
-# is this many mean panel spacings.  PV applications to every grid node,
-# for boxes of 50 / 100 / 200 / 400 points, took 3.7 / 2.9 / 3.6 / 4.7 ms at
-# 400 nodes (dense: 4.0), 13.3 / 14.3 / 14.9 / 25.1 ms at 2000 (dense: 40)
-# and 49 / 44 / 76 / 131 ms at 8000 (dense: 640).
-_PV_BOX_POINTS = 100
+# is this many mean panel spacings.  PV sums at every node of the
+# power-law working grid, for boxes of 12 / 25 / 50 / 100 points, took
+# 2.5 / 2.5 / 2.3 / 3.1 ms at 400 nodes, 5.6 / 5.6 / 5.9 / 11 ms at 2000
+# and 20 / 20 / 27 / 42 ms at 8000 (each target summing its own far
+# charges, boxes of 100: 3.3, 12 and 54 ms; dense: 4, 40 and 640 ms).
+_PV_BOX_POINTS = 25
+
+
+def _pv_kernel(du: np.ndarray) -> np.ndarray:
+    """The far-field kernel at du = log(xi/a) for a source proxy xi and a
+    target a, less its limit far from the target: xi/(xi - a) - 1 for
+    sources above the target (du > 0), a/(xi - a) + 1 for those below."""
+    return np.sign(du) / np.expm1(np.abs(du))
+
+
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    """sum(v[:i]) for i = 0 .. v.size, to about the rounding of the last
+    one: np.cumsum, corrected by the error of each of its additions
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005) 1955)."""
+    out = np.concatenate([[0.0], np.cumsum(v)])
+    prev, cur = out[:-1], out[1:]
+    part = cur - prev
+    err = (prev - (cur - part)) + (v - part)
+    out[1:] += np.cumsum(err)
+    return out
 
 
 class _PVFarField:
     """The grid-only half of the compressed PV sum on one set of panel
-    points: their boxes in log x, merged pairwise into a tree, and each
-    box's Chebyshev proxies xi_J,l and weight charges.
+    points: their boxes in log x, merged pairwise into a tree with its
+    translation matrices, each level-0 box's near-field window, and the
+    local expansions of the weight charges.
 
     Seen from a target a below a box, 1/(x - a) decays like 1/x across
     it, so boxes above the target carry charges of q/x and the kernel
-    xi/(xi - a); boxes below carry charges of q and 1/(xi - a).  Both
-    kernels then stay bounded and smooth over the widest box.
+    xi/(xi - a); boxes below carry charges of q and 1/(xi - a), whose
+    field F(a) decays like 1/a, so their local expansion holds a F(a),
+    of kernel a/(xi - a).  Both kernels depend on log(xi/a) alone and stay
+    bounded and smooth between boxes a box of their level apart.  Far
+    from the target they tend to 1 and -1: that limit, summed over all
+    the far sources of a box, is kept apart as an exact constant per box,
+    so the local expansions carry only what decays with distance, and
+    their rounding with it.
     """
 
     def __init__(self, sub_x, sub_w):
@@ -154,61 +183,100 @@ class _PVFarField:
         self.boxes = LogBoxes(float(u[0]), _PV_BOX_POINTS * (u[-1] - u[0]) / u.size)
         box = self.boxes.index(u)
         self.tree = BoxTree(self.boxes, int(box[-1]) + 1)
-        self.starts = np.searchsorted(box, np.arange(self.tree.n_boxes + 1))
+        n = self.tree.n_boxes
+        self.starts = np.searchsorted(box, np.arange(n + 1))
         self.local = self.boxes.local(u, box)
-        self.inv_x = 1.0 / sub_x
-        xi = np.exp(self.tree.proxies)
-        # per charge index: the proxy and the scale of the kernel scale/(xi - a)
-        self.xi = np.concatenate([xi, xi])
-        self.scale = np.concatenate([np.ones_like(xi), xi])
-        self.w_charges = self._charges(sub_w)
-        self._splits = {}
+        self.m2l = self.tree.translations(_pv_kernel)
+        # Targets in level-0 box k sum the panel points of boxes k-1 .. k+1
+        # densely: near window k, cut into rows of `width` points and a mask
+        # that is false past the window's end.  The width is that of the
+        # longest window up to 1.5 times the median panel point's, so a few
+        # crowded boxes (the refinement toward a hard cutoff) take several
+        # rows instead of widening every row.
+        k = np.arange(n)
+        lo = self.starts[np.maximum(k - 1, 0)]
+        length = self.starts[np.minimum(k + 2, n)] - lo
+        typical = np.median(np.repeat(length, np.diff(self.starts)))
+        self.width = int(length[length <= 1.5 * typical].max())
+        rows = -(-length // self.width)
+        self.first_row = np.concatenate([[0], np.cumsum(rows)])
+        row_box = np.repeat(k, rows)
+        part = (np.arange(row_box.size) - self.first_row[row_box]) * self.width
+        self.row_lo = lo[row_box] + part
+        self.row_mask = np.arange(self.width) < (length[row_box] - part)[:, None]
+        self.x_windows = self._windows(sub_x)
+        self.w_windows = self._windows(sub_w)
+        self.w_far = self._expansions(sub_x, sub_w)
 
-    def _charges(self, q) -> np.ndarray:
-        """Charges of q (for boxes below a target) and of q/x (above) of
-        every box of the tree, the two kinds one after the other."""
-        level0 = charges(self.local, self.starts, np.stack([q, q * self.inv_x]))
-        return self.tree.upward(level0).ravel()
+    def _windows(self, v: np.ndarray) -> np.ndarray:
+        """Row j: v[j .. j + width - 1], zero past the end (a view)."""
+        padded = np.concatenate([v, np.zeros(self.width)])
+        return np.lib.stride_tricks.sliding_window_view(padded, self.width)
 
-    def _split(self, k: int) -> tuple[slice, np.ndarray]:
-        """For targets in level-0 box k: the panel points summed densely,
-        and the indices of the charges summed."""
-        hit = self._splits.get(k)
-        if hit is None:
-            near, below, above = self.tree.split(k)
-            hit = self._splits[k] = (
-                slice(self.starts[near.start], self.starts[near.stop]),
-                np.concatenate([below, above + self.tree.proxies.size]),
-            )
-        return hit
+    def _expansions(self, sub_x, q) -> tuple[np.ndarray, np.ndarray]:
+        """The far field of the charges of q for targets in each level-0
+        box: its local expansions [kind, box, m] and constants [kind, box].
+        Kind 0 is a F(a) of the sources below the target, kind 1 F(a) of
+        those above."""
+        n = self.tree.n_boxes
+        qs = np.stack([q, q / sub_x])
+        held = self.starts[:-1] < self.starts[1:]
+        totals = np.zeros((2, n))
+        totals[:, held] = np.add.reduceat(qs, self.starts[:-1][held], axis=1)
+        level0 = charges(self.local, self.starts, qs)
+        del qs  # freed before the tree passes, which set the peak memory
+        local = self.tree.downward(self.tree.upward(level0), self.m2l)
+        k = np.arange(n)
+        below = -_prefix_sums(totals[0])[np.maximum(k - 1, 0)]
+        above = _prefix_sums(totals[1, ::-1])[np.maximum(n - k - 2, 0)]
+        return local, np.stack([below, above])
+
+    def _near(self, sub_s, a, s_a, k) -> np.ndarray:
+        """_subtracted_sum over the near window of each target's box k,
+        row by row."""
+        count = self.first_row[k + 1] - self.first_row[k]
+        target = np.repeat(np.arange(a.size), count)
+        first = self.first_row[k] - np.cumsum(count) + count
+        row = np.arange(target.size) + np.repeat(first, count)
+        s_windows = self._windows(sub_s)
+        sums = np.empty(row.size)
+        for blk in row_blocks(row.size, 3 * 8 * self.width):
+            lo, t = self.row_lo[row[blk]], target[blk]
+            q = s_windows[lo]
+            q -= s_a[t, None]
+            d = self.x_windows[lo]
+            d -= a[t, None]
+            q /= d
+            del d  # at most three work arrays per block, as row_blocks is told
+            q *= self.w_windows[lo]
+            sums[blk] = np.einsum("ij,ij->i", q, self.row_mask[row[blk]])
+        return np.bincount(target, weights=sums, minlength=a.size)
 
     def sum(self, sub_x, sub_w, sub_s, a, s_a):
         """_subtracted_sum over all panel points: for targets in box k, the
-        panel points of boxes k-1 .. k+1 densely, every other box J through
-        sum_l (S_J,l - s(a) T_J,l) K(xi_J,l, a), with S_J,l the charges of
-        w s and T_J,l those of w."""
-        st = np.column_stack([self._charges(sub_w * sub_s), self.w_charges])
-        order = np.argsort(a, kind="stable")
-        a_o, s_o = a[order], s_a[order]
-        k = self.boxes.index(np.log(a_o))
-        cuts = list(np.flatnonzero(np.diff(k)) + 1)
-        out_o = np.empty_like(a)
-        for g0, g1 in zip([0] + cuts, cuts + [a.size]):
-            near, far = self._split(int(k[g0]))
-            xi, scale, st_far = self.xi[far], self.scale[far], st[far]
-            x, w, s = sub_x[near], sub_w[near], sub_s[near]
-            for blk in row_blocks(g1 - g0, 8 * (2 * x.size + xi.size)):
-                rows = slice(g0 + blk.start, g0 + blk.stop)
-                a_r, s_r = a_o[rows], s_o[rows]
-                d = xi - a_r[:, None]
-                np.divide(scale, d, out=d)
-                f_st = d @ st_far
-                out_o[rows] = f_st[:, 0] - s_r * f_st[:, 1]
-                if x.size:
-                    out_o[rows] += _subtracted_sum(x, w, s, a_r, s_r)
+        panel points of boxes k-1 .. k+1 densely, every other one through
+        the local expansions of box k, of the charges S of w s and T of w,
+        combined as S - s(a) T.  Targets outside the boxes sum densely."""
+        u = np.log(a)
+        k = self.boxes.index(u)
+        inside = (k >= 0) & (k < self.tree.n_boxes)
         out = np.empty_like(a)
-        out[order] = out_o
+        if not inside.all():
+            out[~inside] = _subtracted_sum(sub_x, sub_w, sub_s, a[~inside], s_a[~inside])
+        a, s_a, k, u = a[inside], s_a[inside], k[inside], u[inside]
+        far = self._far_at(self._expansions(sub_x, sub_w * sub_s), k, self.boxes.local(u, k))
+        far = far[0] - s_a * far[1]
+        out[inside] = far[1] + far[0] / a + self._near(sub_s, a, s_a, k)
         return out
+
+    def _far_at(self, s_expansions, k, y) -> np.ndarray:
+        """The far fields [S or T, kind, target] of the charges of w s and
+        of w at targets of local position y in their level-0 box k."""
+        (s_local, s_const), (w_local, w_const) = s_expansions, self.w_far
+        far = evaluate_in_boxes([s_local, w_local], k, y)
+        far[0] += s_const[:, k]
+        far[1] += w_const[:, k]
+        return far
 
 
 # One plan per panel grid, keyed by the panel points (the weights follow
@@ -275,11 +343,11 @@ class HilbertOfExp:
         self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, cfg)
         self.x_end = float(self.ext.nodes[-1])
         self.sub_x, self.sub_w = panel_points(self.ext.nodes)
-        self.sub_g = np.exp(self._f_at(self.sub_x))
+        self.sub_g = np.exp(self.ext.at_fractions(PANEL_FRACTIONS))
 
     def _f_at(self, a: np.ndarray) -> np.ndarray:
         """Hermite interpolant of the working grid at points a."""
-        return hermite_eval(self.ext.nodes, self.ext.values, self.ext.derivs, a)
+        return self.ext.at(a)
 
     def _quotient(self, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
         """H_a[exp(f)] / exp(f(a)) at points a > 0, given s_a = exp(f(a))."""
@@ -298,20 +366,21 @@ class HilbertOfExp:
         out = self._quotient(a, np.exp(self._f_at(a)))
         return float(out[0]) if scalar else out
 
-    def r(self, a, abs_lambda: float, allow_extension: bool = False):
+    def r(self, a, abs_lambda: float, allow_extension: bool = False, f_a=None):
         """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a).
 
         Formed as exp(-f(a)) - |lam| pi a * quotient, so no large
-        exponentials appear; f is interpolated once per point and R f(0)
-        = exp(-f(0)).  Points lie in [0, cutoff), or in [0, end of the
-        working grid) with ``allow_extension``.
+        exponentials appear; f is interpolated once per point, unless the
+        caller passes its values ``f_a`` at a, and R f(0) = exp(-f(0)).
+        Points lie in [0, cutoff), or in [0, end of the working grid) with
+        ``allow_extension``.
         """
         hi = self.x_end if allow_extension else self.lambda2
         scalar = np.ndim(a) == 0
         a = np.atleast_1d(np.asarray(a, dtype=float))
         if not np.all((a >= 0.0) & (a < hi)):
             raise ValueError(f"evaluation points must lie in [0, {hi:g})")
-        f_a = self._f_at(a)
+        f_a = self._f_at(a) if f_a is None else np.atleast_1d(f_a)
         out = np.exp(-f_a)
         inside = a > 0.0
         if abs_lambda != 0.0 and np.any(inside):

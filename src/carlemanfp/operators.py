@@ -78,12 +78,14 @@ class TOperator:
 
     def rf_cache(self, f: GridFunction) -> RfCache:
         he = HilbertOfExp(f, self.cfg)
-        t = he.ext.nodes[:-1]
+        # at the nodes of the working grid f is its stored values
+        t, f_t = he.ext.nodes[:-1], he.ext.values[:-1]
         if self.cfg.tail_mode == HARD_CUTOFF:
             # The truncated-transform integrand develops a sharp ridge where
             # b + R crosses zero; halve the mesh to resolve it.
             t = np.sort(np.concatenate([t, 0.5 * (t[1:] + t[:-1])]))
-        rf = he.r(t, self.coupling.abs_lambda, allow_extension=True)
+            f_t = np.insert(f_t, np.arange(1, f_t.size), he.ext.at_fractions([0.5])[:-1])
+        rf = he.r(t, self.coupling.abs_lambda, allow_extension=True, f_a=f_t)
         w = composite_weights(t)
         r0 = r1 = None
         if self.cfg.tail_mode == POWER_LAW_EXTEND:

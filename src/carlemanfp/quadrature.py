@@ -20,12 +20,14 @@ _GL4_POINTS = np.array(
 _GL4_WEIGHTS = np.array(
     [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
 )
+# where the Gauss-Legendre points sit in each interval, as fractions of it
+PANEL_FRACTIONS = 0.5 * (1.0 + _GL4_POINTS)
 
 
 # Work-array budget of one row block of the kernels that are still summed
 # row by row: the dense PV and (Tf)' sums for at most farfield.DENSE_MAX
-# targets, and beyond that the near field of the PV sum with its far-field
-# rows, and the (Tf)' sum at the Chebyshev proxies.  Blocks this size stay
+# targets, and beyond that the padded near-field rows of the PV sum and
+# the (Tf)' sum at the Chebyshev proxies.  Blocks this size stay
 # in a 2 MiB L2 cache through the elementwise passes and the matrix-vector
 # product that reads them; at 2000 nodes, blocks of a quarter of L2 measured
 # faster than blocks of all of it.
@@ -58,7 +60,7 @@ def panel_points(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     lo = x[:-1]
     h = np.diff(x)
-    pts = lo[:, None] + (0.5 * (1.0 + _GL4_POINTS))[None, :] * h[:, None]
+    pts = lo[:, None] + PANEL_FRACTIONS[None, :] * h[:, None]
     wts = (0.5 * _GL4_WEIGHTS)[None, :] * h[:, None]
     return pts.ravel(), wts.ravel()
 

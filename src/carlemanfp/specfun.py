@@ -20,9 +20,8 @@ from .coupling import Coupling
 
 EULER_GAMMA = 0.57721566490153286061
 
-_SERIES_SWITCH = 0.5     # direct Gauss series below, log-split above
-_SERIES_RTOL = 1e-17
-_SERIES_MAX_TERMS = 2000
+_SERIES_SWITCH = 0.5     # Gauss series below, log-split series above
+_SERIES_RTOL = 1e-17     # bound on the first term left out; every sum is >= 1
 
 
 def _as_float_array(x):
@@ -30,69 +29,54 @@ def _as_float_array(x):
     return arr, arr.ndim == 0
 
 
-def _compensated_series(first: np.ndarray, terms) -> np.ndarray:
-    """first + sum_{k>=1} of the terms, per point, by compensated summation.
-
-    The points come sorted from the slowest-converging down, and
-    ``terms(k, live)`` returns the k-th terms of the first ``live`` of them.
-    Each point stops once its term falls below ``_SERIES_RTOL`` of its
-    sum, so the points still running are always a leading slice.
-    """
-    total = first.copy()
-    comp = np.zeros_like(total)
-    live = total.size
-    for k in range(1, _SERIES_MAX_TERMS):
-        if live == 0:
-            return total
-        term = terms(k, live)
-        t_l, c_l = total[:live], comp[:live]
-        y = term - c_l
-        t = t_l + y
-        c_l[...] = (t - t_l) - y
-        t_l[...] = t
-        running = np.abs(term) > _SERIES_RTOL * np.abs(t)
-        last = live - 1 - int(running[::-1].argmax())
-        live = last + 1 if running[last] else 0
-    raise RuntimeError("hypergeometric series did not converge")
+def _horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule."""
+    out = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= x
+        out += c
+    return out
 
 
 def _gauss_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
-    """mu * sum_k z^k / (mu + k), for z sorted in decreasing order."""
-    zk = np.ones_like(z)
-
-    def terms(k, live):
-        zk_l = zk[:live]
-        zk_l *= z[:live]
-        return zk_l * (mu / (mu + k))
-
-    return _compensated_series(np.ones_like(z), terms)
+    """mu * sum_k z^k / (mu + k) for 0 <= z <= 1/2: a polynomial in z with
+    as many terms as the largest z needs."""
+    z_max = float(z.max())
+    coeffs, zk = [1.0], 1.0
+    while True:
+        k = len(coeffs)
+        zk *= z_max
+        if mu / (mu + k) * zk < _SERIES_RTOL:
+            return _horner(coeffs, z)
+        coeffs.append(mu / (mu + k))
 
 
 def _log_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
     """Rearrangement near z=1 splitting off the -log(1-z) divergence, for
-    z sorted in increasing order.
+    1/2 < z < 1.
 
     2F1(1,mu;1+mu;z) = mu * sum_n (mu)_n/n! * (psi(n+1) - psi(mu+n)
-    - log(1-z)) * (1-z)^n, valid for the zero-balanced parameter set.
+    - log(1-z)) * (1-z)^n, valid for the zero-balanced parameter set, is
+    mu (A(w) - log(w) B(w)) with two polynomials in w = 1 - z, as many
+    terms as the largest w needs.
     """
     w = 1.0 - z
-    logw = np.log(w)
-    wn = np.ones_like(z)
+    w_max = float(w.max())
+    log_w_max = abs(math.log(w_max))
     coeff = 1.0                      # (mu)_n / n!
     psi_n = -EULER_GAMMA             # psi(1)
     psi_mun = float(_sp.psi(mu))     # psi(mu)
-    first = mu * (psi_n - psi_mun - logw)
-
-    def terms(n, live):
-        nonlocal coeff, psi_n, psi_mun
+    a, b, wn = [psi_n - psi_mun], [1.0], 1.0
+    while True:
+        n = len(b)
         coeff *= (mu + n - 1.0) / n
         psi_n += 1.0 / n
         psi_mun += 1.0 / (mu + n - 1.0)
-        wn_l = wn[:live]
-        wn_l *= w[:live]
-        return mu * coeff * ((psi_n - psi_mun) - logw[:live]) * wn_l
-
-    return _compensated_series(first, terms)
+        wn *= w_max
+        if mu * (abs(psi_n - psi_mun) + log_w_max) * coeff * wn < _SERIES_RTOL:
+            return mu * (_horner(a, w) - np.log(w) * _horner(b, w))
+        a.append(coeff * (psi_n - psi_mun))
+        b.append(coeff)
 
 
 def hyp2f1_1mu(mu: float, z):
@@ -107,16 +91,12 @@ def hyp2f1_1mu(mu: float, z):
     z, scalar = _as_float_array(z)
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise ValueError("argument must satisfy 0 <= z < 1")
-    # sorted, so that each series sees its slowest-converging points first
-    order = np.argsort(z.ravel(), kind="stable")
-    zs = z.ravel()[order]
-    split = int(np.searchsorted(zs, _SERIES_SWITCH, side="right"))
-    out = np.empty_like(zs)
-    if split:
-        out[order[:split][::-1]] = _gauss_series_1mu(mu, zs[:split][::-1])
-    if split < zs.size:
-        out[order[split:]] = _log_series_1mu(mu, zs[split:])
-    out = out.reshape(z.shape)
+    gauss = z <= _SERIES_SWITCH
+    out = np.empty_like(z)
+    if np.any(gauss):
+        out[gauss] = _gauss_series_1mu(mu, z[gauss])
+    if not np.all(gauss):
+        out[~gauss] = _log_series_1mu(mu, z[~gauss])
     return float(out) if scalar else out
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from carlemanfp.cli import EXIT_USAGE, main
+from carlemanfp.cli import EXIT_USAGE, _csv_lines, main
+from carlemanfp.solver import envelope_curves, solution_rows
 from carlemanfp.verification import run_suites
 
 LAM = "-0.159154"
@@ -299,3 +300,29 @@ class TestGab:
         assert np.all(boundary[:, 0] == 0.0)
         # the a->0 block's defect column holds the boundary deviation
         assert np.all(boundary[:, 4] < 0.05)
+
+
+def per_cell_csv(rows) -> str:
+    """The CSV writer formatting one cell at a time, as the reference."""
+    return "".join(
+        ",".join(cell if isinstance(cell, str) else "%.17g" % cell for cell in row) + "\n"
+        for row in rows
+    )
+
+
+def test_csv_rows_match_the_per_cell_writer(small_solution, rng):
+    cfg, res = small_solution
+    f = res.grid_function
+    lower, upper = envelope_curves(cfg.coupling, f.nodes)
+    solve_rows = solution_rows(res, cfg.coupling)
+    figure2_rows = [
+        [label, b, g, lo, up]
+        for label in ("small", "huge")
+        for b, g, lo, up in zip(f.nodes, np.exp(f.values), lower, upper)
+    ]
+    table = rng.lognormal(sigma=30.0, size=(40, 5)) * rng.choice([-1.0, 1.0], (40, 5))
+    gab_rows = [list(r) for r in table] + [
+        [0.0, 3.0, -0.0, 5e-324, 1e300], [0.0, 0.1, 0.0, 1.0 / 3.0, 2.0**-1074]
+    ]
+    for rows in (solve_rows, figure2_rows, gab_rows):
+        assert "".join(_csv_lines(rows)).encode() == per_cell_csv(rows).encode()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from carlemanfp.coupling import Coupling, lambda_in_theorem_range
+from carlemanfp.quadrature import PANEL_FRACTIONS
 from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
+    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -86,6 +88,20 @@ def test_hermite_exact_at_nodes_and_smooth():
     probe = np.geomspace(1e-3, 9e3, 200)
     assert np.allclose(f.at(probe), -0.8 * np.log1p(probe), atol=1e-9)
     assert np.allclose(f.derivative_at(probe), -0.8 / (1.0 + probe), rtol=1e-5)
+
+
+def test_fixed_fractions_match_pointwise_interpolation(fig_coupling, rng):
+    # the panel samples: fixed basis weights per fraction instead of
+    # locating each point; exact at the nodes, rounding elsewhere
+    f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
+    fractions = np.concatenate([[0.0], PANEL_FRACTIONS, [0.5]])
+    points = (f.nodes[:-1, None] + fractions * np.diff(f.nodes)[:, None]).ravel()
+    got = f.at_fractions(fractions)
+    want = hermite_eval(f.nodes, f.values, f.derivs, points)
+    assert np.array_equal(got[:: fractions.size], f.values[:-1])
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    # the limiter slopes are computed once per function
+    assert f.slopes is f.slopes
 
 
 def test_grid_function_validation():

@@ -293,6 +293,58 @@ class TestCompressedTransform:
         spread = np.max(np.abs(reordered - dense))
         assert np.max(np.abs(compressed - dense)) <= ROUNDING_FACTOR * spread
 
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    @pytest.mark.parametrize("n_nodes", [400, 2000])
+    def test_matches_dense_at_every_size(self, fig_coupling, n_nodes, mode):
+        # just past the dense path, and at every node of the working grid,
+        # where rf_cache forms R
+        lam2 = 1e4 if mode == HARD_CUTOFF else 1e6
+        cfg = QuadratureConfig(n_nodes=n_nodes, lambda2=lam2, tail_mode=mode)
+        f = random_klambda(fig_coupling, make_nodes(n_nodes, lam2),
+                           np.random.default_rng(n_nodes))
+        he = HilbertOfExp(f, cfg)
+        for a in (np.geomspace(1e-3, 0.9 * lam2, DENSE_MAX + 1), he.ext.nodes[1:-1]):
+            assert_matches_dense(
+                he.quotient(a, allow_extension=True),
+                chunked_quotient(he, a),
+                chunked_quotient(he, a, reversed_pv),
+            )
+
+    def test_points_outside_the_boxes_sum_densely(self, fig_coupling, rng):
+        # below the first panel point and in any mix with points inside
+        cfg = QuadratureConfig(n_nodes=400, lambda2=1e6)
+        he = HilbertOfExp(random_klambda(fig_coupling, make_nodes(400, 1e6), rng), cfg)
+        outside = np.geomspace(1e-7, 0.5 * he.sub_x[0], DENSE_MAX + 1)
+        mixed = np.concatenate([outside, np.geomspace(1e-2, 1e5, DENSE_MAX)])
+        for a in (outside, mixed):
+            assert_matches_dense(
+                he.quotient(a), chunked_quotient(he, a), chunked_quotient(he, a, reversed_pv)
+            )
+
+    def test_large_hard_cutoff_grid_matches_dense(self):
+        # about 1300 boxes: the far-field constants, prefix sums over the
+        # boxes, drift past the rounding of the dense sum (to 14 times its
+        # spread here) unless the sums are compensated
+        nodes = make_nodes(8000, 1e6)
+        cfg = QuadratureConfig(n_nodes=8000, lambda2=1e6, tail_mode=HARD_CUTOFF)
+        he = HilbertOfExp(log_envelope_function(nodes, -0.6), cfg)
+        a = he.ext.nodes[1:-1:4]
+        assert_matches_dense(
+            he.quotient(a), chunked_quotient(he, a), chunked_quotient(he, a, reversed_pv)
+        )
+
+    @pytest.mark.parametrize("n_nodes", [400, 2000])
+    def test_sampled_transform_matches_dense(self, n_nodes):
+        nodes = make_nodes(n_nodes, 1e4)
+        vals = np.sin(np.log1p(nodes)) * np.log1p(nodes)
+        transform = SampledPVTransform(nodes)
+        a = np.geomspace(1e-3, 9e3, DENSE_MAX + 1)
+        values, derivs = transform._samples(vals)
+        sub_s = hermite_eval(nodes, values, derivs, transform.sub_x)
+        s_a = hermite_eval(nodes, values, derivs, a)
+        args = (transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a)
+        assert_matches_dense(transform.at(vals, a), chunked_pv(*args), reversed_pv(*args))
+
     def test_constant_function_is_bit_identical(self, monkeypatch):
         # exp(0) = 1: the near field, the far-field difference S - s(a) T and
         # the s(a) log term are exact, so the compressed path adds nothing

@@ -10,6 +10,7 @@ from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    hermite_at_fractions,
     hermite_eval,
     log_envelope_function,
     make_nodes,
@@ -41,19 +42,28 @@ def cfg600():
 def f_evaluations(monkeypatch):
     """``watch(f)`` returns a list that collects the point count of every
     Hermite evaluation of f, or of its working-grid extension, through
-    every module binding of ``hermite_eval``."""
+    every module binding of ``hermite_eval`` and ``hermite_at_fractions``."""
     watched, sizes = [], []
 
-    def counted(nodes, values, derivs, x, **kw):
+    def count(values, n_points):
         if watched:
             head = watched[0].values[:-1]
             if np.array_equal(values[: head.size], head):
-                sizes.append(np.size(x))
-        return hermite_eval(nodes, values, derivs, x, **kw)
+                sizes.append(n_points)
+
+    def counted(nodes, values, derivs, x, *args, **kw):
+        count(values, np.size(x))
+        return hermite_eval(nodes, values, derivs, x, *args, **kw)
+
+    def counted_fractions(nodes, values, slopes, fractions):
+        count(values, (nodes.size - 1) * np.size(fractions))
+        return hermite_at_fractions(nodes, values, slopes, fractions)
 
     for mod in (grids, hilbert, operators, gab):
         if hasattr(mod, "hermite_eval"):
             monkeypatch.setattr(mod, "hermite_eval", counted)
+        if hasattr(mod, "hermite_at_fractions"):
+            monkeypatch.setattr(mod, "hermite_at_fractions", counted_fractions)
 
     def watch(f):
         watched[:] = [f]
@@ -256,13 +266,29 @@ class TestBlockedDerivativeExact:
         calls = f_evaluations(f)
         cache = op.rf_cache(f)
         he, t = cache.hilbert, cache.t_nodes
-        # panel samples once, then f once at the R nodes
-        assert calls == [he.sub_x.size, t.size]
+        # panel samples once; at the R nodes, the nodes of the working
+        # grid, f is its stored values
+        assert calls == [he.sub_x.size]
         monkeypatch.undo()
         f_t = hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, t[1:])
         quot = he.quotient(t[1:], allow_extension=True)
         rf = np.exp(-f_t) - fig_coupling.abs_lambda * math.pi * t[1:] * quot
         assert np.array_equal(cache.rf[1:], rf)
+
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    def test_rf_cache_takes_f_at_the_nodes_as_stored(self, grid600, fig_coupling, rng,
+                                                      mode):
+        # the interpolant equals the stored values at the nodes, and the
+        # hard-cutoff midpoints are the fraction 1/2 of each interval
+        cfg = QuadratureConfig(n_nodes=600, lambda2=1e6, tail_mode=mode)
+        op = TOperator(fig_coupling, cfg)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        rf = cache.hilbert.r(cache.t_nodes, fig_coupling.abs_lambda, allow_extension=True)
+        if mode == POWER_LAW_EXTEND:
+            assert np.array_equal(cache.rf, rf)
+        else:
+            assert np.array_equal(cache.rf[0::2], rf[0::2])
+            assert np.allclose(cache.rf, rf, rtol=1e-14, atol=0.0)
 
 
 class TestCompressedDerivative:

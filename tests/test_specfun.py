@@ -67,6 +67,17 @@ class TestHyp2f1OneMu:
             ref = float(mp.hyp2f1(1, mu, 1 + mu, z))
             assert hyp2f1_1mu(mu, z) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.84, 1.7])
+    def test_matches_mpmath_on_both_branches(self, mu):
+        # one array across the branch switch: each branch takes its term
+        # count from its largest argument
+        import mpmath as mp
+
+        z = np.concatenate([np.linspace(0.0, 0.999, 41), 1.0 - np.geomspace(1e-12, 0.4, 9)])
+        with mp.workdps(30):
+            ref = np.array([float(mp.hyp2f1(1, mu, 1 + mu, mp.mpf(float(v)))) for v in z])
+        assert np.max(np.abs(hyp2f1_1mu(mu, z) / ref - 1.0)) <= 1e-14
+
     @given(
         mu=st.floats(min_value=0.05, max_value=0.95),
         z1=st.floats(min_value=0.0, max_value=0.99),
