@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .coupling import Coupling
 from .grids import HARD_CUTOFF, QuadratureConfig, make_nodes, zero_function
@@ -32,6 +31,8 @@ def _peak_points(u: float) -> list[float]:
     """
     if u + 1.0 + math.log(u) >= 0.0:
         return []
+    from scipy import optimize
+
     h = lambda q: u * (1.0 + q) - math.log(q)
     q_min = 1.0 / u
     lo = optimize.brentq(h, 1e-300, q_min)
@@ -48,6 +49,8 @@ def cauchy_integral(u: float) -> tuple[float, float]:
     """
     if u <= 0.0:
         raise ValueError("u must be positive")
+    from scipy import integrate
+
     f = _integrand(u)
     pts = _peak_points(u)
     split = max(10.0 / u, 10.0 * max(pts, default=1.0), 50.0)

@@ -60,14 +60,16 @@ _EXPAND = np.where(_M == 0, 1.0, 2.0)[:, None] / CHEB_POINTS * np.cos(
 )
 
 
-def _chebyshev_terms(x: np.ndarray):
-    """T_0(x), ..., T_{p-1}(x) by the three-term recurrence."""
-    prev, cur = np.ones_like(x), x
-    yield prev
-    yield cur
-    for _ in range(2, CHEB_POINTS):
-        prev, cur = cur, 2.0 * x * cur - prev
-        yield cur
+def _chebyshev_terms(x: np.ndarray) -> np.ndarray:
+    """T_0(x), ..., T_{p-1}(x) by the three-term recurrence, one row each."""
+    out = np.empty((CHEB_POINTS,) + x.shape)
+    out[0] = 1.0
+    out[1] = x
+    two_x = 2.0 * x
+    for m in range(2, CHEB_POINTS):
+        np.multiply(two_x, out[m - 1], out=out[m])
+        out[m] -= out[m - 2]
+    return out
 
 
 class LogBoxes:
@@ -91,7 +93,7 @@ class LogBoxes:
 
 def _lagrange_rows(y: np.ndarray) -> np.ndarray:
     """L_l(y) for the points y in [-1, 1], one row per point."""
-    return np.array(list(_chebyshev_terms(y))).T @ _EXPAND
+    return _chebyshev_terms(y).T @ _EXPAND
 
 
 # Right factors taking the charges of the lower and upper half of a box to

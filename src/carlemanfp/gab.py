@@ -42,9 +42,11 @@ class TwoPointReconstruction:
         self.coupling = coupling
         self.lambda2 = float(f.nodes[-1])
         self._hilbert = HilbertOfExp(f, QuadratureConfig(tail_mode=HARD_CUTOFF))
-        # the truncated transform diverges at the cutoff edge
+        # the truncated transform diverges at the cutoff edge; below it the
+        # working grid keeps f's nodes, where the interpolant is the stored values
         self._r_nodes = np.append(
-            self._hilbert.r(f.nodes[:-1], coupling.abs_lambda), math.inf
+            self._hilbert.r(f.nodes[:-1], coupling.abs_lambda, f_a=f.values[:-1]),
+            math.inf,
         )
         self._angle = SampledPVTransform(f.nodes)
         self._h0_tau0 = self._angle.at_zero(self.tau_values(0.0))

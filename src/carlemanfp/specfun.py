@@ -1,12 +1,14 @@
-"""Special functions behind the closed-form expressions of the bound suite.
+"""Special functions of the solve path and of the bound suite.
 
-The general Gauss hypergeometric, trigamma and dilogarithm are delegated
-to scipy.special (mature, machine-precision implementations; the test
-suite cross-checks them against independent brute-force series).  The
-``2F1(1, mu; 1+mu; z)`` family, which enters the power-law Hilbert
-transform identity, is implemented natively because it is needed in
-vectorised form arbitrarily close to ``z = 1``, where a logarithmic
-rearrangement keeps full relative accuracy.
+The ``2F1(1, mu; 1+mu; z)`` family enters the power-law Hilbert transform
+identity.  It is implemented natively, with the digamma value its
+logarithmic rearrangement needs: it is needed in vectorised form
+arbitrarily close to ``z = 1``, where that rearrangement keeps full
+relative accuracy, and the solve and reconstruction paths import no
+scipy.  The general Gauss hypergeometric, trigamma and dilogarithm serve
+only the verify suites.  They are delegated to scipy.special (mature,
+machine-precision implementations; the test suite cross-checks them
+against independent brute-force series), which each imports when called.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .coupling import Coupling
 
@@ -22,6 +23,12 @@ EULER_GAMMA = 0.57721566490153286061
 
 _SERIES_SWITCH = 0.5     # Gauss series below, log-split series above
 _SERIES_RTOL = 1e-17     # bound on the first term left out; every sum is >= 1
+
+_DIGAMMA_ASYMPTOTIC = 10.0  # recurrence below, asymptotic series from here
+# B_2n / (2n) for n = 1 .. 8, the coefficients of x^-2n in A&S 6.3.18; at
+# x = 10 the first term left out is 3e-18.
+_DIGAMMA_SERIES = [1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+                   1 / 12, -3617 / 8160]
 
 
 def _as_float_array(x):
@@ -36,6 +43,26 @@ def _horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
         out *= x
         out += c
     return out
+
+
+def digamma(x: float) -> float:
+    """Digamma psi(x) for x > 0.
+
+    The upward recurrence psi(x) = psi(x+1) - 1/x carries x to at least
+    10, where the asymptotic series (Abramowitz & Stegun 6.3.18)
+    log x - 1/(2x) - sum_n B_2n / (2n x^2n) is summed in Horner form.
+    """
+    if not x > 0.0:
+        raise ValueError(f"digamma needs x > 0, got {x}")
+    shift = 0.0
+    while x < _DIGAMMA_ASYMPTOTIC:
+        shift += 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = series * t + c
+    return math.log(x) - 0.5 / x - t * series - shift
 
 
 def _gauss_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
@@ -65,7 +92,7 @@ def _log_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
     log_w_max = abs(math.log(w_max))
     coeff = 1.0                      # (mu)_n / n!
     psi_n = -EULER_GAMMA             # psi(1)
-    psi_mun = float(_sp.psi(mu))     # psi(mu)
+    psi_mun = digamma(mu)            # psi(mu)
     a, b, wn = [psi_n - psi_mun], [1.0], 1.0
     while True:
         n = len(b)
@@ -107,7 +134,9 @@ def hyp2f1(a: float, b: float, c: float, z):
     z, scalar = _as_float_array(z)
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise ValueError("argument must satisfy 0 <= z < 1")
-    out = _sp.hyp2f1(a, b, c, z)
+    from scipy import special
+
+    out = special.hyp2f1(a, b, c, z)
     return float(out) if scalar else out
 
 
@@ -116,14 +145,18 @@ def dilog(x):
     x, scalar = _as_float_array(x)
     if np.any(x > 1.0):
         raise ValueError("dilogarithm argument must be <= 1")
-    out = _sp.spence(1.0 - x)
+    from scipy import special
+
+    out = special.spence(1.0 - x)
     return float(out) if scalar else out
 
 
 def trigamma(x):
     """Trigamma psi'(x)."""
     x, scalar = _as_float_array(x)
-    out = _sp.polygamma(1, x)
+    from scipy import special
+
+    out = special.polygamma(1, x)
     return float(out) if scalar else out
 
 

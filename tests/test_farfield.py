@@ -6,6 +6,7 @@ from carlemanfp.farfield import (
     CHEB_POINTS,
     BoxTree,
     LogBoxes,
+    _chebyshev_terms,
     charges,
     evaluate_in_boxes,
     interpolate_in_boxes,
@@ -48,7 +49,24 @@ class TestBoxTree:
             assert np.allclose(part, direct, rtol=0.0, atol=1e-12)
 
 
+def generated_chebyshev_terms(x):
+    """The recurrence one term at a time, each a new array: the reference
+    for the rows filled in place."""
+    prev, cur = np.ones_like(x), x
+    yield prev
+    yield cur
+    for _ in range(2, CHEB_POINTS):
+        prev, cur = cur, 2.0 * x * cur - prev
+        yield cur
+
+
 class TestChebyshev:
+    @pytest.mark.parametrize("n", [0, 1, 2318])
+    def test_terms_in_place_have_the_bits_of_the_recurrence(self, rng, n):
+        x = rng.uniform(-1.0, 1.0, n)
+        want = np.array(list(generated_chebyshev_terms(x)))
+        assert np.array_equal(_chebyshev_terms(x), want)
+
     def test_charges_move_polynomials_exactly(self, rng):
         # sum over sources of q p(x) = sum_l charge_l p(node_l) for every
         # polynomial p of degree below CHEB_POINTS

@@ -378,10 +378,11 @@ class TestRHome:
         f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
         calls = f_evaluations(f)
         rec = TwoPointReconstruction(f, fig_coupling)
-        # edge refinement, panel samples, then f once at the nodes below the cutoff
-        assert calls == [
-            hilbert._EDGE_REFINE_LEVELS, rec._hilbert.sub_x.size, f.nodes.size - 1
-        ]
+        # edge refinement and panel samples; R at the nodes below the cutoff
+        # takes the stored values
+        assert calls == [hilbert._EDGE_REFINE_LEVELS, rec._hilbert.sub_x.size]
+        interpolated = rec._hilbert.r(f.nodes[:-1], fig_coupling.abs_lambda)
+        assert np.array_equal(rec._r_nodes[:-1], interpolated)
         calls.clear()
         rec.tau_at(3.0, 0.5)
         assert calls == [1]

@@ -1,6 +1,59 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import carlemanfp
+
+LAM = "-0.159154"
 
 
 def test_public_names_resolve():
     missing = [name for name in carlemanfp.__all__ if not hasattr(carlemanfp, name)]
     assert not missing
+
+
+def run_fresh(code: str, cwd: Path) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this source tree; returns
+    the scipy modules loaded when it ends."""
+    src = str(Path(carlemanfp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyStaysOffTheSolvePath:
+    """solve, gab and everything the benchmark worker imports need only
+    numpy; scipy is imported by the verify checks that use it."""
+
+    @pytest.mark.parametrize("code", [
+        "import carlemanfp.cli, carlemanfp.verification",
+        "from carlemanfp.cli import main\n"
+        f"assert main(['solve', '--lambda={LAM}', '--cutoff=1e4', '--nodes=300',"
+        " '--out', 'sol.csv']) == 0",
+        "from carlemanfp.cli import main\n"
+        f"assert main(['gab', '--lambda={LAM}', '--cutoff=1e4', '--nodes=300',"
+        " '--grid=3', '--out', 'gab.csv']) == 0",
+    ], ids=["import", "solve", "gab"])
+    def test_no_scipy_module_loaded(self, code, tmp_path):
+        assert run_fresh(code, tmp_path) == []
+
+    def test_appendix_suite_imports_scipy_and_passes(self, tmp_path):
+        loaded = run_fresh(
+            "from carlemanfp.cli import main\n"
+            "assert main(['verify', '--suite=appendix', '--out', 'rep.json']) == 0",
+            tmp_path,
+        )
+        assert "scipy.integrate" in loaded and "scipy.optimize" in loaded
+        reports = json.loads((tmp_path / "rep.json").read_text())["reports"]
+        assert reports and all(r["status"] == "pass" for r in reports)

@@ -10,6 +10,7 @@ from scipy.special import psi
 from carlemanfp.coupling import Coupling
 from carlemanfp.specfun import (
     EULER_GAMMA,
+    digamma,
     dilog,
     hyp2f1,
     hyp2f1_1mu,
@@ -152,14 +153,27 @@ class TestHyp2f1General:
 
 class TestDigammaDilog:
     def test_euler_gamma(self):
-        assert psi(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
+        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
 
     def test_reflection_identity(self):
         for mu in np.arange(0.1, 0.95, 0.1):
-            lhs = psi(mu) - psi(1.0 - mu) + math.pi / math.tan(math.pi * mu)
+            lhs = digamma(mu) - digamma(1.0 - mu) + math.pi / math.tan(math.pi * mu)
             assert abs(lhs) < 1e-10
         # quarter-point value: psi(1/4) - psi(3/4) = -pi cot(pi/4) = -pi
-        assert psi(0.25) - psi(0.75) == pytest.approx(-math.pi, rel=1e-14)
+        assert digamma(0.25) - digamma(0.75) == pytest.approx(-math.pi, rel=1e-14)
+
+    def test_native_matches_scipy_and_mpmath(self):
+        # the mu of the solve path with margin, and densely around the zero
+        # near 1.46, where the error is bounded in absolute terms
+        import mpmath as mp
+
+        x = np.concatenate([np.geomspace(1e-3, 3.0, 300), np.linspace(1.4, 1.5, 41)])
+        mine = np.array([digamma(v) for v in x])
+        with mp.workdps(30):
+            ref = np.array([float(mp.digamma(mp.mpf(float(v)))) for v in x])
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(mine - ref) / scale) <= 2e-15
+        assert np.max(np.abs(mine - psi(x)) / scale) <= 2e-15
 
     def test_recurrence_oracle(self):
         # downward recurrence anchored at the asymptotic expansion
@@ -173,11 +187,13 @@ class TestDigammaDilog:
             term *= y2
         for j in range(big):
             val -= 1.0 / (x + big - 1 - j)
-        assert psi(10.0) == pytest.approx(val, rel=1e-13)
+        assert digamma(10.0) == pytest.approx(val, rel=1e-13)
 
     def test_domain(self):
         # pole at 0, outside the domain x > 0
-        assert not math.isfinite(psi(0.0))
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                digamma(x)
 
     @pytest.mark.parametrize(
         "x,expected",
