@@ -1,14 +1,15 @@
-"""Special functions of the solve path and of the bound suite.
+"""Special functions of the solve path and of the bound suite, in numpy
+and ``math`` alone.
 
 The ``2F1(1, mu; 1+mu; z)`` family enters the power-law Hilbert transform
-identity.  It is implemented natively, with the digamma value its
-logarithmic rearrangement needs: it is needed in vectorised form
-arbitrarily close to ``z = 1``, where that rearrangement keeps full
-relative accuracy, and the solve and reconstruction paths import no
-scipy.  The general Gauss hypergeometric, trigamma and dilogarithm serve
-only the verify suites.  They are delegated to scipy.special (mature,
-machine-precision implementations; the test suite cross-checks them
-against independent brute-force series), which each imports when called.
+identity.  It is needed in vectorised form arbitrarily close to ``z = 1``,
+where its logarithmic rearrangement keeps full relative accuracy, with the
+digamma value that rearrangement needs.  The bound suite needs the general
+2F1 only for a, b > 0 with c - a - b in {0, 1}, where the same kind of
+logarithmic series (Abramowitz & Stegun 15.3.10/15.3.11) applies; it also
+needs one trigamma (the series constant) and the dilogarithm (an auxiliary
+supremum).  Each is a series summed to double precision; the test suite
+checks them against mpmath.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ _DIGAMMA_ASYMPTOTIC = 10.0  # recurrence below, asymptotic series from here
 # x = 10 the first term left out is 3e-18.
 _DIGAMMA_SERIES = [1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
                    1 / 12, -3617 / 8160]
+# B_2n for n = 1 .. 8: the coefficients of x^-(2n+1) in the trigamma series
+# (A&S 6.4.12), whose first term left out is 5.5e-18 at x = 10, and with
+# 1/(2n+1)! those of u^(2n+1) in the dilogarithm's Bernoulli series, whose
+# first term left out is 4e-19 of the value at |u| = log 2.
+_BERNOULLI_EVEN = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+                   7 / 6, -3617 / 510]
+_DILOG_SERIES = [1.0] + [b / math.factorial(2 * n + 1)
+                         for n, b in enumerate(_BERNOULLI_EVEN, start=1)]
+
+_EPS = float(np.finfo(float).eps)
+_BALANCE_ULPS = 8        # c - a - b may miss its integer by this many ulps
 
 
 def _as_float_array(x):
@@ -127,37 +139,131 @@ def hyp2f1_1mu(mu: float, z):
     return float(out) if scalar else out
 
 
-def hyp2f1(a: float, b: float, c: float, z):
-    """Gauss hypergeometric 2F1(a, b; c; z) on z in [0, 1), c > b > 0."""
-    if not (c > b > 0.0):
-        raise ValueError(f"parameters must satisfy c > b > 0, got b={b}, c={c}")
-    z, scalar = _as_float_array(z)
-    if np.any(z < 0.0) or np.any(z >= 1.0):
-        raise ValueError("argument must satisfy 0 <= z < 1")
-    from scipy import special
+def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """sum_k (a)_k (b)_k / ((c)_k k!) z^k for 0 <= z <= 1/2: a polynomial in
+    z with as many terms as the largest z needs."""
+    z_max = float(z.max())
+    coeffs, coeff, zk = [1.0], 1.0, 1.0
+    while True:
+        k = len(coeffs)
+        coeff *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k)
+        zk *= z_max
+        if coeff * zk < _SERIES_RTOL:
+            return _horner(coeffs, z)
+        coeffs.append(coeff)
 
-    out = special.hyp2f1(a, b, c, z)
+
+def _log_series(a: float, b: float, m: int, scale: float, w: np.ndarray) -> np.ndarray:
+    """sum_n (a+m)_n (b+m)_n / (n! (n+m)!) (d_n - log w) w^n for
+    0 < w < 1/2, with d_n = psi(n+1) + psi(n+m+1) - psi(a+m+n) - psi(b+m+n).
+
+    Summed as A(w) - log(w) B(w), two polynomials in w with as many terms
+    as the largest w needs; ``scale`` is the factor the caller puts in
+    front of w^m S(w), so that each left-out term is below 1e-17 of a
+    2F1 >= 1.
+    """
+    w_max = float(w.max())
+    log_w_max = abs(math.log(w_max))
+    coeff = 1.0 / math.factorial(m)                  # (a+m)_n (b+m)_n / (n! (n+m)!)
+    psi_n = -EULER_GAMMA                             # psi(n+1)
+    psi_nm = -EULER_GAMMA + m                        # psi(n+m+1), m in {0, 1}
+    psi_a, psi_b = digamma(a + m), digamma(b + m)    # psi(a+m+n), psi(b+m+n)
+    d = psi_n + psi_nm - psi_a - psi_b
+    a_coeffs, b_coeffs, wn = [coeff * d], [coeff], w_max**m
+    while True:
+        n = len(b_coeffs)
+        coeff *= (a + m + n - 1.0) * (b + m + n - 1.0) / (n * (n + m))
+        psi_n += 1.0 / n
+        psi_nm += 1.0 / (n + m)
+        psi_a += 1.0 / (a + m + n - 1.0)
+        psi_b += 1.0 / (b + m + n - 1.0)
+        d = psi_n + psi_nm - psi_a - psi_b
+        wn *= w_max
+        if scale * coeff * (abs(d) + log_w_max) * wn < _SERIES_RTOL:
+            return _horner(a_coeffs, w) - np.log(w) * _horner(b_coeffs, w)
+        a_coeffs.append(coeff * d)
+        b_coeffs.append(coeff)
+
+
+def hyp2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) for a, b > 0, c - a - b = m in
+    {0, 1} and 0 <= z < 1: every parameter set the bound formulas use.
+
+    Below z = 1/2 the Gauss series; above it the logarithmic series in
+    w = 1 - z of Abramowitz & Stegun 15.3.10 (m = 0) and 15.3.11 (m = 1),
+        2F1 = Gamma(c)/(Gamma(a) Gamma(b)) * (m/(ab) + (-w)^m S(w)),
+    with S from ``_log_series``.  Other parameter families raise
+    ``ValueError``.
+    """
+    m = round(c - a - b)
+    if not (a > 0.0 and b > 0.0 and m in (0, 1)
+            and abs(c - a - b - m) <= _BALANCE_ULPS * _EPS * max(a, b, c)):
+        raise ValueError(
+            f"need a, b > 0 and c - a - b in {{0, 1}}, got a={a}, b={b}, c={c}"
+        )
+    z, scalar = _as_float_array(z)
+    if not np.all((z >= 0.0) & (z < 1.0)):
+        raise ValueError("argument must satisfy 0 <= z < 1")
+    gauss = z <= _SERIES_SWITCH
+    out = np.empty_like(z)
+    if np.any(gauss):
+        out[gauss] = _gauss_series(a, b, c, z[gauss])
+    if not np.all(gauss):
+        w = 1.0 - z[~gauss]
+        scale = math.gamma(c) / (math.gamma(a) * math.gamma(b))
+        series = _log_series(a, b, m, scale, w)
+        out[~gauss] = scale * (m / (a * b) + (-w) ** m * series)
     return float(out) if scalar else out
+
+
+def _dilog_series(x: np.ndarray) -> np.ndarray:
+    """Li2(x) on [-1, 1/2] from the Bernoulli series in u = -log(1 - x)."""
+    u = -np.log1p(-x)
+    return u * _horner(_DILOG_SERIES, u * u) - 0.25 * u * u
 
 
 def dilog(x):
-    """Dilogarithm Li2(x) for x <= 1."""
+    """Dilogarithm Li2(x) for x <= 1.
+
+    The Bernoulli series on [-1, 1/2]; above it the reflection
+    Li2(x) = pi^2/6 - log(x) log(1-x) - Li2(1-x), below it the inversion
+    Li2(x) = -pi^2/6 - log(-x)^2/2 - Li2(1/x).
+    """
     x, scalar = _as_float_array(x)
-    if np.any(x > 1.0):
+    if not np.all(x <= 1.0):
         raise ValueError("dilogarithm argument must be <= 1")
-    from scipy import special
-
-    out = special.spence(1.0 - x)
+    out = np.full_like(x, math.pi**2 / 6.0)          # Li2(1)
+    mid = (x >= -1.0) & (x <= 0.5)
+    out[mid] = _dilog_series(x[mid])
+    high = (x > 0.5) & (x < 1.0)
+    y = x[high]
+    out[high] = math.pi**2 / 6.0 - np.log(y) * np.log1p(-y) - _dilog_series(1.0 - y)
+    low = x < -1.0
+    y = x[low]
+    out[low] = -math.pi**2 / 6.0 - 0.5 * np.log(-y) ** 2 - _dilog_series(1.0 / y)
     return float(out) if scalar else out
 
 
-def trigamma(x):
-    """Trigamma psi'(x)."""
-    x, scalar = _as_float_array(x)
-    from scipy import special
+def trigamma(x: float) -> float:
+    """Trigamma psi'(x) for x > 0.
 
-    out = special.polygamma(1, x)
-    return float(out) if scalar else out
+    The recurrence psi'(x) = psi'(x+1) + 1/x^2 carries x to at least 10,
+    where the asymptotic series (Abramowitz & Stegun 6.4.12)
+    1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1) is summed in Horner form; the
+    recurrence terms are then added from the smallest up.
+    """
+    if not x > 0.0:
+        raise ValueError(f"trigamma needs x > 0, got {x}")
+    shifts = max(0, math.ceil(_DIGAMMA_ASYMPTOTIC - x))
+    y = x + shifts
+    t = 1.0 / (y * y)
+    series = 0.0
+    for c in reversed(_BERNOULLI_EVEN):
+        series = series * t + c
+    out = 1.0 / y + 0.5 * t + t * series / y
+    for k in reversed(range(shifts)):
+        out += 1.0 / (x + k) ** 2
+    return out
 
 
 def zeta_lambda(coupling: Coupling) -> float:

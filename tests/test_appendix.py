@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlemanfp import appendix
 from carlemanfp.appendix import (
     cauchy_integral,
     t0_closed,
@@ -18,6 +19,15 @@ class TestResidueIntegral:
         numeric, closed = cauchy_integral(u)
         assert abs(numeric - closed) <= 1e-8
 
+    # measured worst relative error: 4.4e-16 (u = 1e3); halving the step
+    # moves the value by at most 2.2e-16
+    @pytest.mark.parametrize("u", [1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_trapezoid_rule_in_log_q(self, u, monkeypatch):
+        numeric, closed = cauchy_integral(u)
+        assert numeric == pytest.approx(closed, rel=1e-12, abs=0)
+        monkeypatch.setattr(appendix, "_RESIDUE_STEP", appendix._RESIDUE_STEP / 2)
+        assert cauchy_integral(u)[0] == pytest.approx(numeric, rel=1e-12, abs=0)
+
     def test_reference_values(self):
         assert cauchy_integral(1.0)[1] == 0.5
         assert cauchy_integral(0.1)[1] == pytest.approx(1.0 / 0.11, rel=1e-14)
@@ -31,6 +41,8 @@ class TestResidueIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             cauchy_integral(0.0)
+        with pytest.raises(ValueError):
+            cauchy_integral(math.nan)
 
 
 class TestZeroInputImage:

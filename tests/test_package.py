@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -33,8 +34,8 @@ def run_fresh(code: str, cwd: Path) -> list[str]:
 
 
 class TestScipyStaysOffTheSolvePath:
-    """solve, gab and everything the benchmark worker imports need only
-    numpy; scipy is imported by the verify checks that use it."""
+    """Every command, and everything the benchmark worker imports, needs
+    only numpy: no scipy module is loaded."""
 
     @pytest.mark.parametrize("code", [
         "import carlemanfp.cli, carlemanfp.verification",
@@ -44,16 +45,28 @@ class TestScipyStaysOffTheSolvePath:
         "from carlemanfp.cli import main\n"
         f"assert main(['gab', '--lambda={LAM}', '--cutoff=1e4', '--nodes=300',"
         " '--grid=3', '--out', 'gab.csv']) == 0",
-    ], ids=["import", "solve", "gab"])
+        "import json\n"
+        "from carlemanfp.cli import main\n"
+        "assert main(['verify', '--suite=all', '--out', 'rep.json']) == 0\n"
+        "reports = json.load(open('rep.json'))['reports']\n"
+        "assert reports and all(r['status'] == 'pass' for r in reports)",
+    ], ids=["import", "solve", "gab", "verify"])
     def test_no_scipy_module_loaded(self, code, tmp_path):
         assert run_fresh(code, tmp_path) == []
 
-    def test_appendix_suite_imports_scipy_and_passes(self, tmp_path):
-        loaded = run_fresh(
-            "from carlemanfp.cli import main\n"
-            "assert main(['verify', '--suite=appendix', '--out', 'rep.json']) == 0",
-            tmp_path,
-        )
-        assert "scipy.integrate" in loaded and "scipy.optimize" in loaded
-        reports = json.loads((tmp_path / "rep.json").read_text())["reports"]
-        assert reports and all(r["status"] == "pass" for r in reports)
+    def test_no_module_imports_scipy(self):
+        # also imports inside function bodies, which no fresh-interpreter
+        # run reaches unless it calls that function
+        package = Path(carlemanfp.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []

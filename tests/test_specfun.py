@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import psi
 
+from carlemanfp import bounds
 from carlemanfp.coupling import Coupling
 from carlemanfp.specfun import (
     EULER_GAMMA,
@@ -14,13 +15,39 @@ from carlemanfp.specfun import (
     dilog,
     hyp2f1,
     hyp2f1_1mu,
+    trigamma,
     zeta_lambda,
 )
+from carlemanfp.verification import COUPLINGS
 
 # Brute-force Kahan series value for 2F1(1, 1/4; 5/4; 0.9), 2e6-term budget.
 BRUTE_1MU_025_09 = 1.5077780625170767
 # 1e7-term direct sum with integral tail bracket, and the trigamma identity.
 ZETA_ONE_SIXTH = 1.228801173700901
+
+
+def _bound_parameter_sets() -> list[tuple[float, float, float]]:
+    """The (a, b, c) of every 2F1 in ``bounds``: four fixed, two per lambda_r."""
+    sets = [(1.0, 1.25, 2.25), (2.0, 1.25, 3.25), (2.0, 1.25, 4.25), (1.0, 1.25, 3.25)]
+    for lam in COUPLINGS:
+        lr = Coupling(lam).lambda_r
+        sets += [(1.0, 1.0 + lr, 2.0 + lr), (2.0, 1.0 + lr, 3.0 + lr)]
+    return sets
+
+
+# 0 to 1 - 1e-8, on both sides of the series switch at z = 1/2
+ORACLE_Z = np.concatenate([
+    np.linspace(0.0, 0.999, 61),
+    0.5 + np.array([-1e-9, -1e-15, 1e-15, 1e-9]),
+    1.0 - np.geomspace(1e-8, 0.45, 25),
+])
+
+
+def mpmath_hyp2f1(a, b, c, z):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        return np.array([float(mp.hyp2f1(a, b, c, mp.mpf(float(v)))) for v in z])
 
 
 def _tail_inverse_square(m: float) -> float:
@@ -137,6 +164,29 @@ class TestHyp2f1General:
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)
 
+    # measured worst relative error: 8.0e-15, at (2, 1.25, 4.25) just above z = 1/2
+    @pytest.mark.parametrize("a,b,c", _bound_parameter_sets())
+    def test_bound_parameter_sets_match_mpmath(self, a, b, c):
+        got = hyp2f1(a, b, c, ORACLE_Z)
+        assert np.max(np.abs(got / mpmath_hyp2f1(a, b, c, ORACLE_Z) - 1.0)) <= 1e-13
+
+    # measured worst relative error: 1.2e-15
+    @pytest.mark.parametrize("mu", np.linspace(0.05, 0.95, 7))
+    def test_zero_balanced_family_matches_mpmath(self, mu):
+        got = hyp2f1(mu, mu, 2.0 * mu, ORACLE_Z)
+        assert np.max(np.abs(got / mpmath_hyp2f1(mu, mu, 2.0 * mu, ORACLE_Z) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("a,b,c", [
+        (1.0, 1.25, 2.75),          # c - a - b = 1/2
+        (1.0, 1.25, 2.25 + 1e-9),   # not an integer, however close
+        (2.0, 1.25, 5.25),          # c - a - b = 2
+        (2.0, 1.25, 2.25),          # c - a - b = -1
+        (-0.5, 1.25, 0.75),         # a <= 0
+    ])
+    def test_other_families_rejected(self, a, b, c):
+        with pytest.raises(ValueError):
+            hyp2f1(a, b, c, 0.3)
+
     def test_ponnusamy_two_sided_bound(self):
         # zero-balanced bound: for alpha=beta=mu, x in (0,1],
         # B(mu,mu) 2F1(mu,mu;2mu;1-x) + log x in
@@ -195,6 +245,45 @@ class TestDigammaDilog:
             with pytest.raises(ValueError):
                 digamma(x)
 
+    def test_trigamma_matches_mpmath(self):
+        # measured worst error: 2.2e-16 * max(1, psi')
+        import mpmath as mp
+
+        x = np.linspace(0.5, 3.0, 251)
+        with mp.workdps(30):
+            ref = np.array([float(mp.psi(1, mp.mpf(float(v)))) for v in x])
+        mine = np.array([trigamma(v) for v in x])
+        assert np.max(np.abs(mine - ref) / np.maximum(1.0, ref)) <= 2e-15
+
+    def test_trigamma_domain(self):
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                trigamma(x)
+
+    def test_dilog_matches_mpmath(self, monkeypatch):
+        # measured worst error: 3.7e-16 * max(1, |Li2|)
+        import mpmath as mp
+
+        scanned = []
+
+        def recording_dilog(x):
+            scanned.append(np.asarray(x, dtype=float))
+            return dilog(x)
+
+        monkeypatch.setattr(bounds, "dilog", recording_dilog)
+        for lam in COUPLINGS:
+            bounds.sup_c_tilde_aux(Coupling(lam))
+        x = np.concatenate([
+            -np.geomspace(1e-12, 1e8, 120),
+            np.linspace(-1.0, 1.0, 81),
+            1.0 - np.geomspace(1e-16, 0.5, 30),
+            [np.nextafter(-1.0, -2.0), np.nextafter(0.5, 1.0)],
+            np.concatenate(scanned)[::20],      # the auxiliary sup's scan
+        ])
+        with mp.workdps(30):
+            ref = np.array([float(mp.polylog(2, mp.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(dilog(x) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+
     @pytest.mark.parametrize(
         "x,expected",
         [(1.0, math.pi**2 / 6.0), (0.0, 0.0), (-1.0, -math.pi**2 / 12.0)],
@@ -205,6 +294,8 @@ class TestDigammaDilog:
     def test_dilog_domain(self):
         with pytest.raises(ValueError):
             dilog(1.5)
+        with pytest.raises(ValueError):
+            dilog(np.array([0.5, math.nan]))
 
 
 class TestZetaLambda:
