@@ -25,6 +25,14 @@ field, p = CHEB_POINTS, whatever the number of sources.
 
 With at most ``DENSE_MAX`` targets the compression does not pay and both
 sums run dense; the callers pick the path from the input alone.
+
+The target side is planned once per point set: ``BoxRows`` holds the
+Lagrange rows of a set of points, and ``interpolate_in_boxes`` keeps the
+layout of its points (their boxes, the Chebyshev points of those boxes
+and the rows) in ``_layouts`` while the same points recur.  A call
+then evaluates only its function at the Chebyshev points and the sums of
+the rows.  The sources' Chebyshev terms are recomputed by each ``charges``
+call, three rows at a time: kept, they would take 160 bytes per source.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import math
 
 import numpy as np
 
+from .plans import RecurringPlan
 from .quadrature import row_blocks
 
 # Chebyshev points per box.  Seen from a target one box away, the nearest
@@ -60,15 +69,26 @@ _EXPAND = np.where(_M == 0, 1.0, 2.0)[:, None] / CHEB_POINTS * np.cos(
 )
 
 
-def _chebyshev_terms(x: np.ndarray) -> np.ndarray:
-    """T_0(x), ..., T_{p-1}(x) by the three-term recurrence, one row each."""
-    out = np.empty((CHEB_POINTS,) + x.shape)
-    out[0] = 1.0
-    out[1] = x
+def _chebyshev_rows(x: np.ndarray):
+    """T_0(x), ..., T_{p-1}(x) by the three-term recurrence, one at a time:
+    each yielded array is overwritten two steps later, so the recurrence
+    holds three of them whatever p."""
+    prev, cur, nxt = np.ones_like(x), np.array(x, dtype=float), np.empty_like(x)
     two_x = 2.0 * x
-    for m in range(2, CHEB_POINTS):
-        np.multiply(two_x, out[m - 1], out=out[m])
-        out[m] -= out[m - 2]
+    yield prev
+    yield cur
+    for _ in range(2, CHEB_POINTS):
+        np.multiply(two_x, cur, out=nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
+
+
+def _chebyshev_terms(x: np.ndarray) -> np.ndarray:
+    """T_0(x), ..., T_{p-1}(x), one row each."""
+    out = np.empty((CHEB_POINTS,) + x.shape)
+    for m, t in enumerate(_chebyshev_rows(x)):
+        out[m] = t
     return out
 
 
@@ -220,32 +240,52 @@ def charges(x: np.ndarray, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     held = starts[:-1] < starts[1:]
     moments = np.empty((CHEB_POINTS, q.shape[0], np.count_nonzero(held)))
-    for m, t in enumerate(_chebyshev_terms(x)):
-        np.add.reduceat(q * t, starts[:-1][held], axis=1, out=moments[m])
+    qt = np.empty_like(q)
+    for m, t in enumerate(_chebyshev_rows(x)):
+        np.multiply(q, t, out=qt)
+        np.add.reduceat(qt, starts[:-1][held], axis=1, out=moments[m])
     out = np.zeros((q.shape[0], starts.size - 1, CHEB_POINTS))
     out[:, held] = np.moveaxis(moments, 0, -1) @ _EXPAND
     return out
 
 
-def evaluate_in_boxes(values, k: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_l v[..., k, l] L_l(y) per point, for each array v of the
-    sequence ``values``, stacked: the interpolants of values given at the
-    Chebyshev points of each box, at points of local position y in their
-    box k.  The arrays share the basis rows, and the points go in blocks,
-    so the gathered values and the rows stay within the cache budget."""
-    out = np.empty((len(values),) + values[0].shape[:-2] + y.shape)
-    sets = out.size // max(y.size, 1)
-    for blk in row_blocks(y.size, 8 * CHEB_POINTS * (sets + 4)):
-        rows = _lagrange_rows(y[blk])
-        for o, v in zip(out, values):
-            o[..., blk] = np.einsum("...pl,pl->...p", v[..., k[blk], :], rows)
-    return out
+class BoxRows:
+    """Points of local position y in their boxes k, with the Lagrange rows
+    L_l(y) there: ``evaluate(v)`` interpolates values v[..., box, l] given
+    at the Chebyshev points of each box, sum_l v[..., k, l] L_l(y) per
+    point.  The rows are built once, in row blocks that hold them and the
+    values gathered for ``sets`` such sums per point within the cache
+    budget; ``evaluate`` goes over the same blocks."""
+
+    def __init__(self, k: np.ndarray, y: np.ndarray, sets: int):
+        self.k = k
+        self.blocks = row_blocks(y.size, 8 * CHEB_POINTS * (sets + 4))
+        self.rows = np.empty(y.shape + (CHEB_POINTS,))
+        for blk in self.blocks:
+            self.rows[blk] = _lagrange_rows(y[blk])
+
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(v.shape[:-2] + self.k.shape)
+        for blk in self.blocks:
+            out[..., blk] = np.einsum("...pl,pl->...p", v[..., self.k[blk], :], self.rows[blk])
+        return out
+
+
+# The (Tf)' sum of a solve runs at the same grid nodes in every application.
+_layouts = RecurringPlan()
+
+
+def _layout(u: np.ndarray, boxes: LogBoxes) -> tuple[np.ndarray, BoxRows]:
+    """The Chebyshev points of the boxes that hold u, and u's rows there."""
+    k = boxes.index(u)
+    occupied, slot = np.unique(k, return_inverse=True)
+    return boxes.proxies(occupied).ravel(), BoxRows(slot, boxes.local(u, k), sets=1)
 
 
 def interpolate_in_boxes(fn, u: np.ndarray, boxes: LogBoxes) -> np.ndarray:
     """fn at every point of u, interpolated from fn at the Chebyshev
-    points of the boxes that hold u; fn must be analytic around each box."""
-    k = boxes.index(u)
-    occupied, slot = np.unique(k, return_inverse=True)
-    values = fn(boxes.proxies(occupied).ravel()).reshape(occupied.size, CHEB_POINTS)
-    return evaluate_in_boxes([values], slot, boxes.local(u, k))[0]
+    points of the boxes that hold u; fn must be analytic around each box.
+    Only fn depends on the call: the layout of u is kept while u recurs."""
+    key = (u.tobytes(), boxes.u0, boxes.width)
+    proxies, rows = _layouts.get(key, lambda: _layout(u, boxes))
+    return rows.evaluate(fn(proxies).reshape(-1, CHEB_POINTS))

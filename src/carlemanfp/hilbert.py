@@ -13,22 +13,35 @@ takes the farther panel points through the fast multipole method on a
 tree of log-x boxes (``farfield``), in the split form sum w s/(x-a) -
 s(a) sum w/(x-a).  With those points a box or more from a in log x, the
 two ways agree to the rounding of the dense sum.
+
+What depends on the grid alone is planned once per grid (``plans``):
+- the working grid's nodes (``_working_grids``) and its panel points and
+  weights (``quadrature``), while the grid recurs;
+- the source plan of the compressed sum (``_PVFarField``, one per
+  panel grid, the last four grids kept): boxes, tree, translation
+  matrices, near windows and the far field of the weight charges T;
+- the target plan (``_PVTargets``, while the compressed sum runs at the
+  same targets call after call): each target's box and Lagrange rows,
+  T's far field at the targets and the near-field row indices.
+An application then computes only what depends on the sampled function:
+its panel samples and Hermite values, the charges of w s with their
+upward and downward passes, the near-field arithmetic, and the 2F1 tail.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
-from .farfield import DENSE_MAX, BoxTree, LogBoxes, charges, evaluate_in_boxes
+from .farfield import DENSE_MAX, BoxRows, BoxTree, LogBoxes, charges
 from .grids import (
     GridFunction,
     POWER_LAW_EXTEND,
     QuadratureConfig,
     hermite_eval,
 )
+from .plans import PlanCache, RecurringPlan
 from .quadrature import PANEL_FRACTIONS, fd_derivative_coeffs, panel_points, row_blocks
 from .specfun import hyp2f1_1mu
 
@@ -79,6 +92,7 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     tail exponent or None).
     """
     lam2 = f.nodes[-1]
+    nodes = _working_nodes(f.nodes, cfg.tail_mode)
     if cfg.tail_mode == POWER_LAW_EXTEND:
         p = f.fitted_tail_exponent()
         if p >= -1e-6:
@@ -86,29 +100,47 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
                 "power-law extension requires a decaying tail "
                 f"(fitted exponent {p:.3g}); use hard_cutoff"
             )
-        n_ext = int(round(_TAIL_DECADES * _TAIL_NODES_PER_DECADE))
-        ext = np.geomspace(lam2, lam2 * 10.0**_TAIL_DECADES, n_ext + 1)[1:]
+        ext = nodes[f.nodes.size :]
         coeff = math.exp(f.values[-1] - p * math.log1p(lam2))
         ext_vals = f.values[-1] + p * (np.log1p(ext) - math.log1p(lam2))
         ext_derivs = p / (1.0 + ext)
         g = GridFunction(
-            np.concatenate([f.nodes, ext]),
+            nodes,
             np.concatenate([f.values, ext_vals]),
             np.concatenate([f.derivs, ext_derivs]),
             tail_exponent=p,
         )
         return g, coeff, p
 
-    gap = lam2 - f.nodes[-2]
-    edge = lam2 - gap * 0.5 ** np.arange(1, _EDGE_REFINE_LEVELS + 1)
+    edge = nodes[f.nodes.size - 1 : -1]
     vals, ders = hermite_eval(
         f.nodes, f.values, f.derivs, edge, with_derivative=True, slopes=f.slopes
     )
-    nodes = np.concatenate([f.nodes[:-1], edge, [lam2]])
     values = np.concatenate([f.values[:-1], vals, [f.values[-1]]])
     derivs = np.concatenate([f.derivs[:-1], ders, [f.derivs[-1]]])
     g = GridFunction(nodes, values, derivs, tail_exponent=f.tail_exponent)
     return g, None, None
+
+
+_working_grids = RecurringPlan()
+
+
+def _working_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
+    """The nodes of ``extend_for_quadrature``'s working grid."""
+    return _working_grids.get(
+        (tail_mode, nodes.tobytes()), lambda: _extended_nodes(nodes, tail_mode)
+    )
+
+
+def _extended_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
+    lam2 = nodes[-1]
+    if tail_mode == POWER_LAW_EXTEND:
+        n_ext = int(round(_TAIL_DECADES * _TAIL_NODES_PER_DECADE))
+        ext = np.geomspace(lam2, lam2 * 10.0**_TAIL_DECADES, n_ext + 1)[1:]
+        return np.concatenate([nodes, ext])
+    gap = lam2 - nodes[-2]
+    edge = lam2 - gap * 0.5 ** np.arange(1, _EDGE_REFINE_LEVELS + 1)
+    return np.concatenate([nodes[:-1], edge, [lam2]])
 
 
 def _subtracted_sum(x, w, s, a, s_a):
@@ -231,71 +263,91 @@ class _PVFarField:
         above = _prefix_sums(totals[1, ::-1])[np.maximum(n - k - 2, 0)]
         return local, np.stack([below, above])
 
-    def _near(self, sub_s, a, s_a, k) -> np.ndarray:
-        """_subtracted_sum over the near window of each target's box k,
+    def _near(self, sub_s, s_a, targets: _PVTargets) -> np.ndarray:
+        """_subtracted_sum over the near window of each target's box,
         row by row."""
-        count = self.first_row[k + 1] - self.first_row[k]
-        target = np.repeat(np.arange(a.size), count)
-        first = self.first_row[k] - np.cumsum(count) + count
-        row = np.arange(target.size) + np.repeat(first, count)
         s_windows = self._windows(sub_s)
-        sums = np.empty(row.size)
-        for blk in row_blocks(row.size, 3 * 8 * self.width):
-            lo, t = self.row_lo[row[blk]], target[blk]
+        sums = np.empty(targets.lo.size)
+        for blk in targets.blocks:
+            lo, t = targets.lo[blk], targets.target[blk]
             q = s_windows[lo]
             q -= s_a[t, None]
             d = self.x_windows[lo]
-            d -= a[t, None]
+            d -= targets.a_row[blk, None]
             q /= d
             del d  # at most three work arrays per block, as row_blocks is told
             q *= self.w_windows[lo]
-            sums[blk] = np.einsum("ij,ij->i", q, self.row_mask[row[blk]])
-        return np.bincount(target, weights=sums, minlength=a.size)
+            sums[blk] = np.einsum("ij,ij->i", q, self.row_mask[targets.row[blk]])
+        return np.bincount(targets.target, weights=sums, minlength=s_a.size)
 
-    def sum(self, sub_x, sub_w, sub_s, a, s_a):
+    def sum(self, sub_x, sub_w, sub_s, a, s_a, targets: _PVTargets):
         """_subtracted_sum over all panel points: for targets in box k, the
         panel points of boxes k-1 .. k+1 densely, every other one through
         the local expansions of box k, of the charges S of w s and T of w,
-        combined as S - s(a) T.  Targets outside the boxes sum densely."""
-        u = np.log(a)
-        k = self.boxes.index(u)
-        inside = (k >= 0) & (k < self.tree.n_boxes)
+        combined as S - s(a) T.  Targets outside the boxes sum densely.
+        ``targets`` is the plan of the targets a (``_PVTargets``)."""
+        inside = targets.inside
         out = np.empty_like(a)
         if not inside.all():
             out[~inside] = _subtracted_sum(sub_x, sub_w, sub_s, a[~inside], s_a[~inside])
-        a, s_a, k, u = a[inside], s_a[inside], k[inside], u[inside]
-        far = self._far_at(self._expansions(sub_x, sub_w * sub_s), k, self.boxes.local(u, k))
-        far = far[0] - s_a * far[1]
-        out[inside] = far[1] + far[0] / a + self._near(sub_s, a, s_a, k)
+        a, s_a = a[inside], s_a[inside]
+        s_local, s_const = self._expansions(sub_x, sub_w * sub_s)
+        far = targets.points.evaluate(s_local)
+        far += s_const[:, targets.points.k]
+        far -= s_a * targets.t_far
+        out[inside] = far[1] + far[0] / a + self._near(sub_s, s_a, targets)
         return out
 
-    def _far_at(self, s_expansions, k, y) -> np.ndarray:
-        """The far fields [S or T, kind, target] of the charges of w s and
-        of w at targets of local position y in their level-0 box k."""
-        (s_local, s_const), (w_local, w_const) = s_expansions, self.w_far
-        far = evaluate_in_boxes([s_local, w_local], k, y)
-        far[0] += s_const[:, k]
-        far[1] += w_const[:, k]
-        return far
+
+class _PVTargets:
+    """The target half of the compressed PV sum for one set of targets a:
+    each target's level-0 box and its Lagrange rows there, the far field
+    of the weight charges T at the targets, and the rows of the near
+    windows each target sums.  Only the charges of w s and the near-field
+    arithmetic depend on the sampled function.  ``inside`` masks the
+    targets inside the boxes; the others sum densely."""
+
+    def __init__(self, far: _PVFarField, a: np.ndarray):
+        u = np.log(a)
+        k = far.boxes.index(u)
+        self.inside = (k >= 0) & (k < far.tree.n_boxes)
+        a, k, u = a[self.inside], k[self.inside], u[self.inside]
+        # the rows serve four sums per target: S and T, two kinds each
+        self.points = BoxRows(k, far.boxes.local(u, k), sets=4)
+        w_local, w_const = far.w_far
+        self.t_far = self.points.evaluate(w_local)
+        self.t_far += w_const[:, k]
+        count = far.first_row[k + 1] - far.first_row[k]
+        self.target = np.repeat(np.arange(a.size), count)
+        first = far.first_row[k] - np.cumsum(count) + count
+        self.row = np.arange(self.target.size) + np.repeat(first, count)
+        self.lo = far.row_lo[self.row]
+        self.a_row = a[self.target]
+        self.blocks = row_blocks(self.row.size, 3 * 8 * far.width)
 
 
-# One plan per panel grid, keyed by the panel points (the weights follow
-# from them); a solve, a verify run or a reconstruction uses at most three
-# grids.  Like the quadrature weight cache it is not locked.
+# One source plan per panel grid, keyed by the panel points (the weights
+# follow from them).  A solve runs the compressed sum on one grid, gab on
+# two (the solve's and the hard-cutoff grid of the reconstruction), and a
+# verify run on three (the random-member suites' grid and the two
+# hard-cutoff grids of the appendix suite); the plans of a process's last
+# four grids are kept.  A target plan takes about 220 bytes per target,
+# against the 40 a source plan takes per panel point, so it is kept only
+# while the compressed sum runs at the same targets with no other PV sum
+# in between: in a solve, every application sums at the nodes of one
+# working grid; a reconstruction, between two sums at its nodes, sums
+# densely at its probe points.
 _PLAN_CACHE_SIZE = 4
-_plans: OrderedDict[bytes, _PVFarField] = OrderedDict()
+_plans = PlanCache(_PLAN_CACHE_SIZE)
+_targets = RecurringPlan()
 
 
-def _far_field(sub_x, sub_w) -> _PVFarField:
+def _far_sum(sub_x, sub_w, sub_s, a, s_a) -> np.ndarray:
+    """_subtracted_sum through the plans of the panel grid and the targets."""
     key = sub_x.tobytes()
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _plans[key] = _PVFarField(sub_x, sub_w)
-        if len(_plans) > _PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
-    else:
-        _plans.move_to_end(key)
-    return plan
+    far = _plans.get(key, lambda: _PVFarField(sub_x, sub_w))
+    targets = _targets.get((key, a.tobytes()), lambda: _PVTargets(far, a))
+    return far.sum(sub_x, sub_w, sub_s, a, s_a, targets)
 
 
 def _pv(sub_x, sub_w, sub_s, x_end: float, a: np.ndarray, s_a: np.ndarray):
@@ -305,9 +357,10 @@ def _pv(sub_x, sub_w, sub_s, x_end: float, a: np.ndarray, s_a: np.ndarray):
     ``sub_s`` the samples of s there and ``s_a`` its values at ``a``.
     """
     if a.size <= DENSE_MAX:
+        _targets.clear()  # any other PV sum ends the run at one target set
         out = _subtracted_sum(sub_x, sub_w, sub_s, a, s_a)
     else:
-        out = _far_field(sub_x, sub_w).sum(sub_x, sub_w, sub_s, a, s_a)
+        out = _far_sum(sub_x, sub_w, sub_s, a, s_a)
     out += s_a * np.log((x_end - a) / a)
     return out / math.pi
 

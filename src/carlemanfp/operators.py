@@ -10,6 +10,12 @@ cumulative integration from 0, which pins T f(0) = 0 exactly.  Beyond
 the quadrature grid the integrand is closed using the asymptotically
 affine model of R and the arctan antiderivative
 int dt/((alpha t)^2 + (beta + gamma t)^2) = arctan(alpha t/(beta+gamma t))/(alpha beta).
+
+Applied in a loop on one grid, T reads the grid's plans from the second
+application on: the working grid and the PV plans (``hilbert``), the
+composite weights of the t-grid (``quadrature``) and the (Tf)' layout
+at the nodes (``farfield``).  Each application still samples R, sums the
+(Tf)' kernel at the Chebyshev points of its boxes, and integrates.
 """
 
 from __future__ import annotations

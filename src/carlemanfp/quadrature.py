@@ -4,15 +4,17 @@ All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
 per interval on the smooth integrands this package produces.  Stencil
 weights are solved from scaled Vandermonde systems once per grid and
 kept in a small least-recently-used cache keyed by the node positions,
-so every caller on the same grid shares them.  The cache is not locked:
-the package runs single-threaded.
+so every caller on the same grid shares them.  The panel points and the
+composite weights of a grid are kept while the grid recurs
+(``plans.RecurringPlan``): an operator applied in a loop reads them from
+the second application on.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
+
+from .plans import PlanCache, RecurringPlan
 
 _GL4_POINTS = np.array(
     [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
@@ -52,12 +54,22 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
 
 
+# A solve, and each operator suite of a verify run, loops on one grid.
+_panel_plans = RecurringPlan()
+_composite_plans = RecurringPlan()
+
+
 def panel_points(x: np.ndarray):
     """4-point Gauss-Legendre nodes/weights on every interval of ``x``.
 
-    Returns flattened arrays (points, weights) of length 4*(len(x)-1).
+    Returns flattened arrays (points, weights) of length 4*(len(x)-1),
+    read-only: the callers on a recurring grid share them.
     """
     x = np.asarray(x, dtype=float)
+    return _panel_plans.get(x.tobytes(), lambda: _panel_points(x))
+
+
+def _panel_points(x: np.ndarray):
     lo = x[:-1]
     h = np.diff(x)
     pts = lo[:, None] + PANEL_FRACTIONS[None, :] * h[:, None]
@@ -80,8 +92,7 @@ def _scaled_stencils(x: np.ndarray, starts: np.ndarray):
     return idx, u, centre.ravel(), scale.ravel()
 
 
-_WEIGHT_CACHE_SIZE = 16
-_weight_cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_weight_cache = PlanCache(16)
 
 
 def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,18 +105,7 @@ def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise ValueError("need at least 4 nodes for cubic quadrature")
-    key = x.tobytes()
-    hit = _weight_cache.get(key)
-    if hit is not None:
-        _weight_cache.move_to_end(key)
-        return hit
-    idx, w = _solve_interval_weights(x)
-    idx.setflags(write=False)
-    w.setflags(write=False)
-    _weight_cache[key] = (idx, w)
-    if len(_weight_cache) > _WEIGHT_CACHE_SIZE:
-        _weight_cache.popitem(last=False)
-    return idx, w
+    return _weight_cache.get(x.tobytes(), lambda: _solve_interval_weights(x))
 
 
 def _solve_interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +123,13 @@ def _solve_interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def composite_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w with sum(w * y) ~= integral of y over [x[0], x[-1]]."""
+    """Weights w with sum(w * y) ~= integral of y over [x[0], x[-1]],
+    read-only: the callers on a recurring grid share them."""
+    x = np.asarray(x, dtype=float)
+    return _composite_plans.get(x.tobytes(), lambda: _composite_weights(x))
+
+
+def _composite_weights(x: np.ndarray) -> np.ndarray:
     idx, w = interval_weights(x)
     out = np.zeros(x.size)
     np.add.at(out, idx, w)

@@ -128,7 +128,7 @@ def hyp2f1_1mu(mu: float, z):
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     z, scalar = _as_float_array(z)
-    if np.any(z < 0.0) or np.any(z >= 1.0):
+    if not np.all((z >= 0.0) & (z < 1.0)):  # NaN fails both comparisons
         raise ValueError("argument must satisfy 0 <= z < 1")
     gauss = z <= _SERIES_SWITCH
     out = np.empty_like(z)

@@ -4,11 +4,11 @@ import pytest
 from carlemanfp.farfield import (
     CHEB_NODES,
     CHEB_POINTS,
+    BoxRows,
     BoxTree,
     LogBoxes,
     _chebyshev_terms,
     charges,
-    evaluate_in_boxes,
     interpolate_in_boxes,
 )
 from carlemanfp.hilbert import _pv_kernel
@@ -154,7 +154,7 @@ class TestDownward:
         local = tree.downward(up, tree.translations(_pv_kernel))
         v = rng.uniform(0.0, tree.n_boxes * boxes.width, 200)
         k = boxes.index(v)
-        got = evaluate_in_boxes([local], k, boxes.local(v, k))[0]
+        got = BoxRows(k, boxes.local(v, k), sets=2).evaluate(local)
         box = boxes.index(u)
         for i in range(v.size):
             far = np.abs(box - k[i]) >= 2

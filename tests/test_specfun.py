@@ -125,6 +125,17 @@ class TestHyp2f1OneMu:
         with pytest.raises(ValueError):
             hyp2f1_1mu(-0.5, 0.5)
 
+    @pytest.mark.parametrize("z", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
+    def test_nan_rejected(self, z):
+        # NaN passes both z < 0 and z >= 1 as false; the series would then
+        # never meet their stopping test
+        with pytest.raises(ValueError):
+            hyp2f1_1mu(0.5, z)
+
+    def test_domain_edges_accepted(self):
+        assert hyp2f1_1mu(0.5, 0.0) == 1.0
+        assert math.isfinite(hyp2f1_1mu(0.5, np.nextafter(1.0, 0.0)))
+
 
 class TestHyp2f1General:
     def test_unit_at_zero(self):
