@@ -120,7 +120,8 @@ class TwoPointReconstruction:
         """Columns a, b, tau, G(a,b), symmetry defect on a rectangular grid.
 
         The defect column |G(a,b)-G(b,a)|/G(a,b) is filled when the two
-        grids coincide, NaN otherwise.
+        grids are equal, NaN otherwise: on grids that differ, G(b_j, a_i)
+        is not in the table.
         """
         a_grid = np.asarray(a_grid, dtype=float)
         b_grid = np.asarray(b_grid, dtype=float)
@@ -135,12 +136,14 @@ class TwoPointReconstruction:
             gmat[:, j] = (
                 np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a_grid)
             )
-        symmetric = a_grid.size == b_grid.size and np.allclose(a_grid, b_grid)
+        symmetric = np.array_equal(a_grid, b_grid)
         defect = (
             np.abs(gmat - gmat.T) / gmat if symmetric else np.full_like(gmat, np.nan)
         )
-        rows = []
-        for i, a in enumerate(a_grid):
-            for j, b in enumerate(b_grid):
-                rows.append([a, b, taumat[i, j], gmat[i, j], defect[i, j]])
-        return np.asarray(rows)
+        return np.column_stack([
+            np.repeat(a_grid, b_grid.size),
+            np.tile(b_grid, a_grid.size),
+            taumat.ravel(),
+            gmat.ravel(),
+            defect.ravel(),
+        ])

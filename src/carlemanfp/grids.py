@@ -93,8 +93,8 @@ def _limited_slopes(nodes, values, derivs):
     beta = np.where(nonzero, m_right / np.where(nonzero, delta, 1.0), 0.0)
     m_left = np.where(nonzero & (alpha < 0.0), 0.0, m_left)
     m_right = np.where(nonzero & (beta < 0.0), 0.0, m_right)
-    alpha = np.clip(alpha, 0.0, None)
-    beta = np.clip(beta, 0.0, None)
+    alpha = np.maximum(alpha, 0.0)
+    beta = np.maximum(beta, 0.0)
     r2 = alpha**2 + beta**2
     scale = np.where(r2 > 9.0, 3.0 / np.sqrt(np.where(r2 > 0, r2, 1.0)), 1.0)
     m_left = np.where(nonzero, m_left * scale, 0.0)

@@ -26,6 +26,9 @@ What depends on the grid alone is planned once per grid (``plans``):
 An application then computes only what depends on the sampled function:
 its panel samples and Hermite values, the charges of w s with their
 upward and downward passes, the near-field arithmetic, and the 2F1 tail.
+Both transforms take the panel samples at the fixed Gauss fractions of
+every interval (``hermite_at_fractions``), from limiter slopes computed
+once per sampled function, so only the targets are located on the grid.
 """
 
 from __future__ import annotations
@@ -34,11 +37,14 @@ import math
 
 import numpy as np
 
+from . import farfield, quadrature
 from .farfield import DENSE_MAX, BoxRows, BoxTree, LogBoxes, charges
 from .grids import (
     GridFunction,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    _limited_slopes,
+    hermite_at_fractions,
     hermite_eval,
 )
 from .plans import PlanCache, RecurringPlan
@@ -122,7 +128,12 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     return g, None, None
 
 
-_working_grids = RecurringPlan()
+# The t-grid weights and the (Tf)' layout of an application of T serve
+# its working grid: a process that moves on to another grid, such as a
+# reconstruction after its solve, drops them with the working grid's run.
+_working_grids = RecurringPlan(
+    followers=(quadrature._composite_plans, farfield._layouts)
+)
 
 
 def _working_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
@@ -448,8 +459,10 @@ class SampledPVTransform:
 
     Bound to its grid: the panel points and the cubic finite-difference
     stencils that estimate the derivative samples are built once, and
-    ``at`` / ``at_zero`` take the samples of each function.  Used for
-    transforming the reconstruction angle.
+    ``at`` / ``at_zero`` take the samples of each function.  As for
+    ``HilbertOfExp``, the panel samples are the interpolant at the fixed
+    Gauss fractions of each interval, so only the targets are located on
+    the grid.  Used for transforming the reconstruction angle.
     """
 
     def __init__(self, nodes):
@@ -458,26 +471,28 @@ class SampledPVTransform:
         self.sub_x, self.sub_w = panel_points(self.nodes)
         self._fd_idx, self._fd_c = fd_derivative_coeffs(self.nodes)
 
-    def _samples(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Values and finite-difference derivative samples on the nodes."""
+    def _samples(self, values) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Values, finite-difference derivative samples and the limiter
+        slopes of their interpolant on the nodes."""
         values = np.asarray(values, dtype=float)
-        return values, np.sum(self._fd_c * values[self._fd_idx], axis=1)
+        derivs = np.sum(self._fd_c * values[self._fd_idx], axis=1)
+        return values, derivs, _limited_slopes(self.nodes, values, derivs)
 
     def at(self, values, a):
         """Transform of the sampled function at points a in (0, X)."""
-        values, derivs = self._samples(values)
+        values, derivs, slopes = self._samples(values)
         a, scalar = _points_inside(
             a, self.x_end, "evaluation points must lie strictly inside the grid"
         )
-        sub_s = hermite_eval(self.nodes, values, derivs, self.sub_x)
-        s_a = hermite_eval(self.nodes, values, derivs, a)
+        sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
+        s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
         out = _finite(_pv(self.sub_x, self.sub_w, sub_s, self.x_end, a, s_a))
         return float(out[0]) if scalar else out
 
     def at_zero(self, values) -> float:
         """Transform at a = 0 for functions vanishing at 0 (no pole)."""
-        values, derivs = self._samples(values)
+        values, _, slopes = self._samples(values)
         if abs(values[0]) > 1e-12:
             raise ValueError("zero-point transform needs s(0) = 0")
-        sub_s = hermite_eval(self.nodes, values, derivs, self.sub_x)
+        sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
         return float(np.sum(self.sub_w * sub_s / self.sub_x) / math.pi)

@@ -77,19 +77,23 @@ class RecurringPlan:
     same key on, and dropped by a request for another key or by
     ``clear``.  A loop on one grid thus builds its plan twice and then
     reads it, while points used once, or in turn with others, hold no
-    memory after their use.  Not locked: the package runs single-threaded.
+    memory after their use.  The plans in ``followers`` serve this one's
+    points: their runs end with its run, so a request for another key
+    clears them too.  Not locked: the package runs single-threaded.
     """
 
-    def __init__(self):
+    def __init__(self, followers: tuple[RecurringPlan, ...] = ()):
         self._key: Hashable | None = None  # the key of the last request
         self._plan = None                  # its plan, once asked for twice
+        self._followers = followers
 
     def __len__(self) -> int:
         return int(self._plan is not None)
 
     def get(self, key: Hashable, build: Callable[[], Plan]) -> Plan:
         if key != self._key:
-            self._key, self._plan = key, None
+            self.clear()
+            self._key = key
             return read_only(build())
         if self._plan is None:
             self._plan = read_only(build())
@@ -97,3 +101,5 @@ class RecurringPlan:
 
     def clear(self) -> None:
         self._key = self._plan = None
+        for plan in self._followers:
+            plan.clear()

@@ -1,13 +1,15 @@
 """Composite quadrature and finite-difference helpers on non-uniform grids.
 
 All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
-per interval on the smooth integrands this package produces.  Stencil
-weights are solved from scaled Vandermonde systems once per grid and
-kept in a small least-recently-used cache keyed by the node positions,
-so every caller on the same grid shares them.  The panel points and the
-composite weights of a grid are kept while the grid recurs
-(``plans.RecurringPlan``): an operator applied in a loop reads them from
-the second application on.
+per interval on the smooth integrands this package produces.  The
+interval weights are solved from scaled Vandermonde systems once per
+grid and kept in a small least-recently-used cache keyed by the node
+positions, so every caller on the same grid shares them.  The
+finite-difference stencils need no solve: they are the derivatives of
+the Lagrange basis at the stencil's own node, in closed form from
+products of node differences.  The panel points and the composite
+weights of a grid are kept while the grid recurs (``plans.RecurringPlan``):
+an operator applied in a loop reads them from the second application on.
 """
 
 from __future__ import annotations
@@ -153,19 +155,24 @@ def fd_derivative_coeffs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node cubic finite-difference coefficients.
 
     Returns ``(idx, c)`` of shape (n, 4): derivative estimate at node i
-    is ``c[i] @ y[idx[i]]``.
+    is ``c[i] @ y[idx[i]]``.  c[i, j] is the derivative at x_i of the
+    Lagrange basis polynomial of stencil node j, in closed form:
+    prod_{k != i, j} (x_i - x_k) / prod_{k != j} (x_j - x_k) for j != i,
+    and sum_{k != i} 1 / (x_i - x_k) at the node's own place.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
         raise ValueError("need at least 4 nodes for cubic differentiation")
     starts = np.clip(np.arange(n) - 1, 0, n - 4)
-    idx, u, centre, scale = _scaled_stencils(x, starts)
-    ui = (x - centre) / scale
-    powers = np.arange(4)
-    dvec = np.zeros((n, 4))
-    dvec[:, 1:] = (powers[1:])[None, :] * ui[:, None] ** (powers[1:] - 1)
-    dvec /= scale[:, None]
-    vand_t = u[:, :, None] ** powers[None, None, :]
-    c = np.linalg.solve(np.swapaxes(vand_t, 1, 2), dvec[..., None])[..., 0]
+    idx = starts[:, None] + np.arange(4)[None, :]
+    xs = x[idx]
+    own = (np.arange(n), np.arange(n) - starts)  # node i's place in its stencil
+    d = x[:, None] - xs
+    d[own] = 1.0  # left out of the products
+    spans = xs[:, :, None] - xs[:, None, :]
+    spans[:, np.arange(4), np.arange(4)] = 1.0
+    c = np.prod(d, axis=1, keepdims=True) / d / np.prod(spans, axis=2)
+    d[own] = np.inf  # left out of the sum
+    c[own] = np.sum(1.0 / d, axis=1)
     return idx, c

@@ -56,6 +56,20 @@ class TestTwoPoint:
         defect = rec.table([1.0, 2.0], [1.0, 2.0])[:, 4]
         assert np.all(np.isfinite(defect))
         assert np.all(defect >= 0.0)
+        # a b-grid a relative 1e-6 off the a-grid holds no G(b_j, a_i) to
+        # compare G(a_i, b_j) with
+        defect = rec.table([1.0, 2.0], [1.0 + 1e-6, 2.0 + 2e-6])[:, 4]
+        assert np.all(np.isnan(defect))
+
+    def test_table_rows_run_over_b_within_a(self, reconstruction):
+        _, rec = reconstruction
+        a_grid, b_grid = np.array([0.3, 4.0, 20.0]), np.array([0.0, 2.5])
+        table = rec.table(a_grid, b_grid)
+        assert table.shape == (6, 5)
+        for row, (a, b) in zip(table, [(a, b) for a in a_grid for b in b_grid]):
+            assert (row[0], row[1]) == (a, b)
+            assert row[2] == pytest.approx(rec.tau_at(a, b), rel=1e-13)
+            assert row[3] == pytest.approx(rec.g(a, b), rel=1e-13)
 
     def test_normalisation_near_origin(self, reconstruction):
         cfg, rec = reconstruction

@@ -6,6 +6,7 @@ from carlemanfp.quadrature import PANEL_FRACTIONS
 from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
+    _limited_slopes,
     hermite_eval,
     log_envelope_function,
     make_nodes,
@@ -102,6 +103,45 @@ def test_fixed_fractions_match_pointwise_interpolation(fig_coupling, rng):
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
     # the limiter slopes are computed once per function
     assert f.slopes is f.slopes
+
+
+def clip_limited_slopes(nodes, values, derivs):
+    """_limited_slopes as first written, with np.clip for the ratios."""
+    h = np.diff(nodes)
+    delta = np.diff(values) / h
+    m_left = derivs[:-1].copy()
+    m_right = derivs[1:].copy()
+    nonzero = delta != 0.0
+    alpha = np.where(nonzero, m_left / np.where(nonzero, delta, 1.0), 0.0)
+    beta = np.where(nonzero, m_right / np.where(nonzero, delta, 1.0), 0.0)
+    m_left = np.where(nonzero & (alpha < 0.0), 0.0, m_left)
+    m_right = np.where(nonzero & (beta < 0.0), 0.0, m_right)
+    alpha = np.clip(alpha, 0.0, None)
+    beta = np.clip(beta, 0.0, None)
+    r2 = alpha**2 + beta**2
+    scale = np.where(r2 > 9.0, 3.0 / np.sqrt(np.where(r2 > 0, r2, 1.0)), 1.0)
+    m_left = np.where(nonzero, m_left * scale, 0.0)
+    m_right = np.where(nonzero, m_right * scale, 0.0)
+    return m_left, m_right
+
+
+def test_limited_slopes_keep_the_bits_of_the_clip_formula(rng):
+    # flat stretches (zero differences), slopes against the data (negative
+    # ratios), steep slopes past the Fritsch-Carlson circle, and NaN
+    n = 4000
+    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, n - 1))])
+    values = np.round(rng.normal(size=n), 1)
+    derivs = rng.normal(scale=5.0, size=n)
+    derivs[rng.integers(0, n, 40)] = -0.0
+    values[rng.integers(0, n, 20)] = np.nan
+    derivs[rng.integers(0, n, 20)] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = _limited_slopes(nodes, values, derivs)
+        want = clip_limited_slopes(nodes, values, derivs)
+    assert np.count_nonzero(np.diff(values) == 0.0) > 100
+    for g, w in zip(got, want):
+        assert np.isnan(w).any() and (w < 0.0).any() and (w == 0.0).any()
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_grid_function_validation():

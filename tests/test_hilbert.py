@@ -8,6 +8,8 @@ from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    _limited_slopes,
+    hermite_at_fractions,
     hermite_eval,
     log_envelope_function,
     make_nodes,
@@ -16,6 +18,7 @@ from carlemanfp.grids import (
 )
 from carlemanfp import hilbert
 from carlemanfp.farfield import DENSE_MAX
+from carlemanfp.quadrature import PANEL_FRACTIONS
 from carlemanfp.hilbert import (
     HilbertOfExp,
     SampledPVTransform,
@@ -171,6 +174,31 @@ class TestSampledTransformLinearity:
         exact = math.log1p(1e4) / math.pi
         assert got == pytest.approx(exact, rel=1e-6)
 
+    def test_only_the_targets_are_located(self, monkeypatch):
+        # the panel samples come at fixed fractions of each interval; the
+        # point count of every Hermite evaluation, by kind
+        calls = []
+
+        def located(nodes, values, derivs, x, *args, **kw):
+            calls.append(("located", np.size(x)))
+            return hermite_eval(nodes, values, derivs, x, *args, **kw)
+
+        def at_fractions(nodes, values, slopes, fractions):
+            calls.append(("fractions", (nodes.size - 1) * np.size(fractions)))
+            return hermite_at_fractions(nodes, values, slopes, fractions)
+
+        monkeypatch.setattr(hilbert, "hermite_eval", located)
+        monkeypatch.setattr(hilbert, "hermite_at_fractions", at_fractions)
+        nodes = make_nodes(300, 1e4)
+        vals = nodes / (1.0 + nodes)
+        transform = SampledPVTransform(nodes)
+        panels = ("fractions", transform.sub_x.size)
+        transform.at(vals, np.array([0.9, 55.0, 600.0]))
+        assert calls == [panels, ("located", 3)]
+        calls.clear()
+        transform.at_zero(vals)
+        assert calls == [panels]
+
 
 def chunked_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
     """Dense reference for the PV kernel: the PV quadrature in 128-row
@@ -197,6 +225,18 @@ def chunked_quotient(he, a, pv=chunked_pv):
     if he.tail_coeff is not None:
         h += power_law_tail_integral(he.tail_coeff, he.tail_p, a, he.x_end)
     return h / s_a
+
+
+def sampled_pv_args(transform, vals, a):
+    """The dense reference's arguments for ``transform.at(vals, a)``: the
+    interpolant of the finite-difference derivative samples, from one set
+    of limiter slopes, at the panel fractions and at the targets."""
+    nodes = transform.nodes
+    values, derivs, _ = transform._samples(vals)
+    slopes = _limited_slopes(nodes, values, derivs)
+    sub_s = hermite_at_fractions(nodes, values, slopes, PANEL_FRACTIONS)
+    s_a = hermite_eval(nodes, values, derivs, a, slopes=slopes)
+    return transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a
 
 
 # Two dense sums that differ only in the order of their columns differ by
@@ -245,10 +285,7 @@ class TestBlockedKernelExact:
         vals = np.sin(np.log1p(nodes)) * np.log1p(nodes)
         transform = SampledPVTransform(nodes)
         a = np.geomspace(1e-3, 9e3, n)
-        values, derivs = transform._samples(vals)
-        sub_s = hermite_eval(nodes, values, derivs, transform.sub_x)
-        s_a = hermite_eval(nodes, values, derivs, a)
-        args = (transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a)
+        args = sampled_pv_args(transform, vals, a)
         assert_matches_dense(transform.at(vals, a), chunked_pv(*args), reversed_pv(*args))
 
     def test_every_count_up_to_one_chunk(self, fig_coupling, rng):
@@ -339,10 +376,7 @@ class TestCompressedTransform:
         vals = np.sin(np.log1p(nodes)) * np.log1p(nodes)
         transform = SampledPVTransform(nodes)
         a = np.geomspace(1e-3, 9e3, DENSE_MAX + 1)
-        values, derivs = transform._samples(vals)
-        sub_s = hermite_eval(nodes, values, derivs, transform.sub_x)
-        s_a = hermite_eval(nodes, values, derivs, a)
-        args = (transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a)
+        args = sampled_pv_args(transform, vals, a)
         assert_matches_dense(transform.at(vals, a), chunked_pv(*args), reversed_pv(*args))
 
     def test_constant_function_is_bit_identical(self, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from carlemanfp import farfield, grids, hilbert, operators, plans, quadrature, solver
 from carlemanfp.coupling import Coupling
+from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import HARD_CUTOFF, QuadratureConfig, make_nodes, random_klambda
 from carlemanfp.hilbert import HilbertOfExp
 from carlemanfp.operators import TOperator
@@ -115,6 +116,20 @@ def test_second_target_set_is_not_served_stale_data(fig_coupling, rng):
             (kept_a,) = stored_plans(hilbert._targets)
             (kept_b,) = stored_plans(farfield._layouts)
             assert kept_a.inside.size == a.size and kept_b[1].k.size == b.size
+
+
+def test_reconstructions_end_the_solve_plans(fig_coupling):
+    # the t-grid weights and the (Tf)' layout of a solve serve its working
+    # grid; reconstructions, on their own hard-cutoff working grid, end
+    # that grid's run and keep neither
+    res = solver.solve(
+        SolverConfig(coupling=fig_coupling, lambda2=1e6, n_nodes=400, tol_lb=1e-6)
+    )
+    assert len(quadrature._composite_plans) == len(farfield._layouts) == 1
+    grid = np.geomspace(1e-2, 1e2, 4)
+    for _ in range(3):
+        TwoPointReconstruction(res.grid_function, fig_coupling).table(grid, grid)
+        assert len(quadrature._composite_plans) == len(farfield._layouts) == 0
 
 
 def test_caches_stay_bounded():

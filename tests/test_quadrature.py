@@ -64,6 +64,50 @@ def test_fd_derivatives(grid):
     assert np.max(scaled_err[8:-2]) < 1e-5
 
 
+def vandermonde_fd_coeffs(x):
+    """The stencils of fd_derivative_coeffs from the scaled Vandermonde
+    solve: the coefficients that differentiate 1, u, u^2, u^3 exactly at
+    each node, u the node's position in its stencil, centred and scaled."""
+    n = x.size
+    starts = np.clip(np.arange(n) - 1, 0, n - 4)
+    idx = starts[:, None] + np.arange(4)
+    xs = x[idx]
+    centre = xs.mean(axis=1, keepdims=True)
+    scale = (xs[:, -1:] - xs[:, :1]) * 0.5
+    u = (xs - centre) / scale
+    ui = (x - centre[:, 0]) / scale[:, 0]
+    powers = np.arange(4)
+    dvec = np.zeros((n, 4))
+    dvec[:, 1:] = powers[1:] * ui[:, None] ** (powers[1:] - 1)
+    dvec /= scale
+    vand = np.swapaxes(u[:, :, None] ** powers, 1, 2)
+    return idx, np.linalg.solve(vand, dvec[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("n", [64, 300, 2000, 8000])
+def test_fd_coeffs_match_the_vandermonde_solve(n):
+    x = make_nodes(n, 1e6)
+    idx, c = fd_derivative_coeffs(x)
+    ref_idx, ref = vandermonde_fd_coeffs(x)
+    assert np.array_equal(idx, ref_idx)
+    rel = np.abs(c - ref) / np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.max(rel) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 300, 2000, 8000])
+def test_fd_coeffs_exact_on_cubics(n):
+    # the monomials ((x - x_i) / h_i)^k about each node, h_i its stencil's
+    # span, have derivative 1/h_i at x_i for k = 1 and 0 otherwise
+    x = make_nodes(n, 1e6)
+    idx, c = fd_derivative_coeffs(x)
+    xs = x[idx]
+    h = xs[:, -1] - xs[:, 0]
+    for k in range(4):
+        y = ((xs - x[:, None]) / h[:, None]) ** k
+        want = 1.0 if k == 1 else 0.0
+        assert np.max(np.abs(np.sum(c * y, axis=1) * h - want)) <= 1e-14
+
+
 @pytest.mark.parametrize("row_bytes", [8, 16 * 2876, 8 * 2319, 16 * 9276, 10**7])
 def test_row_blocks_tile_rows_in_aligned_blocks(row_bytes):
     for n in range(0, 400):
