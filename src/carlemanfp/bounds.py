@@ -12,7 +12,6 @@ constant.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,15 +113,15 @@ def fhat_prime(lambda_r: float, a):
     return _ret(out, scalar)
 
 
-@lru_cache(maxsize=1)
-def _tangent_data() -> dict:
-    return {
-        "F15": float(f_bound(0.2)),
-        "Fp15": float(f_bound_prime(0.2)),
-        "F32": float(f_bound(1.5)),
-        "Fp32": float(f_bound_prime(1.5)),
-        "F6": float(f_bound(6.0)),
-    }
+# F and F' at the tangent points of the minorant, and F at its constant
+# piece.
+_TANGENTS = {
+    "F15": float(f_bound(0.2)),
+    "Fp15": float(f_bound_prime(0.2)),
+    "F32": float(f_bound(1.5)),
+    "Fp32": float(f_bound_prime(1.5)),
+    "F6": float(f_bound(6.0)),
+}
 
 
 def s_bound(a):
@@ -136,7 +135,7 @@ def s_bound(a):
     a, scalar = _asarray(a)
     if np.any(a < 0.0):
         raise ValueError("argument must be >= 0")
-    d = _tangent_data()
+    d = _TANGENTS
     t1 = d["F15"] + (a - 0.2) * d["Fp15"]
     t2 = d["F32"] + (a - 1.5) * d["Fp32"]
     out = np.where(a <= 0.5, t1, np.where(a < 6.0, t2, d["F6"]))
@@ -165,7 +164,7 @@ def upper_bound_master(b, coupling: Coupling):
     if al == 0.0:
         out = np.zeros_like(b)
         return _ret(out, scalar)
-    d = _tangent_data()
+    d = _TANGENTS
     pi = math.pi
     g = al * pi / math.tan(lr * pi)
 

@@ -27,21 +27,23 @@ With at most ``DENSE_MAX`` targets the compression does not pay and both
 sums run dense; the callers pick the path from the input alone.
 
 The target side is planned once per point set: ``BoxRows`` holds the
-Lagrange rows of a set of points, and ``interpolate_in_boxes`` keeps the
-layout of its points (their boxes, the Chebyshev points of those boxes
-and the rows) in ``_layouts`` while the same points recur.  A call
-then evaluates only its function at the Chebyshev points and the sums of
-the rows.  The sources' Chebyshev terms are recomputed by each ``charges``
+Lagrange rows of a set of points, and a ``BoxLayout`` the layout of
+points to interpolate at (their boxes, the Chebyshev points of those
+boxes and the rows).  This module keeps no plan: the caller that owns
+the points keeps their layout (``hilbert``'s grid plan keeps the (Tf)'
+layout of the last b set), so an interpolation at the same points
+evaluates only its function at the Chebyshev points and the sums of the
+rows.  The sources' Chebyshev terms are recomputed by each ``charges``
 call, three rows at a time: kept, they would take 160 bytes per source.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .plans import RecurringPlan
 from .quadrature import row_blocks
 
 # Chebyshev points per box.  Seen from a target one box away, the nearest
@@ -92,12 +94,12 @@ def _chebyshev_terms(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
 class LogBoxes:
     """Boxes [u0 + k w, u0 + (k+1) w) of equal width w in a log variable u."""
 
-    def __init__(self, u0: float, width: float):
-        self.u0 = u0
-        self.width = width
+    u0: float
+    width: float
 
     def index(self, u: np.ndarray) -> np.ndarray:
         return np.floor((u - self.u0) / self.width).astype(np.intp)
@@ -271,21 +273,19 @@ class BoxRows:
         return out
 
 
-# The (Tf)' sum of a solve runs at the same grid nodes in every application.
-_layouts = RecurringPlan()
+class BoxLayout:
+    """Points u in the boxes of ``boxes``: the Chebyshev points of the
+    boxes that hold them, and u's Lagrange rows there.  ``interpolate(fn)``
+    is fn at every point of u, interpolated from fn at those Chebyshev
+    points; fn must be analytic around each box."""
 
+    def __init__(self, u: np.ndarray, boxes: LogBoxes):
+        self.u = np.array(u, dtype=float)
+        self.boxes = boxes
+        k = boxes.index(u)
+        occupied, slot = np.unique(k, return_inverse=True)
+        self.proxies = boxes.proxies(occupied).ravel()
+        self.rows = BoxRows(slot, boxes.local(u, k), sets=1)
 
-def _layout(u: np.ndarray, boxes: LogBoxes) -> tuple[np.ndarray, BoxRows]:
-    """The Chebyshev points of the boxes that hold u, and u's rows there."""
-    k = boxes.index(u)
-    occupied, slot = np.unique(k, return_inverse=True)
-    return boxes.proxies(occupied).ravel(), BoxRows(slot, boxes.local(u, k), sets=1)
-
-
-def interpolate_in_boxes(fn, u: np.ndarray, boxes: LogBoxes) -> np.ndarray:
-    """fn at every point of u, interpolated from fn at the Chebyshev
-    points of the boxes that hold u; fn must be analytic around each box.
-    Only fn depends on the call: the layout of u is kept while u recurs."""
-    key = (u.tobytes(), boxes.u0, boxes.width)
-    proxies, rows = _layouts.get(key, lambda: _layout(u, boxes))
-    return rows.evaluate(fn(proxies).reshape(-1, CHEB_POINTS))
+    def interpolate(self, fn) -> np.ndarray:
+        return self.rows.evaluate(fn(self.proxies).reshape(-1, CHEB_POINTS))

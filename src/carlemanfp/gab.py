@@ -10,6 +10,7 @@ for negative coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -17,10 +18,12 @@ import numpy as np
 
 from .coupling import Coupling
 from .grids import GridFunction, HARD_CUTOFF, QuadratureConfig
-from .hilbert import HilbertOfExp, SampledPVTransform
+from .hilbert import HilbertOfExp, SampledPVTransform, _points_inside
 
 _BRANCH_EPS = 1e-12
 BOUNDARY_A0 = 1e-4  # finest-but-one level of the a -> 0 Richardson limit
+# the points of the a -> 0 Richardson limit
+_BOUNDARY_PROBES = np.array([BOUNDARY_A0, BOUNDARY_A0 / 2.0, BOUNDARY_A0 / 4.0])
 
 
 def _branch_arctan(num, den):
@@ -62,23 +65,24 @@ class TwoPointReconstruction:
         out[-1] = 0.0
         return out
 
+    def _r_at(self, a):
+        """R at points a in (0, cutoff), and whether a was a scalar."""
+        a, scalar = _points_inside(a, self.lambda2, "a must lie strictly inside (0, cutoff)")
+        return a, self._hilbert.r(a, self.coupling.abs_lambda), scalar
+
     def tau_at(self, a, b: float):
         """The angle tau_b at points a in (0, cutoff)."""
-        al = self.coupling.abs_lambda
-        scalar = np.ndim(a) == 0
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if np.any(a <= 0.0) or np.any(a >= self.lambda2):
-            raise ValueError("a must lie strictly inside (0, cutoff)")
-        tau = _branch_arctan(al * math.pi * a, b + self._hilbert.r(a, al))
+        a, r_a, scalar = self._r_at(a)
+        tau = _branch_arctan(self.coupling.abs_lambda * math.pi * a, b + r_a)
         return float(tau[0]) if scalar else tau
 
     # -- two-point values ------------------------------------------------
 
-    def _g_at(self, a: np.ndarray, b: float) -> np.ndarray:
-        """G(a, b) at points a for one b, with one R and one angle
-        transform for all of them; ValueError as for ``g``."""
+    def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float) -> np.ndarray:
+        """G(a, b) at points a for one b, given R at a (``_r_at``), with one
+        angle transform for all of them; ValueError as for ``g``."""
         al = self.coupling.abs_lambda
-        tau = self.tau_at(a, b)
+        tau = _branch_arctan(al * math.pi * a, b + r_a)
         if not np.all((0.0 <= tau) & (tau <= math.pi)):
             raise ValueError("angle must lie in [0, pi]")
         h_tau = self._angle.at(self.tau_values(b), a)
@@ -89,13 +93,18 @@ class TwoPointReconstruction:
 
     def g(self, a: float, b: float) -> float:
         """G(a, b); ValueError if the angle leaves [0, pi] or G <= 0."""
-        return float(self._g_at(np.array([float(a)]), b)[0])
+        a, r_a, _ = self._r_at(np.array([float(a)]))
+        return float(self._g_at(a, r_a, b)[0])
+
+    @functools.cached_property
+    def _probe_r(self) -> np.ndarray:
+        """R at the points of the a -> 0 limit, formed once for every b."""
+        return self._r_at(_BOUNDARY_PROBES)[1]
 
     def boundary_limit(self, b: float) -> float:
         """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4},
         a0 = BOUNDARY_A0."""
-        a0 = BOUNDARY_A0
-        g1, g2, g3 = self._g_at(np.array([a0, a0 / 2.0, a0 / 4.0]), b)
+        g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b)
         e1 = 2.0 * g2 - g1
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0

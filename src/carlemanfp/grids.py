@@ -111,7 +111,7 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xf = np.atleast_1d(x)
-    if np.any(xf < nodes[0]) or np.any(xf > nodes[-1]):
+    if not np.all((nodes[0] <= xf) & (xf <= nodes[-1])):  # NaN fails too
         raise ValueError("interpolation point outside the grid")
     ml, mr = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
     idx = np.clip(np.searchsorted(nodes, xf, side="right") - 1, 0, nodes.size - 2)

@@ -6,29 +6,35 @@ integrand that a per-interval Gauss rule integrates to high order.  In
 power-law mode the grid is continued for several decades beyond the
 cutoff and the remaining exact power-law tail is integrated in closed
 form, so the transform is the untruncated one.  Both transforms below,
-of exp(f) and of an arbitrary sampled function, go through ``_pv``.  For
-a few points it sums the subtracted integrand over every panel point;
-for many it sums only each point's neighbourhood in log x that way and
-takes the farther panel points through the fast multipole method on a
-tree of log-x boxes (``farfield``), in the split form sum w s/(x-a) -
+of exp(f) and of an arbitrary sampled function, go through
+``_Panels.pv``.  For a few points it sums the subtracted integrand over
+every panel point; for many it sums only each point's neighbourhood in
+log x that way and takes the farther panel points through the fast
+multipole method on a tree of log-x boxes (``farfield``), in the split form sum w s/(x-a) -
 s(a) sum w/(x-a).  With those points a box or more from a in log x, the
 two ways agree to the rounding of the dense sum.
 
-What depends on the grid alone is planned once per grid (``plans``):
-- the working grid's nodes (``_working_grids``) and its panel points and
-  weights (``quadrature``), while the grid recurs;
-- the source plan of the compressed sum (``_PVFarField``, one per
-  panel grid, the last four grids kept): boxes, tree, translation
-  matrices, near windows and the far field of the weight charges T;
-- the target plan (``_PVTargets``, while the compressed sum runs at the
-  same targets call after call): each target's box and Lagrange rows,
-  T's far field at the targets and the near-field row indices.
-An application then computes only what depends on the sampled function:
-its panel samples and Hermite values, the charges of w s with their
-upward and downward passes, the near-field arithmetic, and the 2F1 tail.
-Both transforms take the panel samples at the fixed Gauss fractions of
-every interval (``hermite_at_fractions``), from limiter slopes computed
-once per sampled function, so only the targets are located on the grid.
+What depends on the grid alone is planned once per grid, and kept by
+what owns the grid.  The transforms of exp f share one grid plan
+(``_GridPlan``) per f's nodes and tail mode, held in a single slot
+(``_grid_plan``): the plan of the grid the last transform of exp f ran
+on, dropped when another grid is asked for (an object that keeps its
+plan, such as a reconstruction's ``HilbertOfExp``, keeps it alive for
+itself).  It holds the working grid's nodes, panel points and weights
+(``_Panels``), the R nodes of ``TOperator.rf_cache``, the source plan of
+the compressed sum (``_PVFarField``: boxes, tree, translation matrices,
+near windows and the far field of the weight charges T), built at the
+first sum past DENSE_MAX targets, and the (Tf)' layout of the last b
+set.  A source plan keeps the target plan (``_PVTargets``: each target's
+box and Lagrange rows, T's far field there and the near-field rows) of
+the last point set it summed at; any other point set is planned for its
+call.  ``SampledPVTransform`` keeps its own panels and source plan.  An
+application then computes only what depends on the sampled function: its
+panel samples and Hermite values, the charges of w s with their upward
+and downward passes, the near-field arithmetic, and the 2F1 tail.  Both
+transforms take the panel samples at the fixed Gauss fractions of every
+interval (``hermite_at_fractions``), from limiter slopes computed once
+per sampled function, so only the targets are located on the grid.
 """
 
 from __future__ import annotations
@@ -37,17 +43,17 @@ import math
 
 import numpy as np
 
-from . import farfield, quadrature
-from .farfield import DENSE_MAX, BoxRows, BoxTree, LogBoxes, charges
+from .farfield import DENSE_MAX, BoxLayout, BoxRows, BoxTree, LogBoxes, charges
 from .grids import (
     GridFunction,
+    HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
     _limited_slopes,
     hermite_at_fractions,
     hermite_eval,
 )
-from .plans import PlanCache, RecurringPlan
+from .plans import read_only
 from .quadrature import PANEL_FRACTIONS, fd_derivative_coeffs, panel_points, row_blocks
 from .specfun import hyp2f1_1mu
 
@@ -87,8 +93,9 @@ def power_law_tail_integral(coeff: float, p: float, a, x_end: float):
     return coeff * (1.0 + x_end) ** p * hyp2f1_1mu(nu, z) / (nu * math.pi)
 
 
-def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
-    """Working grid for the transform quadratures.
+def extend_for_quadrature(f: GridFunction, plan: _GridPlan):
+    """f on the working grid of the transform quadratures, the grid of
+    ``plan``.
 
     Power-law mode appends log-spaced nodes for five decades past the
     cutoff, filled with the fitted power-law continuation of f.
@@ -97,9 +104,8 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     behaviour.  Returns (extended GridFunction, tail coefficient or None,
     tail exponent or None).
     """
-    lam2 = f.nodes[-1]
-    nodes = _working_nodes(f.nodes, cfg.tail_mode)
-    if cfg.tail_mode == POWER_LAW_EXTEND:
+    lam2, nodes = f.nodes[-1], plan.nodes
+    if plan.tail_mode == POWER_LAW_EXTEND:
         p = f.fitted_tail_exponent()
         if p >= -1e-6:
             raise ValueError(
@@ -128,22 +134,8 @@ def extend_for_quadrature(f: GridFunction, cfg: QuadratureConfig):
     return g, None, None
 
 
-# The t-grid weights and the (Tf)' layout of an application of T serve
-# its working grid: a process that moves on to another grid, such as a
-# reconstruction after its solve, drops them with the working grid's run.
-_working_grids = RecurringPlan(
-    followers=(quadrature._composite_plans, farfield._layouts)
-)
-
-
-def _working_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
-    """The nodes of ``extend_for_quadrature``'s working grid."""
-    return _working_grids.get(
-        (tail_mode, nodes.tobytes()), lambda: _extended_nodes(nodes, tail_mode)
-    )
-
-
 def _extended_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
+    """The nodes of ``extend_for_quadrature``'s working grid."""
     lam2 = nodes[-1]
     if tail_mode == POWER_LAW_EXTEND:
         n_ext = int(round(_TAIL_DECADES * _TAIL_NODES_PER_DECADE))
@@ -222,6 +214,8 @@ class _PVFarField:
     """
 
     def __init__(self, sub_x, sub_w):
+        self.sub_x, self.sub_w = sub_x, sub_w
+        self.targets = None  # the plan of the last point set summed at
         u = np.log(sub_x)
         self.boxes = LogBoxes(float(u[0]), _PV_BOX_POINTS * (u[-1] - u[0]) / u.size)
         box = self.boxes.index(u)
@@ -291,12 +285,18 @@ class _PVFarField:
             sums[blk] = np.einsum("ij,ij->i", q, self.row_mask[targets.row[blk]])
         return np.bincount(targets.target, weights=sums, minlength=s_a.size)
 
-    def sum(self, sub_x, sub_w, sub_s, a, s_a, targets: _PVTargets):
+    def sum(self, sub_s, a, s_a):
         """_subtracted_sum over all panel points: for targets in box k, the
         panel points of boxes k-1 .. k+1 densely, every other one through
         the local expansions of box k, of the charges S of w s and T of w,
         combined as S - s(a) T.  Targets outside the boxes sum densely.
-        ``targets`` is the plan of the targets a (``_PVTargets``)."""
+        The plan of the targets a (``_PVTargets``) is the kept one if a is
+        the last point set summed at, else a new one kept in its place."""
+        sub_x, sub_w = self.sub_x, self.sub_w
+        targets = self.targets
+        if targets is None or not np.array_equal(targets.a, a):
+            self.targets = None  # dropped before the new plan is built
+            self.targets = targets = read_only(_PVTargets(self, a))
         inside = targets.inside
         out = np.empty_like(a)
         if not inside.all():
@@ -316,9 +316,11 @@ class _PVTargets:
     of the weight charges T at the targets, and the rows of the near
     windows each target sums.  Only the charges of w s and the near-field
     arithmetic depend on the sampled function.  ``inside`` masks the
-    targets inside the boxes; the others sum densely."""
+    targets inside the boxes; the others sum densely.  ``a`` is a copy of
+    the targets, to tell the plan's point set from another."""
 
     def __init__(self, far: _PVFarField, a: np.ndarray):
+        self.a = np.array(a)
         u = np.log(a)
         k = far.boxes.index(u)
         self.inside = (k >= 0) & (k < far.tree.n_boxes)
@@ -337,43 +339,74 @@ class _PVTargets:
         self.blocks = row_blocks(self.row.size, 3 * 8 * far.width)
 
 
-# One source plan per panel grid, keyed by the panel points (the weights
-# follow from them).  A solve runs the compressed sum on one grid, gab on
-# two (the solve's and the hard-cutoff grid of the reconstruction), and a
-# verify run on three (the random-member suites' grid and the two
-# hard-cutoff grids of the appendix suite); the plans of a process's last
-# four grids are kept.  A target plan takes about 220 bytes per target,
-# against the 40 a source plan takes per panel point, so it is kept only
-# while the compressed sum runs at the same targets with no other PV sum
-# in between: in a solve, every application sums at the nodes of one
-# working grid; a reconstruction, between two sums at its nodes, sums
-# densely at its probe points.
-_PLAN_CACHE_SIZE = 4
-_plans = PlanCache(_PLAN_CACHE_SIZE)
-_targets = RecurringPlan()
+class _Panels:
+    """The panel points ``sub_x`` and weights ``sub_w`` of a grid that ends
+    at ``x_end``, and the PV sums over them.  The source plan of the
+    compressed sum (``_PVFarField``) is built at the first sum past
+    DENSE_MAX targets and kept with the panels."""
+
+    def __init__(self, nodes: np.ndarray):
+        self.x_end = float(nodes[-1])
+        self.sub_x, self.sub_w = read_only(panel_points(nodes))
+        self.far = None
+
+    def pv(self, sub_s, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
+        """(1/pi) PV int_0^{x_end} s(x)/(x-a) dx via global subtraction,
+        given the samples ``sub_s`` of s at the panel points and its
+        values ``s_a`` at a."""
+        if a.size <= DENSE_MAX:
+            out = _subtracted_sum(self.sub_x, self.sub_w, sub_s, a, s_a)
+        else:
+            if self.far is None:
+                self.far = read_only(_PVFarField(self.sub_x, self.sub_w))
+            out = self.far.sum(sub_s, a, s_a)
+        out += s_a * np.log((self.x_end - a) / a)
+        return out / math.pi
 
 
-def _far_sum(sub_x, sub_w, sub_s, a, s_a) -> np.ndarray:
-    """_subtracted_sum through the plans of the panel grid and the targets."""
-    key = sub_x.tobytes()
-    far = _plans.get(key, lambda: _PVFarField(sub_x, sub_w))
-    targets = _targets.get((key, a.tobytes()), lambda: _PVTargets(far, a))
-    return far.sum(sub_x, sub_w, sub_s, a, s_a, targets)
+class _GridPlan:
+    """What the transforms of exp f on one grid compute from its nodes
+    and tail mode alone: the working grid's ``nodes`` and its ``panels``,
+    the nodes ``r_nodes`` at which ``TOperator.rf_cache`` samples R, and
+    the (Tf)' layout of the last b set (``layout``)."""
+
+    def __init__(self, nodes: np.ndarray, tail_mode: str):
+        self.grid = np.array(nodes, dtype=float)  # f's nodes, the plan's key
+        self.tail_mode = tail_mode
+        self.nodes = _extended_nodes(self.grid, tail_mode)
+        self.panels = _Panels(self.nodes)
+        t = self.nodes[:-1]
+        if tail_mode == HARD_CUTOFF:
+            # The truncated-transform integrand develops a sharp ridge where
+            # b + R crosses zero; halve the mesh to resolve it.
+            t = np.sort(np.concatenate([t, 0.5 * (t[1:] + t[:-1])]))
+        self.r_nodes = t
+        self._layout = None
+        read_only(self)
+
+    def layout(self, u: np.ndarray, boxes: LogBoxes) -> BoxLayout:
+        """The layout of the points u in ``boxes``: the kept one if u is the
+        last b set asked for, else a new one kept in its place."""
+        kept = self._layout
+        if kept is None or kept.boxes != boxes or not np.array_equal(kept.u, u):
+            self._layout = None  # dropped before the new layout is built
+            self._layout = read_only(BoxLayout(u, boxes))
+        return self._layout
 
 
-def _pv(sub_x, sub_w, sub_s, x_end: float, a: np.ndarray, s_a: np.ndarray):
-    """(1/pi) PV int_0^{x_end} s(x)/(x-a) dx via global subtraction.
+# The plan of the grid the last transform of exp f ran on.
+_grid_plan: _GridPlan | None = None
 
-    ``sub_x``, ``sub_w`` are the panel points and weights of the grid,
-    ``sub_s`` the samples of s there and ``s_a`` its values at ``a``.
-    """
-    if a.size <= DENSE_MAX:
-        _targets.clear()  # any other PV sum ends the run at one target set
-        out = _subtracted_sum(sub_x, sub_w, sub_s, a, s_a)
-    else:
-        out = _far_sum(sub_x, sub_w, sub_s, a, s_a)
-    out += s_a * np.log((x_end - a) / a)
-    return out / math.pi
+
+def _plan_of(nodes: np.ndarray, tail_mode: str) -> _GridPlan:
+    """The grid plan of f's nodes and the tail mode: the slot's, if it is
+    theirs, else a new one, which takes the slot."""
+    global _grid_plan
+    plan = _grid_plan
+    if plan is None or plan.tail_mode != tail_mode or not np.array_equal(plan.grid, nodes):
+        _grid_plan = None  # the old plan goes before the new one is built
+        _grid_plan = plan = _GridPlan(nodes, tail_mode)
+    return plan
 
 
 def _points_inside(a, hi: float, message: str):
@@ -381,7 +414,7 @@ def _points_inside(a, hi: float, message: str):
     ValueError(message) unless every point lies strictly inside (0, hi)."""
     scalar = np.ndim(a) == 0
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a <= 0.0) or np.any(a >= hi):
+    if not np.all((0.0 < a) & (a < hi)):  # NaN fails too
         raise ValueError(message)
     return a, scalar
 
@@ -404,18 +437,15 @@ class HilbertOfExp:
     def __init__(self, f: GridFunction, cfg: QuadratureConfig):
         f.validate()
         self.lambda2 = float(f.nodes[-1])
-        self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, cfg)
-        self.x_end = float(self.ext.nodes[-1])
-        self.sub_x, self.sub_w = panel_points(self.ext.nodes)
+        self.plan = _plan_of(f.nodes, cfg.tail_mode)
+        self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, self.plan)
+        panels = self.plan.panels
+        self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
         self.sub_g = np.exp(self.ext.at_fractions(PANEL_FRACTIONS))
-
-    def _f_at(self, a: np.ndarray) -> np.ndarray:
-        """Hermite interpolant of the working grid at points a."""
-        return self.ext.at(a)
 
     def _quotient(self, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
         """H_a[exp(f)] / exp(f(a)) at points a > 0, given s_a = exp(f(a))."""
-        h = _pv(self.sub_x, self.sub_w, self.sub_g, self.x_end, a, s_a)
+        h = self.plan.panels.pv(self.sub_g, a, s_a)
         if self.tail_coeff is not None:
             h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)
         return _finite(h) / s_a
@@ -427,7 +457,7 @@ class HilbertOfExp:
         a, scalar = _points_inside(
             a, hi, f"evaluation points must lie strictly inside (0, {hi:g})"
         )
-        out = self._quotient(a, np.exp(self._f_at(a)))
+        out = self._quotient(a, np.exp(self.ext.at(a)))
         return float(out[0]) if scalar else out
 
     def r(self, a, abs_lambda: float, allow_extension: bool = False, f_a=None):
@@ -444,7 +474,7 @@ class HilbertOfExp:
         a = np.atleast_1d(np.asarray(a, dtype=float))
         if not np.all((a >= 0.0) & (a < hi)):
             raise ValueError(f"evaluation points must lie in [0, {hi:g})")
-        f_a = self._f_at(a) if f_a is None else np.atleast_1d(f_a)
+        f_a = self.ext.at(a) if f_a is None else np.atleast_1d(f_a)
         out = np.exp(-f_a)
         inside = a > 0.0
         if abs_lambda != 0.0 and np.any(inside):
@@ -458,17 +488,18 @@ class SampledPVTransform:
     """Truncated PV transform on [0, X] of functions sampled on fixed nodes.
 
     Bound to its grid: the panel points and the cubic finite-difference
-    stencils that estimate the derivative samples are built once, and
-    ``at`` / ``at_zero`` take the samples of each function.  As for
-    ``HilbertOfExp``, the panel samples are the interpolant at the fixed
-    Gauss fractions of each interval, so only the targets are located on
-    the grid.  Used for transforming the reconstruction angle.
+    stencils that estimate the derivative samples are built once, the
+    source plan of the compressed sum at its first sum past DENSE_MAX
+    targets, and ``at`` / ``at_zero`` take the samples of each function.
+    As for ``HilbertOfExp``, the panel samples are the interpolant at the
+    fixed Gauss fractions of each interval, so only the targets are
+    located on the grid.  Used for transforming the reconstruction angle.
     """
 
     def __init__(self, nodes):
         self.nodes = np.asarray(nodes, dtype=float)
-        self.x_end = float(self.nodes[-1])
-        self.sub_x, self.sub_w = panel_points(self.nodes)
+        self.panels = panels = _Panels(self.nodes)
+        self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
         self._fd_idx, self._fd_c = fd_derivative_coeffs(self.nodes)
 
     def _samples(self, values) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -486,7 +517,7 @@ class SampledPVTransform:
         )
         sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
         s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
-        out = _finite(_pv(self.sub_x, self.sub_w, sub_s, self.x_end, a, s_a))
+        out = _finite(self.panels.pv(sub_s, a, s_a))
         return float(out[0]) if scalar else out
 
     def at_zero(self, values) -> float:

@@ -11,11 +11,12 @@ the quadrature grid the integrand is closed using the asymptotically
 affine model of R and the arctan antiderivative
 int dt/((alpha t)^2 + (beta + gamma t)^2) = arctan(alpha t/(beta+gamma t))/(alpha beta).
 
-Applied in a loop on one grid, T reads the grid's plans from the second
-application on: the working grid and the PV plans (``hilbert``), the
-composite weights of the t-grid (``quadrature``) and the (Tf)' layout
-at the nodes (``farfield``).  Each application still samples R, sums the
-(Tf)' kernel at the Chebyshev points of its boxes, and integrates.
+Applied in a loop on one grid, T builds the grid's plans in its first
+application and reads them in every later one: the grid plan of
+``hilbert`` (the working grid, the R nodes t, the PV plans and the (Tf)'
+layout at the nodes) and the composite weights of the t-grid
+(``quadrature``).  Each application still samples R, sums the (Tf)'
+kernel at the Chebyshev points of its boxes, and integrates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling
-from .farfield import DENSE_MAX, LogBoxes, interpolate_in_boxes
+from .farfield import DENSE_MAX, LogBoxes
 from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, QuadratureConfig
 from .grids import log_envelope_function
 from .hilbert import HilbertOfExp, QuadratureError
@@ -84,12 +85,11 @@ class TOperator:
 
     def rf_cache(self, f: GridFunction) -> RfCache:
         he = HilbertOfExp(f, self.cfg)
-        # at the nodes of the working grid f is its stored values
-        t, f_t = he.ext.nodes[:-1], he.ext.values[:-1]
+        # the R nodes are the working grid's nodes, with the midpoints of
+        # its intervals in hard-cutoff mode; f there is its stored values
+        # and the interpolant at the fraction 1/2 of each interval
+        t, f_t = he.plan.r_nodes, he.ext.values[:-1]
         if self.cfg.tail_mode == HARD_CUTOFF:
-            # The truncated-transform integrand develops a sharp ridge where
-            # b + R crosses zero; halve the mesh to resolve it.
-            t = np.sort(np.concatenate([t, 0.5 * (t[1:] + t[:-1])]))
             f_t = np.insert(f_t, np.arange(1, f_t.size), he.ext.at_fractions([0.5])[:-1])
         rf = he.r(t, self.coupling.abs_lambda, allow_extension=True, f_a=f_t)
         w = composite_weights(t)
@@ -150,7 +150,7 @@ class TOperator:
         """(Tf)'(b) from the R samples of ``rf_cache``, vectorised over b >= 0."""
         b_arr = np.atleast_1d(np.asarray(b, dtype=float))
         scalar = np.ndim(b) == 0
-        if np.any(b_arr < 0.0):
+        if not np.all(0.0 <= b_arr):  # NaN fails too
             raise ValueError("b must be >= 0")
         al = self.coupling.abs_lambda
         if al == 0.0:
@@ -166,10 +166,11 @@ class TOperator:
             # Where R <= 0 the poles reach the real axis; the hard-cutoff
             # zero function of appendix.t0_profile dips to R = -4.4e4 and
             # interpolating it put (1+b)(Tf)' off by 3e-7, so it stays dense.
-            integral = interpolate_in_boxes(
-                lambda u: np.exp(u) * self._kernel_sum(cache, np.expm1(u)),
-                np.log1p(b_arr),
-                LogBoxes(0.0, _TF_BOX_WIDTH),
+            # The grid plan keeps the layout of the b set.
+            boxes = LogBoxes(0.0, _TF_BOX_WIDTH)
+            layout = cache.hilbert.plan.layout(np.log1p(b_arr), boxes)
+            integral = layout.interpolate(
+                lambda u: np.exp(u) * self._kernel_sum(cache, np.expm1(u))
             ) / (1.0 + b_arr)
         else:
             integral = self._kernel_sum(cache, b_arr)

@@ -3,20 +3,21 @@
 All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
 per interval on the smooth integrands this package produces.  The
 interval weights are solved from scaled Vandermonde systems once per
-grid and kept in a small least-recently-used cache keyed by the node
-positions, so every caller on the same grid shares them.  The
-finite-difference stencils need no solve: they are the derivatives of
-the Lagrange basis at the stencil's own node, in closed form from
-products of node differences.  The panel points and the composite
-weights of a grid are kept while the grid recurs (``plans.RecurringPlan``):
-an operator applied in a loop reads them from the second application on.
+grid and kept, with the composite weights they sum to, in a small
+least-recently-used cache keyed by the node positions (``_weight_cache``,
+the package's one memo by points), so every caller on the same grid
+shares them.  The finite-difference stencils need no solve: they are the
+derivatives of the Lagrange basis at the stencil's own node, in closed
+form from products of node differences.  The panel points of a grid are
+built for their caller, which keeps them with the grid's other plans
+(``hilbert``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .plans import PlanCache, RecurringPlan
+from .plans import PlanCache
 
 _GL4_POINTS = np.array(
     [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
@@ -56,22 +57,12 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
 
 
-# A solve, and each operator suite of a verify run, loops on one grid.
-_panel_plans = RecurringPlan()
-_composite_plans = RecurringPlan()
-
-
 def panel_points(x: np.ndarray):
     """4-point Gauss-Legendre nodes/weights on every interval of ``x``.
 
-    Returns flattened arrays (points, weights) of length 4*(len(x)-1),
-    read-only: the callers on a recurring grid share them.
+    Returns flattened arrays (points, weights) of length 4*(len(x)-1).
     """
     x = np.asarray(x, dtype=float)
-    return _panel_plans.get(x.tobytes(), lambda: _panel_points(x))
-
-
-def _panel_points(x: np.ndarray):
     lo = x[:-1]
     h = np.diff(x)
     pts = lo[:, None] + PANEL_FRACTIONS[None, :] * h[:, None]
@@ -97,20 +88,16 @@ def _scaled_stencils(x: np.ndarray, starts: np.ndarray):
 _weight_cache = PlanCache(16)
 
 
-def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval cubic interpolatory weights.
-
-    Returns ``(idx, w)`` with shape (n-1, 4) each: the integral over
-    interval i of the cubic through nodes ``idx[i]`` is ``w[i] @ y[idx[i]]``.
-    The arrays are read-only and shared by every caller on the same grid.
-    """
+def _weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interval weights of x and the composite weights they sum to,
+    read-only and shared by every caller on the same grid."""
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise ValueError("need at least 4 nodes for cubic quadrature")
-    return _weight_cache.get(x.tobytes(), lambda: _solve_interval_weights(x))
+    return _weight_cache.get(x.tobytes(), lambda: _solve_weights(x))
 
 
-def _solve_interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = x.size
     starts = _stencil_starts(n)
     idx, u, centre, scale = _scaled_stencils(x, starts)
@@ -121,21 +108,26 @@ def _solve_interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moments *= scale[:, None]
     vand_t = u[:, :, None] ** powers[None, None, :]   # V^T: [interval, k, j]
     w = np.linalg.solve(np.swapaxes(vand_t, 1, 2), moments[..., None])[..., 0]
+    composite = np.zeros(n)
+    np.add.at(composite, idx, w)
+    return idx, w, composite
+
+
+def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval cubic interpolatory weights.
+
+    Returns ``(idx, w)`` with shape (n-1, 4) each: the integral over
+    interval i of the cubic through nodes ``idx[i]`` is ``w[i] @ y[idx[i]]``.
+    The arrays are read-only and shared by every caller on the same grid.
+    """
+    idx, w, _ = _weights(x)
     return idx, w
 
 
 def composite_weights(x: np.ndarray) -> np.ndarray:
     """Weights w with sum(w * y) ~= integral of y over [x[0], x[-1]],
-    read-only: the callers on a recurring grid share them."""
-    x = np.asarray(x, dtype=float)
-    return _composite_plans.get(x.tobytes(), lambda: _composite_weights(x))
-
-
-def _composite_weights(x: np.ndarray) -> np.ndarray:
-    idx, w = interval_weights(x)
-    out = np.zeros(x.size)
-    np.add.at(out, idx, w)
-    return out
+    read-only: the callers on the same grid share them."""
+    return _weights(x)[2]
 
 
 def interval_integrals(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -4,12 +4,12 @@ import pytest
 from carlemanfp.farfield import (
     CHEB_NODES,
     CHEB_POINTS,
+    BoxLayout,
     BoxRows,
     BoxTree,
     LogBoxes,
     _chebyshev_terms,
     charges,
-    interpolate_in_boxes,
 )
 from carlemanfp.hilbert import _pv_kernel
 
@@ -84,7 +84,7 @@ class TestChebyshev:
         coef = rng.normal(size=CHEB_POINTS)
         poly = np.polynomial.Chebyshev(coef, domain=[0.0, 8.0])
         u = rng.uniform(0.0, 8.0, 300)  # four whole boxes
-        got = interpolate_in_boxes(poly, u, LogBoxes(0.0, 2.0))
+        got = BoxLayout(u, LogBoxes(0.0, 2.0)).interpolate(poly)
         want = poly(u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carlemanfp.gab import TwoPointReconstruction
+from carlemanfp.hilbert import HilbertOfExp
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,12 @@ class TestAngle:
         assert taus == sorted(taus, reverse=True)
         assert taus[-1] < 1e-3
 
+    @pytest.mark.parametrize("a", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
+    def test_nan_points_rejected(self, reconstruction, a):
+        _, rec = reconstruction
+        with pytest.raises(ValueError):
+            rec.tau_at(a, 1.0)
+
     def test_branch_at_vanishing_denominator(self):
         from carlemanfp.gab import _branch_arctan
 
@@ -50,6 +57,29 @@ class TestTwoPoint:
     def test_boundary_consistency(self, reconstruction):
         _, rec = reconstruction
         assert rec.boundary_consistency() <= 1e-3
+
+    def test_boundary_limits_form_r_once(self, small_solution, monkeypatch):
+        # the a -> 0 limits of every b share one R at the probe points,
+        # with the bits of R formed anew for each b
+        cfg, res = small_solution
+        rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
+        sizes = []
+        r = HilbertOfExp.r
+
+        def counting(self, a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return r(self, a, *args, **kwargs)
+
+        monkeypatch.setattr(HilbertOfExp, "r", counting)
+        b_values = np.geomspace(0.5, 1e3, 12)
+        limits = [rec.boundary_limit(float(b)) for b in b_values]
+        assert sizes == [3]
+        anew = []
+        for b in b_values:
+            del rec._probe_r  # formed again at the next limit
+            anew.append(rec.boundary_limit(float(b)))
+        assert sizes == [3] * 13
+        assert anew == limits
 
     def test_symmetry_defect_reported(self, reconstruction):
         _, rec = reconstruction

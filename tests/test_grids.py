@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ def test_hermite_exact_at_nodes_and_smooth():
     probe = np.geomspace(1e-3, 9e3, 200)
     assert np.allclose(f.at(probe), -0.8 * np.log1p(probe), atol=1e-9)
     assert np.allclose(f.derivative_at(probe), -0.8 / (1.0 + probe), rtol=1e-5)
+
+
+@pytest.mark.parametrize("x", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
+def test_nan_points_rejected(x):
+    # NaN passes both x < first node and x > last node as false; the
+    # interpolant would then return NaN quietly
+    f = log_envelope_function(make_nodes(64, 1e4), -0.5)
+    with pytest.raises(ValueError):
+        f.at(x)
+    with pytest.raises(ValueError):
+        f.derivative_at(x)
 
 
 def test_fixed_fractions_match_pointwise_interpolation(fig_coupling, rng):

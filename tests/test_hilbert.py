@@ -141,6 +141,16 @@ class TestHilbertOfExp:
         with pytest.raises(ValueError):
             HilbertOfExp(f, cfg).quotient(1e4)
 
+    @pytest.mark.parametrize("a", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
+    def test_nan_points_rejected(self, a):
+        # a ValueError before the sum, not a QuadratureError after it
+        nodes = make_nodes(200, 1e4)
+        cfg = QuadratureConfig(n_nodes=200, lambda2=1e4)
+        with pytest.raises(ValueError):
+            HilbertOfExp(log_envelope_function(nodes, -0.8), cfg).quotient(a)
+        with pytest.raises(ValueError):
+            SampledPVTransform(nodes).at(np.sin(np.log1p(nodes)), a)
+
     def test_non_decaying_tail_rejected(self):
         cfg = QuadratureConfig(n_nodes=200, lambda2=1e4)
         f = zero_function(make_nodes(200, 1e4))

@@ -141,6 +141,14 @@ class TestTPrime:
         with pytest.raises(PoleRegionError):
             op.derivative(op.rf_cache(f), 0.0)  # R dips below 0 for this input
 
+    @pytest.mark.parametrize("b", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
+    def test_nan_points_rejected(self, grid600, cfg600, fig_coupling, rng, b):
+        # a ValueError before the sum, not a QuadratureError after it
+        op = TOperator(fig_coupling, cfg600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        with pytest.raises(ValueError):
+            op.derivative(cache, b)
+
     @pytest.mark.parametrize("lam", [-0.02, -1.0 / (2.0 * math.pi), -1.0 / 6.0])
     def test_envelope_bounds_random_members(self, grid600, cfg600, lam, rng):
         c = Coupling(lam)

@@ -1,45 +1,46 @@
-"""Grid plans: the grid-invariant work of an operator application, kept
-per grid while the grid recurs.  Reusing a plan must not move a bit, serve
-another grid's or target set's data, grow without bound, or let a caller
-write into a shared array."""
+"""Grid plans: the grid-invariant work of an operator application, built
+once per grid and held by what owns the grid.  Reusing a plan must not
+move a bit, serve another grid's or target set's data, outlive the grid's
+use, or let a caller write into a shared array; and no module may keep
+plans of its own beyond the three module-level slots below."""
 
+import gc
+import importlib
+import inspect
 import math
+import pkgutil
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanfp import farfield, grids, hilbert, operators, plans, quadrature, solver
+import carlemanfp
+from carlemanfp import bounds, farfield, grids, hilbert, plans, quadrature, solver
 from carlemanfp.coupling import Coupling
 from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import HARD_CUTOFF, QuadratureConfig, make_nodes, random_klambda
 from carlemanfp.hilbert import HilbertOfExp
 from carlemanfp.operators import TOperator
 from carlemanfp.solver import SolverConfig
+from carlemanfp.verification import run_suites
 
-MODULES = (quadrature, farfield, hilbert, operators, grids, solver)
+from test_hilbert import ROUNDING_FACTOR
 
-
-def plan_caches() -> dict:
-    """Every plan cache of the package, by module and name."""
-    return {
-        f"{m.__name__}.{name}": value
-        for m in MODULES
-        for name, value in vars(m).items()
-        if isinstance(value, (plans.PlanCache, plans.RecurringPlan))
-    }
-
-
-def stored_plans(cache) -> list:
-    if isinstance(cache, plans.PlanCache):
-        return list(cache._plans.values())
-    return [] if cache._plan is None else [cache._plan]
+# The only module-level plans and caches of the package: the grid plan of
+# the transforms of exp f, the memo of the quadrature weights by grid, and
+# the node layouts of make_nodes.
+MODULE_LEVEL_PLANS = {
+    "carlemanfp.hilbert._grid_plan",
+    "carlemanfp.quadrature._weight_cache",
+    "carlemanfp.grids._node_layout",
+}
 
 
 def clear_plans() -> None:
-    for cache in plan_caches().values():
-        cache.clear()
+    hilbert._grid_plan = None
+    quadrature._weight_cache.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -64,29 +65,34 @@ def arrays_in(obj):
             yield from arrays_in(part)
 
 
-def test_every_cache_is_found():
-    # the plans of the working grid, the PV sum and the (Tf)' sum
-    assert set(plan_caches()) == {
-        "carlemanfp.quadrature._panel_plans",
-        "carlemanfp.quadrature._composite_plans",
-        "carlemanfp.quadrature._weight_cache",
-        "carlemanfp.farfield._layouts",
-        "carlemanfp.hilbert._working_grids",
-        "carlemanfp.hilbert._plans",
-        "carlemanfp.hilbert._targets",
-    }
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name to record its arguments in the returned list."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("tail_mode", ["power_law_extend", HARD_CUTOFF])
 def test_applications_keep_their_bits(fig_coupling, rng, tail_mode):
-    # cold (nothing kept), second (plans stored), reused, and cold again
-    # after every cache is cleared: the same bits each time
+    # cold (nothing kept), on the kept plan, after a switch to another
+    # grid and back, and cold again after the plans are cleared: the same
+    # bits each time
     nodes = make_nodes(400, 1e6)
     cfg = QuadratureConfig(n_nodes=400, lambda2=1e6, tail_mode=tail_mode)
     op = TOperator(fig_coupling, cfg)
     f = random_klambda(fig_coupling, nodes, rng)
+    other = random_klambda(fig_coupling, make_nodes(300, 1e6), rng)
     images = [op.apply(f, require_positive=False) for _ in range(3)]
-    assert len(hilbert._targets) == 1
+    kept = hilbert._grid_plan
+    op.apply(other, require_positive=False)
+    assert hilbert._grid_plan is not kept
+    images.append(op.apply(f, require_positive=False))
     clear_plans()
     images.append(op.apply(f, require_positive=False))
     for image in images[1:]:
@@ -94,80 +100,9 @@ def test_applications_keep_their_bits(fig_coupling, rng, tail_mode):
         assert np.array_equal(image.derivs, images[0].derivs)
 
 
-def test_second_target_set_is_not_served_stale_data(fig_coupling, rng):
-    # two target sets on one panel grid, each kept in turn: every transform
-    # and (Tf)' sum equals its own cold value, not the other set's
-    nodes = make_nodes(400, 1e6)
-    cfg = QuadratureConfig(n_nodes=400, lambda2=1e6)
-    he = HilbertOfExp(random_klambda(fig_coupling, nodes, rng), cfg)
-    a_sets = [np.geomspace(1e-2, 1e5, 400), np.geomspace(3e-2, 3e5, 400)]
-    op = TOperator(fig_coupling, cfg)
-    cache = op.rf_cache(random_klambda(fig_coupling, nodes, rng))
-    b_sets = [nodes, np.geomspace(1e-3, 9e5, 300)]
-    cold = []
-    for a, b in zip(a_sets, b_sets):
-        cold.append((he.quotient(a), op.derivative(cache, b)))
-        clear_plans()
-    for _ in range(2):
-        for a, b, (want_a, want_b) in zip(a_sets, b_sets, cold):
-            for _ in range(3):  # built, built and kept, reused
-                assert np.array_equal(he.quotient(a), want_a)
-                assert np.array_equal(op.derivative(cache, b), want_b)
-            (kept_a,) = stored_plans(hilbert._targets)
-            (kept_b,) = stored_plans(farfield._layouts)
-            assert kept_a.inside.size == a.size and kept_b[1].k.size == b.size
-
-
-def test_reconstructions_end_the_solve_plans(fig_coupling):
-    # the t-grid weights and the (Tf)' layout of a solve serve its working
-    # grid; reconstructions, on their own hard-cutoff working grid, end
-    # that grid's run and keep neither
-    res = solver.solve(
-        SolverConfig(coupling=fig_coupling, lambda2=1e6, n_nodes=400, tol_lb=1e-6)
-    )
-    assert len(quadrature._composite_plans) == len(farfield._layouts) == 1
-    grid = np.geomspace(1e-2, 1e2, 4)
-    for _ in range(3):
-        TwoPointReconstruction(res.grid_function, fig_coupling).table(grid, grid)
-        assert len(quadrature._composite_plans) == len(farfield._layouts) == 0
-
-
-def test_caches_stay_bounded():
-    # solves on five distinct grids keep at most each cache's size
-    coupling = Coupling(-1.0 / (2.0 * math.pi))
-    for n in (260, 280, 300, 320, 340):
-        solver.solve(SolverConfig(coupling=coupling, lambda2=1e5, n_nodes=n, tol_lb=1e-6))
-    sizes = {name: len(cache) for name, cache in plan_caches().items()}
-    for name, cache in plan_caches().items():
-        assert 1 <= sizes[name] <= getattr(cache, "size", 1), (name, sizes[name])
-    assert sizes["carlemanfp.hilbert._plans"] == hilbert._PLAN_CACHE_SIZE
-    assert grids._node_layout.cache_info().currsize <= 8
-
-
-def test_plans_are_read_only(fig_coupling, rng):
-    nodes = make_nodes(400, 1e6)
-    op = TOperator(fig_coupling, QuadratureConfig(n_nodes=400, lambda2=1e6))
-    f = random_klambda(fig_coupling, nodes, rng)
-    for _ in range(2):
-        op.apply(f)
-    held = 0
-    for name, cache in plan_caches().items():
-        for plan in stored_plans(cache):
-            for array in arrays_in(plan):
-                assert not array.flags.writeable, name
-                held += 1
-    assert held > 0
-    xs, _ = quadrature.panel_points(HilbertOfExp(f, op.cfg).ext.nodes)
-    with pytest.raises(ValueError):
-        xs[0] = 1.0
-    (targets,) = stored_plans(hilbert._targets)
-    with pytest.raises(ValueError):
-        targets.points.rows[0, 0] = 0.0
-
-
-def test_reused_application_builds_no_rows(fig_coupling, rng, monkeypatch):
-    # a work counter on the Lagrange rows: the first two applications
-    # build rows at their targets, every later one none
+def test_first_application_builds_the_rows(fig_coupling, rng, monkeypatch):
+    # a work counter on the Lagrange rows: the first application on a grid
+    # builds the rows at its targets, every later one none
     built = []
     rows = farfield._lagrange_rows
 
@@ -186,28 +121,242 @@ def test_reused_application_builds_no_rows(fig_coupling, rng, monkeypatch):
         counts.append(sum(built))
     # the PV targets (the working grid's nodes but its ends) and the (Tf)'
     # nodes
-    assert counts[0] == counts[1] == (400 + 320 - 2) + 400
-    assert counts[2:] == [0, 0]
+    assert counts == [(400 + 320 - 2) + 400, 0, 0, 0]
 
 
-def test_target_sets_used_in_turn_are_not_kept(fig_coupling, rng):
-    # a target plan is kept only while the compressed sum runs at the same
-    # targets with no other PV sum in between
+def test_each_grid_plan_is_built_once(fig_coupling, rng, monkeypatch):
+    # the working grid, its panels, the PV source plan and target plan and
+    # the (Tf)' layout: one build each in a loop on one grid
+    builds = {
+        name: count_calls(monkeypatch, owner, name)
+        for owner, name in [
+            (hilbert, "_GridPlan"),
+            (hilbert, "_PVFarField"),
+            (hilbert, "_PVTargets"),
+            (hilbert, "BoxLayout"),
+            (hilbert, "panel_points"),
+        ]
+    }
+    nodes = make_nodes(400, 1e6)
+    op = TOperator(fig_coupling, QuadratureConfig(n_nodes=400, lambda2=1e6))
+    f = random_klambda(fig_coupling, nodes, rng)
+    for _ in range(4):
+        f = op.apply(f)
+    assert {name: len(calls) for name, calls in builds.items()} == dict.fromkeys(builds, 1)
+
+
+def test_another_grid_drops_the_old_plan(fig_coupling):
+    # a reconstruction after its solve runs on its own hard-cutoff grid
+    # plan: the solve's plan, with its PV plans and (Tf)' layout, goes;
+    # the reconstruction keeps its plan for itself while later solves
+    # take the slot
+    res = solver.solve(
+        SolverConfig(coupling=fig_coupling, lambda2=1e6, n_nodes=400, tol_lb=1e-6)
+    )
+    solve_plan = weakref.ref(hilbert._grid_plan)
+    assert solve_plan()._layout is not None and solve_plan().panels.far is not None
+    grid = np.geomspace(1e-2, 1e2, 4)
+    rec = TwoPointReconstruction(res.grid_function, fig_coupling)
+    gc.collect()
+    assert solve_plan() is None
+    assert hilbert._grid_plan is rec._hilbert.plan
+    assert rec._hilbert.plan.tail_mode == HARD_CUTOFF
+    table = rec.table(grid, grid)
+    solver.solve(SolverConfig(coupling=fig_coupling, lambda2=1e6, n_nodes=300, tol_lb=1e-6))
+    assert hilbert._grid_plan is not rec._hilbert.plan
+    assert np.array_equal(rec.table(grid, grid), table)
+
+
+def test_one_grid_plan_at_a_time():
+    # solves on five distinct grids leave the plan of the last one only,
+    # and the weight memo and node layouts within their sizes
+    coupling = Coupling(-1.0 / (2.0 * math.pi))
+    held = []
+    for n in (260, 280, 300, 320, 340):
+        solver.solve(SolverConfig(coupling=coupling, lambda2=1e5, n_nodes=n, tol_lb=1e-6))
+        held.append(weakref.ref(hilbert._grid_plan))
+    gc.collect()
+    assert [plan() is None for plan in held] == [True] * 4 + [False]
+    assert hilbert._grid_plan.grid.size == 340
+    assert 1 <= len(quadrature._weight_cache) <= quadrature._weight_cache.size
+    assert grids._node_layout.cache_info().currsize <= 8
+
+
+def test_second_target_set_is_not_served_stale_data(fig_coupling, rng):
+    # two target sets on one grid, each kept in turn: every transform and
+    # (Tf)' sum equals its own cold value, not the other set's, and the
+    # plans kept are those of the last set
     nodes = make_nodes(400, 1e6)
     cfg = QuadratureConfig(n_nodes=400, lambda2=1e6)
-    he = HilbertOfExp(random_klambda(fig_coupling, nodes, rng), cfg)
+    op = TOperator(fig_coupling, cfg)
+    f, g = (random_klambda(fig_coupling, nodes, rng) for _ in range(2))
+    a_sets = [np.geomspace(1e-2, 1e5, 400), np.geomspace(3e-2, 3e5, 400)]
+    b_sets = [nodes, np.geomspace(1e-3, 9e5, 300)]
+
+    def cold_transforms():
+        clear_plans()
+        return HilbertOfExp(f, cfg), op.rf_cache(g)
+
+    cold = []
+    for a, b in zip(a_sets, b_sets):
+        he, cache = cold_transforms()
+        cold.append((he.quotient(a), op.derivative(cache, b)))
+    he, cache = cold_transforms()
+    assert cache.hilbert.plan is he.plan
+    for _ in range(2):
+        for a, b, (want_a, want_b) in zip(a_sets, b_sets, cold):
+            for _ in range(2):  # built, then reused
+                assert np.array_equal(he.quotient(a), want_a)
+                assert np.array_equal(op.derivative(cache, b), want_b)
+            assert np.array_equal(he.plan.panels.far.targets.a, a)
+            assert np.array_equal(he.plan._layout.u, np.log1p(b))
+
+
+def test_the_last_target_set_is_kept(fig_coupling, rng):
+    # a source plan keeps the target plan of the last point set it summed
+    # at; dense sums, of at most DENSE_MAX points, leave it as it is, and a
+    # caller's later writes to its points do not reach it
+    nodes = make_nodes(400, 1e6)
+    he = HilbertOfExp(random_klambda(fig_coupling, nodes, rng),
+                      QuadratureConfig(n_nodes=400, lambda2=1e6))
     a = np.geomspace(1e-2, 1e5, 400)
-    for _ in range(3):
-        he.quotient(a)
-        he.quotient(np.geomspace(3e-2, 3e5, 400))
-        assert len(hilbert._targets) == 0
-    for _ in range(3):
-        he.quotient(a)
-        he.quotient(a[:10])  # a dense sum
-        assert len(hilbert._targets) == 0
-    he.quotient(a)
-    he.quotient(a)
-    assert len(hilbert._targets) == 1
+    want = he.quotient(a)
+    kept = he.plan.panels.far.targets
+    he.quotient(a[:10])
+    assert he.plan.panels.far.targets is kept
+    assert np.array_equal(he.quotient(a.copy()), want)
+    assert he.plan.panels.far.targets is kept
+    other = np.geomspace(3e-2, 3e5, 400)
+    he.quotient(other)
+    assert np.array_equal(he.plan.panels.far.targets.a, other)
+    other[0] = a[0]
+    assert not np.array_equal(he.plan.panels.far.targets.a, other)
+
+
+def test_plans_are_read_only(fig_coupling, rng):
+    nodes = make_nodes(400, 1e6)
+    op = TOperator(fig_coupling, QuadratureConfig(n_nodes=400, lambda2=1e6))
+    f = random_klambda(fig_coupling, nodes, rng)
+    for _ in range(2):
+        op.apply(f)
+    plan = hilbert._grid_plan
+    assert plan.panels.far.targets is not None and plan._layout is not None
+    held = list(arrays_in(plan)) + list(arrays_in(quadrature._weight_cache._plans))
+    assert held and not any(array.flags.writeable for array in held)
+    with pytest.raises(ValueError):
+        plan.panels.sub_x[0] = 1.0
+    with pytest.raises(ValueError):
+        plan.panels.far.targets.points.rows[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        plan._layout.rows.rows[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        quadrature.composite_weights(plan.r_nodes)[0] = 0.0
+
+
+def test_table_builds_its_angle_target_plan_once(small_solution, monkeypatch):
+    # table at 300 points a: the angle transform sums at them for every b,
+    # through one target plan, and agrees with the dense sums within the
+    # rounding of two dense column orders
+    cfg, res = small_solution
+    grid, b_grid = np.geomspace(1e-2, 1e2, 300), np.geomspace(1e-2, 1e2, 20)
+    rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
+    built = count_calls(monkeypatch, hilbert, "_PVTargets")
+    got = rec.table(grid, b_grid)
+    assert sum(far is rec._angle.panels.far for far, _ in built) == 1
+    monkeypatch.undo()
+
+    def dense_table(reverse: bool):
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "DENSE_MAX", 10**9)
+            if reverse:
+                summed = hilbert._subtracted_sum
+                m.setattr(hilbert, "_subtracted_sum", lambda x, w, s, a, s_a: summed(
+                    x[::-1].copy(), w[::-1].copy(), s[::-1].copy(), a, s_a))
+            clear_plans()
+            return TwoPointReconstruction(res.grid_function, cfg.coupling).table(grid, b_grid)
+
+    dense, reordered = dense_table(False), dense_table(True)
+    assert np.array_equal(got[:, :2], dense[:, :2])
+    for col in (2, 3):  # tau and G
+        spread = np.max(np.abs(reordered[:, col] - dense[:, col]))
+        assert np.max(np.abs(got[:, col] - dense[:, col])) <= ROUNDING_FACTOR * spread
+
+
+# -- no other module-level plans --------------------------------------------
+
+def package_modules() -> list:
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(carlemanfp.__path__, "carlemanfp.")
+    ]
+
+
+def module_level_state() -> dict:
+    """Each module-level binding of the package that is not a module,
+    class, function or string, by qualified name: its identity and, for
+    a container or a functools cache, the number of entries it holds."""
+    state = {}
+    for mod in package_modules():
+        for name, value in vars(mod).items():
+            if name.startswith("__") or isinstance(value, (str, bytes, type)) or (
+                inspect.ismodule(value) or inspect.isfunction(value)
+            ):
+                continue
+            if hasattr(value, "cache_info"):
+                size = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set, plans.PlanCache)):
+                size = len(value)
+            else:
+                size = None
+            state[f"{mod.__name__}.{name}"] = (id(value), size)
+    return state
+
+
+def is_plan_or_cache(value) -> bool:
+    """A memo (a PlanCache or a functools cache) or an object of the
+    package's own classes held at module level."""
+    return (
+        isinstance(value, plans.PlanCache)
+        or hasattr(value, "cache_info")
+        or type(value).__module__.startswith("carlemanfp.")
+    )
+
+
+def test_no_other_module_level_plan_or_cache(fig_coupling):
+    # by type: no module-level memo or plan object but the three
+    found = {
+        f"{mod.__name__}.{name}"
+        for mod in package_modules()
+        for name, value in vars(mod).items()
+        if is_plan_or_cache(value)
+    }
+    assert found <= MODULE_LEVEL_PLANS, found - MODULE_LEVEL_PLANS
+    # by behaviour: a solve, its reconstruction on compressed paths, the
+    # certification suites and the bounds rebind or fill no module-level
+    # name but the three
+    before = module_level_state()
+    res = solver.solve(
+        SolverConfig(coupling=fig_coupling, lambda2=1e6, n_nodes=300, tol_lb=1e-6)
+    )
+    rec = TwoPointReconstruction(res.grid_function, fig_coupling)
+    grid = np.geomspace(1e-2, 1e2, 300)
+    rec.table(grid, grid[:3])
+    rec.boundary_consistency(np.geomspace(0.5, 100.0, 3))
+    run_suites(["all"], seed=0, n_pairs=1, n_members=1, n_lambda=3)
+    bounds.s_bound(np.linspace(0.0, 8.0, 5))
+    after = module_level_state()
+    changed = {name for name in before.keys() | after.keys()
+               if before.get(name) != after.get(name)}
+    assert changed <= MODULE_LEVEL_PLANS, changed - MODULE_LEVEL_PLANS
+    assert "carlemanfp.hilbert._grid_plan" in changed
+
+
+def test_only_the_weight_memo_keys_by_bytes():
+    # every other plan is found by comparing points, not by their bytes
+    users = {
+        mod.__name__ for mod in package_modules() if "tobytes(" in inspect.getsource(mod)
+    }
+    assert users == {"carlemanfp.quadrature"}
 
 
 # Property tests on shared small grids, so that the examples also run on
