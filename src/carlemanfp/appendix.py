@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .coupling import Coupling
-from .grids import HARD_CUTOFF, QuadratureConfig, make_nodes, zero_function
+from .domain import checked, unwrap
+from .grids import HARD_CUTOFF, QuadratureConfig, check_cutoff, make_nodes, zero_function
 from .operators import TOperator
 
 
@@ -33,8 +34,7 @@ def cauchy_integral(u: float) -> tuple[float, float]:
     geometrically in the step; its end terms are below 1e-17 of the sum,
     so it is the plain sum times the step.
     """
-    if not u > 0.0:
-        raise ValueError("u must be positive")
+    checked(u, "u", 0.0, ends="()")
     hi = _RESIDUE_TAIL + math.log1p(1.0 / u)
     n = math.ceil((hi + _RESIDUE_TAIL) / _RESIDUE_STEP)
     s = -_RESIDUE_TAIL + _RESIDUE_STEP * np.arange(n + 1)
@@ -45,12 +45,16 @@ def cauchy_integral(u: float) -> tuple[float, float]:
 
 def t0_derivative_closed(b, coupling: Coupling, lambda2: float):
     """(T0)'(b) = -1/(|lam| cutoff + 1 + b) at finite cutoff."""
-    return -1.0 / (coupling.abs_lambda * lambda2 + 1.0 + np.asarray(b, dtype=float))
+    b, scalar = checked(b, "b", 0.0)
+    check_cutoff(lambda2)
+    return unwrap(-1.0 / (coupling.abs_lambda * lambda2 + 1.0 + b), scalar)
 
 
 def t0_closed(b, coupling: Coupling, lambda2: float):
     """(T0)(b) = log(1/(1 + b/(1 + |lam| cutoff))) at finite cutoff."""
-    return -np.log1p(np.asarray(b, dtype=float) / (1.0 + coupling.abs_lambda * lambda2))
+    b, scalar = checked(b, "b", 0.0)
+    check_cutoff(lambda2)
+    return unwrap(-np.log1p(b / (1.0 + coupling.abs_lambda * lambda2)), scalar)
 
 
 def t0_profile(

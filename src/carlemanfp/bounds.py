@@ -6,7 +6,8 @@ tangent minorant S, the explicit master expression that dominates the
 derivative of the image under the fixed-point map, the printed tail
 coefficients, the pointwise difference bounds for R, the norm-continuity
 constant, and the two auxiliary functions whose suprema enter that
-constant.
+constant.  Each takes a scalar or an array of points, checked against its
+domain by ``domain.checked``, and returns a float or an array to match.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ import math
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked, unwrap
 from .report import VerificationReport, make_report
 from .specfun import dilog, hyp2f1, zeta_lambda
 
 _E = math.e
-
-
-def _asarray(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(out, scalar):
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +34,7 @@ def f_bound(a):
     F(a) = (4+a)/(1+a)^{1/4} - 4
            + (1+a)^{-1/4} * (a/2 - 4a/(5(1+a)) * 2F1(1,5/4;9/4; 1/(1+a))).
     """
-    a, scalar = _asarray(a)
-    if np.any(a < 0.0):
-        raise ValueError("argument must be >= 0")
+    a, scalar = checked(a, "a", 0.0)
     # At a = 0 the hypergeometric term is killed by its prefactor a but its
     # argument reaches the logarithmic point z = 1; F(0) = 0 exactly.
     pos = a > 0.0
@@ -51,28 +42,24 @@ def f_bound(a):
     q = (1.0 + a) ** 0.25
     h = hyp2f1(1.0, 1.25, 2.25, z)
     out = np.where(pos, (4.0 + a) / q - 4.0 + (0.5 * a - 0.8 * a * z * h) / q, 0.0)
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def f_bound_prime(a):
     """Closed-form derivative of ``f_bound`` (log-divergent at the origin)."""
-    a, scalar = _asarray(a)
-    if np.any(a <= 0.0):
-        raise ValueError("argument must be > 0 (derivative diverges at 0)")
+    a, scalar = checked(a, "a", 0.0, ends="()")
     z = 1.0 / (1.0 + a)
     h1 = hyp2f1(2.0, 1.25, 3.25, z)
     h2 = hyp2f1(1.0, 1.25, 2.25, z)
     out = (1.0 + a) ** (-1.25) * (
         0.5 + 1.125 * a - (16.0 / 45.0) * z * h1 + 0.2 * a * z * h2
     )
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def f_bound_second(a):
     """Closed-form second derivative of ``f_bound`` (diverges like 1/a at 0)."""
-    a, scalar = _asarray(a)
-    if np.any(a <= 0.0):
-        raise ValueError("argument must be > 0 (1/a singularity at the origin)")
+    a, scalar = checked(a, "a", 0.0, ends="()")
     z = 1.0 / (1.0 + a)
     h1 = hyp2f1(2.0, 1.25, 3.25, z)
     h2 = hyp2f1(2.0, 1.25, 4.25, z)
@@ -83,7 +70,7 @@ def f_bound_second(a):
         + 32.0 / (117.0 * a) * z * h2
         - 5.0 * a / 36.0 * z * h3
     )
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def fhat(lambda_r: float, a):
@@ -91,26 +78,23 @@ def fhat(lambda_r: float, a):
 
     fhat(a) = (1 - 2 lr) a - a/((1+lr)(1+a)) * 2F1(1, 1+lr; 2+lr; 1/(1+a)).
     """
-    if not (0.0 < lambda_r < 0.5):
-        raise ValueError("lambda_r must lie in (0, 1/2)")
-    a, scalar = _asarray(a)
-    if np.any(a < 0.0):
-        raise ValueError("argument must be >= 0")
+    checked(lambda_r, "lambda_r", 0.0, 0.5, "()")
+    a, scalar = checked(a, "a", 0.0)
     pos = a > 0.0
     z = np.where(pos, 1.0 / (1.0 + a), 0.0)
     h = hyp2f1(1.0, 1.0 + lambda_r, 2.0 + lambda_r, z)
     out = np.where(pos, (1.0 - 2.0 * lambda_r) * a - a * z / (1.0 + lambda_r) * h, 0.0)
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def fhat_prime(lambda_r: float, a):
-    a, scalar = _asarray(a)
-    if np.any(a <= 0.0):
-        raise ValueError("argument must be > 0 (derivative diverges at 0)")
+    """Derivative of ``fhat`` in a (log-divergent at the origin)."""
+    checked(lambda_r, "lambda_r", 0.0, 0.5, "()")
+    a, scalar = checked(a, "a", 0.0, ends="()")
     z = 1.0 / (1.0 + a)
     h = hyp2f1(2.0, 1.0 + lambda_r, 3.0 + lambda_r, z)
     out = (1.0 - 2.0 * lambda_r) - z * z * h / ((1.0 + lambda_r) * (2.0 + lambda_r))
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 # F and F' at the tangent points of the minorant, and F at its constant
@@ -132,15 +116,13 @@ def s_bound(a):
     disagree; the pointwise minimum is used there so that the minorant
     property cannot be lost to the jump.
     """
-    a, scalar = _asarray(a)
-    if np.any(a < 0.0):
-        raise ValueError("argument must be >= 0")
+    a, scalar = checked(a, "a", 0.0)
     d = _TANGENTS
     t1 = d["F15"] + (a - 0.2) * d["Fp15"]
     t2 = d["F32"] + (a - 1.5) * d["Fp32"]
     out = np.where(a <= 0.5, t1, np.where(a < 6.0, t2, d["F6"]))
     out = np.where(a == 0.5, np.minimum(t1, t2), out)
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +138,11 @@ def upper_bound_master(b, coupling: Coupling):
     computational content of the envelope-preservation argument.  The
     zero-coupling limit is identically 0.
     """
-    b, scalar = _asarray(b)
-    if np.any(b < 0.0):
-        raise ValueError("argument must be >= 0")
+    b, scalar = checked(b, "b", 0.0)
     al = coupling.abs_lambda
     lr = coupling.lambda_r
     if al == 0.0:
-        out = np.zeros_like(b)
-        return _ret(out, scalar)
+        return unwrap(np.zeros_like(b), scalar)
     d = _TANGENTS
     pi = math.pi
     g = al * pi / math.tan(lr * pi)
@@ -186,7 +165,7 @@ def upper_bound_master(b, coupling: Coupling):
         + lr / b3
         - lr / (b + 1.0)
     )
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def c_coeffs_printed(coupling: Coupling) -> np.ndarray:
@@ -258,9 +237,8 @@ def delta_r_bounds(t, delta: float, coupling: Coupling) -> np.ndarray:
 
     Returns an array of shape (3,) + shape(t).
     """
-    t, _ = _asarray(t)
-    if np.any(t < 0.0) or delta < 0.0:
-        raise ValueError("need t >= 0 and delta >= 0")
+    t, scalar = checked(t, "t", 0.0)
+    checked(delta, "delta", 0.0)
     al = coupling.abs_lambda
     lg = np.log1p(t)
     dr1 = delta * (1.0 + t) ** (1.0 - al) * lg
@@ -270,22 +248,24 @@ def delta_r_bounds(t, delta: float, coupling: Coupling) -> np.ndarray:
     else:
         dr2 = delta * al * math.pi * t * zeta_lambda(coupling)
         dr3 = delta * t * (np.expm1(al * lg) - al * lg) / (al * np.exp(al * lg))
-    return np.stack([dr1, dr2, dr3])
+    out = np.stack([dr1, dr2, dr3])
+    return out[:, 0] if scalar else out
 
 
 def hilbert_quotient_modulus(a, delta: float, coupling: Coupling):
     """Modulus bounding the variation of the exp-quotient transform
     between two domain members at norm distance delta."""
-    a, scalar = _asarray(a)
     al = coupling.abs_lambda
     if al == 0.0:
         raise ValueError("modulus is defined for negative coupling")
+    a, scalar = checked(a, "a", 0.0)
+    checked(delta, "delta", 0.0)
     lg = np.log1p(a)
     out = delta * (
         zeta_lambda(coupling)
         + (np.expm1(al * lg) - al * lg) / (al**2 * math.pi * np.exp(al * lg))
     )
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 def continuity_constant(coupling: Coupling) -> float:
@@ -317,16 +297,14 @@ def c_aux(x, coupling: Coupling):
     Removable singularity at x = 1 is not special-cased; keep a small
     exclusion band around 1 when scanning.
     """
-    x, scalar = _asarray(x)
     al = coupling.abs_lambda
     if al == 0.0:
         raise ValueError("defined for negative coupling")
-    if np.any(x <= 0.0):
-        raise ValueError("argument must be positive")
+    x, scalar = checked(x, "x", 0.0, ends="()")
     xm = x**al
     term1 = (-(al**2) + al * (1.0 - 2.0 * al) * (x - 1.0)) / (xm * (x - 1.0))
     term2 = (x**2 - (1.0 - al) * x) / (x - 1.0) ** 2 * (al * np.log(x)) / xm
-    return _ret(term1 + term2, scalar)
+    return unwrap(term1 + term2, scalar)
 
 
 def c_tilde_aux(alpha, coupling: Coupling):
@@ -337,12 +315,10 @@ def c_tilde_aux(alpha, coupling: Coupling):
     dilogarithm to 0 < alpha < 1; alpha = 1 is a removable point, keep
     an exclusion band when scanning.
     """
-    alpha, scalar = _asarray(alpha)
     al = coupling.abs_lambda
     if al == 0.0:
         raise ValueError("defined for negative coupling")
-    if np.any(alpha <= 0.0):
-        raise ValueError("argument must be positive")
+    alpha, scalar = checked(alpha, "alpha", 0.0, ends="()")
     lg = al * np.log(alpha)
     big_l = np.exp(lg)  # alpha^{|lam|}
     li = dilog(1.0 - 1.0 / alpha)
@@ -367,7 +343,7 @@ def c_tilde_aux(alpha, coupling: Coupling):
 
     ratio = alpha / (alpha - 1.0)          # overflow-safe for huge alpha
     out = ratio**2 * brace_a + ratio / (alpha - 1.0) * brace_b
-    return _ret(out, scalar)
+    return unwrap(out, scalar)
 
 
 SUP_SCAN_POINTS = 4000  # log-spaced points of the auxiliary-sup scans

@@ -24,7 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .coupling import Coupling, THEOREM_LAMBDA_MIN, lambda_in_theorem_range
+from .coupling import Coupling, CouplingRangeError
 from .gab import TwoPointReconstruction
 from .grids import POWER_LAW_EXTEND
 from .hilbert import QuadratureError
@@ -136,22 +136,11 @@ def _csv_lines(rows):
         yield (line * len(block)) % tuple(cells)
 
 
-def _coupling_or_exit(lam: float, exploratory: bool) -> Coupling:
-    if not exploratory and not lambda_in_theorem_range(lam):
-        print(
-            f"coupling {lam} outside [{THEOREM_LAMBDA_MIN:.6f}, 0]; "
-            "pass --exploratory for diagnostic runs",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_RANGE)
-    return Coupling(lam, exploratory=exploratory)
-
-
 def _run_solve_config(args) -> tuple[SolverConfig, dict]:
     if args.lam is None:
         raise argparse.ArgumentError(None, "--lambda is required (flag or config key)")
     try:
-        coupling = _coupling_or_exit(args.lam, args.exploratory)
+        coupling = Coupling(args.lam, exploratory=args.exploratory)
         cfg = SolverConfig(
             coupling=coupling,
             lambda2=args.cutoff,
@@ -160,6 +149,9 @@ def _run_solve_config(args) -> tuple[SolverConfig, dict]:
             tol_lb=args.tol,
             max_iters=args.max_iters,
         )
+    except CouplingRangeError as exc:
+        print(f"{exc}; pass --exploratory for diagnostic runs", file=sys.stderr)
+        raise SystemExit(EXIT_RANGE)
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc)) from exc
     snapshot = {

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .domain import checked
+
 THEOREM_LAMBDA_MIN = -1.0 / 6.0
 
 # Hard limit: lambda_r blows up at |lambda| = 1/2, and the fixed-point
@@ -20,6 +22,10 @@ EXPLORATORY_LAMBDA_MIN = -0.499
 def lambda_in_theorem_range(lam: float) -> bool:
     """The stability range [-1/6, 0], with 1e-15 of room for rounding."""
     return THEOREM_LAMBDA_MIN - 1e-15 <= lam <= 0.0
+
+
+class CouplingRangeError(ValueError):
+    """A finite coupling outside the stability range [-1/6, 0]."""
 
 
 @dataclass(frozen=True)
@@ -37,18 +43,14 @@ class Coupling:
 
     def __post_init__(self) -> None:
         lam = float(self.lam)
-        if not lam <= 0.0:
-            raise ValueError(f"coupling must be <= 0, got {lam}")
         if self.exploratory:
-            if lam < EXPLORATORY_LAMBDA_MIN:
-                raise ValueError(
-                    f"exploratory coupling must be > {EXPLORATORY_LAMBDA_MIN}, got {lam}"
+            checked(lam, "exploratory coupling", EXPLORATORY_LAMBDA_MIN, 0.0)
+        else:
+            checked(lam, "coupling")
+            if not lambda_in_theorem_range(lam):
+                raise CouplingRangeError(
+                    f"coupling {lam} outside [{THEOREM_LAMBDA_MIN:.6f}, 0]"
                 )
-        elif not lambda_in_theorem_range(lam):
-            raise ValueError(
-                f"coupling {lam} outside [{THEOREM_LAMBDA_MIN}, 0]; "
-                "construct with exploratory=True to bypass the range guard"
-            )
         object.__setattr__(self, "lam", lam)
         object.__setattr__(
             self, "lambda_r", abs(lam) / (1.0 - 2.0 * abs(lam))

@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked, unwrap
 from .grids import GridFunction, HARD_CUTOFF, QuadratureConfig
-from .hilbert import HilbertOfExp, SampledPVTransform, _points_inside
+from .hilbert import HilbertOfExp, SampledPVTransform
 
 _BRANCH_EPS = 1e-12
 BOUNDARY_A0 = 1e-4  # finest-but-one level of the a -> 0 Richardson limit
@@ -67,20 +68,23 @@ class TwoPointReconstruction:
 
     def _r_at(self, a):
         """R at points a in (0, cutoff), and whether a was a scalar."""
-        a, scalar = _points_inside(a, self.lambda2, "a must lie strictly inside (0, cutoff)")
+        a, scalar = checked(a, "a", 0.0, self.lambda2, "()")
         return a, self._hilbert.r(a, self.coupling.abs_lambda), scalar
 
     def tau_at(self, a, b: float):
-        """The angle tau_b at points a in (0, cutoff)."""
+        """The angle tau_b at points a in (0, cutoff), for b >= 0."""
+        checked(b, "b", 0.0)
         a, r_a, scalar = self._r_at(a)
         tau = _branch_arctan(self.coupling.abs_lambda * math.pi * a, b + r_a)
-        return float(tau[0]) if scalar else tau
+        return unwrap(tau, scalar)
 
     # -- two-point values ------------------------------------------------
 
-    def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float) -> np.ndarray:
-        """G(a, b) at points a for one b, given R at a (``_r_at``), with one
-        angle transform for all of them; ValueError as for ``g``."""
+    def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float):
+        """The angle tau_b and G(a, b) at points a for one b, given R at a
+        (``_r_at``), with one angle transform for all of them; ValueError
+        as for ``g``."""
+        checked(b, "b", 0.0)
         al = self.coupling.abs_lambda
         tau = _branch_arctan(al * math.pi * a, b + r_a)
         if not np.all((0.0 <= tau) & (tau <= math.pi)):
@@ -89,12 +93,13 @@ class TwoPointReconstruction:
         g_val = np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a)
         if not np.all(g_val > 0.0):
             raise ValueError("two-point values must be positive")
-        return g_val
+        return tau, g_val
 
     def g(self, a: float, b: float) -> float:
-        """G(a, b); ValueError if the angle leaves [0, pi] or G <= 0."""
+        """G(a, b) for b >= 0; ValueError if the angle leaves [0, pi] or
+        G <= 0."""
         a, r_a, _ = self._r_at(np.array([float(a)]))
-        return float(self._g_at(a, r_a, b)[0])
+        return float(self._g_at(a, r_a, b)[1][0])
 
     @functools.cached_property
     def _probe_r(self) -> np.ndarray:
@@ -104,7 +109,7 @@ class TwoPointReconstruction:
     def boundary_limit(self, b: float) -> float:
         """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4},
         a0 = BOUNDARY_A0."""
-        g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b)
+        g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b)[1]
         e1 = 2.0 * g2 - g1
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0
@@ -132,19 +137,12 @@ class TwoPointReconstruction:
         grids are equal, NaN otherwise: on grids that differ, G(b_j, a_i)
         is not in the table.
         """
-        a_grid = np.asarray(a_grid, dtype=float)
+        a_grid, r_a, _ = self._r_at(a_grid)
         b_grid = np.asarray(b_grid, dtype=float)
-        al = self.coupling.abs_lambda
-        r_a = self._hilbert.r(a_grid, al)
         gmat = np.empty((a_grid.size, b_grid.size))
         taumat = np.empty_like(gmat)
         for j, b in enumerate(b_grid):
-            tau = _branch_arctan(al * math.pi * a_grid, b + r_a)
-            h_tau = self._angle.at(self.tau_values(float(b)), a_grid)
-            taumat[:, j] = tau
-            gmat[:, j] = (
-                np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a_grid)
-            )
+            taumat[:, j], gmat[:, j] = self._g_at(a_grid, r_a, float(b))
         symmetric = np.array_equal(a_grid, b_grid)
         defect = (
             np.abs(gmat - gmat.T) / gmat if symmetric else np.full_like(gmat, np.nan)

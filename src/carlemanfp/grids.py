@@ -10,13 +10,13 @@ fixed-point domain stay inside their envelope between nodes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked, unwrap
 
 POWER_LAW_EXTEND = "power_law_extend"
 HARD_CUTOFF = "hard_cutoff"
@@ -30,16 +30,12 @@ SLOW_TAIL_THRESHOLD = -0.5
 def check_node_count(n_nodes: int) -> None:
     """ValueError unless the grid has a log section of at least HEAD_NODES
     nodes past the linear head."""
-    if n_nodes < 64:
-        raise ValueError(f"n_nodes must be >= 64, got {n_nodes}")
+    checked(n_nodes, "n_nodes", 64.0)
 
 
 def check_cutoff(lambda2: float) -> None:
     """ValueError unless the cutoff is finite and beyond the linear head."""
-    if not 1.0 < lambda2 < math.inf:
-        raise ValueError(
-            f"cutoff must be finite and exceed the linear head [0, 1], got {lambda2}"
-        )
+    checked(lambda2, "cutoff", 1.0, ends="()")
 
 
 @dataclass(frozen=True)
@@ -108,11 +104,7 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes
     ``slopes`` are the limited slopes of the data, if the caller keeps
     them (``GridFunction.slopes``); otherwise they are computed here.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xf = np.atleast_1d(x)
-    if not np.all((nodes[0] <= xf) & (xf <= nodes[-1])):  # NaN fails too
-        raise ValueError("interpolation point outside the grid")
+    xf, scalar = checked(x, "x", nodes[0], nodes[-1])
     ml, mr = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
     idx = np.clip(np.searchsorted(nodes, xf, side="right") - 1, 0, nodes.size - 2)
     h = nodes[idx + 1] - nodes[idx]
@@ -130,7 +122,7 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes
         + h11 * h * mr[idx]
     )
     if not with_derivative:
-        return float(v[0]) if scalar else v
+        return unwrap(v, scalar)
     d00 = (6 * t2 - 6 * t) / h
     d10 = 3 * t2 - 4 * t + 1
     d01 = (-6 * t2 + 6 * t) / h
@@ -141,9 +133,7 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes
         + d01 * values[idx + 1]
         + d11 * mr[idx]
     )
-    if scalar:
-        return float(v[0]), float(d[0])
-    return v, d
+    return unwrap(v, scalar), unwrap(d, scalar)
 
 
 def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
@@ -152,7 +142,7 @@ def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
     fraction c in [0, 1], interval by interval: the fixed fractions give
     fixed basis weights, so no point is located on the grid."""
     ml, mr = slopes
-    t = np.asarray(fractions, dtype=float)
+    t, _ = checked(fractions, "fractions", 0.0, 1.0)
     t2 = t * t
     t3 = t2 * t
     h = np.diff(nodes)[:, None]
@@ -187,7 +177,7 @@ class GridFunction:
             raise ValueError("nodes, values and derivs must have equal length")
         if self.nodes[0] != 0.0:
             raise ValueError("grid must start at 0")
-        if np.any(np.diff(self.nodes) <= 0.0):
+        if not np.all(np.diff(self.nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
 
     # -- membership ---------------------------------------------------
@@ -248,6 +238,7 @@ class GridFunction:
 
 def log_envelope_function(nodes: np.ndarray, exponent: float) -> GridFunction:
     """The exact power-law member f(x) = exponent * log(1+x)."""
+    checked(exponent, "exponent")
     nodes = np.asarray(nodes, dtype=float)
     values = exponent * np.log1p(nodes)
     derivs = exponent / (1.0 + nodes)

@@ -35,6 +35,7 @@ and downward passes, the near-field arithmetic, and the 2F1 tail.  Both
 transforms take the panel samples at the fixed Gauss fractions of every
 interval (``hermite_at_fractions``), from limiter slopes computed once
 per sampled function, so only the targets are located on the grid.
+Targets outside the grid, and NaN, are refused by ``domain.checked``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import math
 
 import numpy as np
 
+from .domain import checked, unwrap
 from .farfield import DENSE_MAX, BoxLayout, BoxRows, BoxTree, LogBoxes, charges
 from .grids import (
     GridFunction,
@@ -73,20 +75,19 @@ def hilbert_power_law(beta: float, mu: float, a):
         = -cot(pi mu) + (1/(mu pi)) (beta/(beta+a))^mu
           * 2F1(1, mu; 1+mu; beta/(a+beta)).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if not (0.0 < mu < 1.0):
-        raise ValueError("mu must lie in (0, 1)")
-    a, scalar = np.asarray(a, dtype=float), np.ndim(a) == 0
-    if np.any(a <= 0.0):
-        raise ValueError("evaluation point must be positive")
+    checked(beta, "beta", 0.0, ends="()")
+    checked(mu, "mu", 0.0, 1.0, "()")
+    a, scalar = checked(a, "a", 0.0, ends="()")
     z = beta / (beta + a)
     out = -1.0 / math.tan(math.pi * mu) + z**mu * hyp2f1_1mu(mu, z) / (mu * math.pi)
-    return float(out) if scalar else out
+    return unwrap(out, scalar)
 
 
 def power_law_tail_integral(coeff: float, p: float, a, x_end: float):
     """(1/pi) int_{x_end}^inf coeff*(1+x)^p / (x-a) dx for p < 0, a < x_end."""
+    checked(coeff, "coeff")
+    checked(p, "p", hi=0.0, ends="()")
+    checked(x_end, "x_end", 0.0, ends="()")
     a = np.asarray(a, dtype=float)
     nu = -p
     z = (1.0 + a) / (1.0 + x_end)
@@ -107,7 +108,7 @@ def extend_for_quadrature(f: GridFunction, plan: _GridPlan):
     lam2, nodes = f.nodes[-1], plan.nodes
     if plan.tail_mode == POWER_LAW_EXTEND:
         p = f.fitted_tail_exponent()
-        if p >= -1e-6:
+        if not p < -1e-6:
             raise ValueError(
                 "power-law extension requires a decaying tail "
                 f"(fitted exponent {p:.3g}); use hard_cutoff"
@@ -409,16 +410,6 @@ def _plan_of(nodes: np.ndarray, tail_mode: str) -> _GridPlan:
     return plan
 
 
-def _points_inside(a, hi: float, message: str):
-    """a as a 1-d float array, and whether it was a scalar; raises
-    ValueError(message) unless every point lies strictly inside (0, hi)."""
-    scalar = np.ndim(a) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if not np.all((0.0 < a) & (a < hi)):  # NaN fails too
-        raise ValueError(message)
-    return a, scalar
-
-
 def _finite(out: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise QuadratureError("transform produced non-finite values")
@@ -454,11 +445,8 @@ class HilbertOfExp:
         """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff), or in
         (0, end of the working grid) with ``allow_extension``."""
         hi = self.x_end if allow_extension else self.lambda2
-        a, scalar = _points_inside(
-            a, hi, f"evaluation points must lie strictly inside (0, {hi:g})"
-        )
-        out = self._quotient(a, np.exp(self.ext.at(a)))
-        return float(out[0]) if scalar else out
+        a, scalar = checked(a, "a", 0.0, hi, "()")
+        return unwrap(self._quotient(a, np.exp(self.ext.at(a))), scalar)
 
     def r(self, a, abs_lambda: float, allow_extension: bool = False, f_a=None):
         """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a).
@@ -470,10 +458,7 @@ class HilbertOfExp:
         ``allow_extension``.
         """
         hi = self.x_end if allow_extension else self.lambda2
-        scalar = np.ndim(a) == 0
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if not np.all((a >= 0.0) & (a < hi)):
-            raise ValueError(f"evaluation points must lie in [0, {hi:g})")
+        a, scalar = checked(a, "a", 0.0, hi, "[)")
         f_a = self.ext.at(a) if f_a is None else np.atleast_1d(f_a)
         out = np.exp(-f_a)
         inside = a > 0.0
@@ -481,7 +466,7 @@ class HilbertOfExp:
             a_in = a[inside]
             quot = self._quotient(a_in, np.exp(f_a[inside]))
             out[inside] -= abs_lambda * math.pi * a_in * quot
-        return float(out[0]) if scalar else out
+        return unwrap(out, scalar)
 
 
 class SampledPVTransform:
@@ -512,18 +497,14 @@ class SampledPVTransform:
     def at(self, values, a):
         """Transform of the sampled function at points a in (0, X)."""
         values, derivs, slopes = self._samples(values)
-        a, scalar = _points_inside(
-            a, self.x_end, "evaluation points must lie strictly inside the grid"
-        )
+        a, scalar = checked(a, "a", 0.0, self.x_end, "()")
         sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
         s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
-        out = _finite(self.panels.pv(sub_s, a, s_a))
-        return float(out[0]) if scalar else out
+        return unwrap(_finite(self.panels.pv(sub_s, a, s_a)), scalar)
 
     def at_zero(self, values) -> float:
         """Transform at a = 0 for functions vanishing at 0 (no pole)."""
         values, _, slopes = self._samples(values)
-        if abs(values[0]) > 1e-12:
-            raise ValueError("zero-point transform needs s(0) = 0")
+        checked(values[0], "s(0)", -1e-12, 1e-12)
         sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
-        return float(np.sum(self.sub_w * sub_s / self.sub_x) / math.pi)
+        return float(_finite(np.sum(self.sub_w * sub_s / self.sub_x)) / math.pi)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked, unwrap
 from .farfield import DENSE_MAX, LogBoxes
 from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, QuadratureConfig
 from .grids import log_envelope_function
@@ -100,7 +101,7 @@ class TOperator:
             k = int(np.searchsorted(t, t[-1] / 10.0))
             r1 = float((rf[-1] - rf[k]) / (t[-1] - t[k]))
             r0 = float(rf[-1] - r1 * t[-1])
-            if r1 <= 0.0:
+            if not r1 > 0.0:
                 raise QuadratureError("tail model of R has non-positive slope")
         return RfCache(
             t_nodes=t,
@@ -122,7 +123,7 @@ class TOperator:
         beta = b + cache.tail_r0
         # Valid while beta + r1*t stays positive on [t_end, inf); beta itself
         # may be negative (the secant intercept of a sublinear drift).
-        if np.any(beta + cache.tail_r1 * t_end <= 0.0):
+        if not np.all(beta + cache.tail_r1 * t_end > 0.0):
             raise QuadratureError("affine tail model not applicable beyond the grid")
         with np.errstate(divide="ignore", invalid="ignore"):
             lim = math.atan2(alpha, cache.tail_r1)
@@ -148,14 +149,10 @@ class TOperator:
 
     def derivative(self, cache: RfCache, b, require_positive: bool = True):
         """(Tf)'(b) from the R samples of ``rf_cache``, vectorised over b >= 0."""
-        b_arr = np.atleast_1d(np.asarray(b, dtype=float))
-        scalar = np.ndim(b) == 0
-        if not np.all(0.0 <= b_arr):  # NaN fails too
-            raise ValueError("b must be >= 0")
+        b_arr, scalar = checked(b, "b", 0.0)
         al = self.coupling.abs_lambda
         if al == 0.0:
-            out = -1.0 / (1.0 + b_arr)
-            return float(out[0]) if scalar else out
+            return unwrap(-1.0 / (1.0 + b_arr), scalar)
         if require_positive and b_arr.min() + cache.min_rf <= 0.0:
             raise PoleRegionError(
                 f"b + Rf(t) <= 0 at b={b_arr.min():g} (min Rf = {cache.min_rf:g})"
@@ -179,7 +176,7 @@ class TOperator:
         out = -1.0 / (1.0 + b_arr) + al * integral
         if not np.all(np.isfinite(out)):
             raise QuadratureError("operator derivative produced non-finite values")
-        return float(out[0]) if scalar else out
+        return unwrap(out, scalar)
 
     # -- Tf -------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked
 from .grids import (
     GridFunction,
     QuadratureConfig,
@@ -69,12 +70,9 @@ class SolverConfig:
     envelope_slack: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not 0.0 < self.tol_lb < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tol_lb}")
+        checked(self.damping, "damping", 0.0, 1.0, "(]")
+        checked(self.max_iters, "max_iters", 1.0)
+        checked(self.tol_lb, "tolerance", 0.0, ends="()")
         self.quadrature()  # validates the cutoff and the node count
 
     def quadrature(self) -> QuadratureConfig:
@@ -262,6 +260,8 @@ def consistency_residual(
     ``b_max`` restricts the check to nodes <= b_max (the pointwise
     convergence diagnostics need a cutoff-independent window).
     """
+    if b_max is not None:
+        checked(b_max, "b_max", 0.0)
     op = TOperator(coupling, cfg or QuadratureConfig())
     cache = op.rf_cache(f)
     d = op.derivative(cache, f.nodes, require_positive=False)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .coupling import Coupling
+from .domain import checked, unwrap
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -43,11 +44,6 @@ _EPS = float(np.finfo(float).eps)
 _BALANCE_ULPS = 8        # c - a - b may miss its integer by this many ulps
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^k by Horner's rule."""
     out = np.full_like(x, coeffs[-1])
@@ -64,8 +60,7 @@ def digamma(x: float) -> float:
     10, where the asymptotic series (Abramowitz & Stegun 6.3.18)
     log x - 1/(2x) - sum_n B_2n / (2n x^2n) is summed in Horner form.
     """
-    if not x > 0.0:
-        raise ValueError(f"digamma needs x > 0, got {x}")
+    checked(x, "x", 0.0, ends="()")
     shift = 0.0
     while x < _DIGAMMA_ASYMPTOTIC:
         shift += 1.0 / x
@@ -125,18 +120,15 @@ def hyp2f1_1mu(mu: float, z):
     Relative accuracy is kept at ~1e-13 up to z = 1 - 1e-8 by switching
     to the logarithmic rearrangement for z > 0.5.
     """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    z, scalar = _as_float_array(z)
-    if not np.all((z >= 0.0) & (z < 1.0)):  # NaN fails both comparisons
-        raise ValueError("argument must satisfy 0 <= z < 1")
+    checked(mu, "mu", 0.0, ends="()")
+    z, scalar = checked(z, "z", 0.0, 1.0, "[)")
     gauss = z <= _SERIES_SWITCH
     out = np.empty_like(z)
     if np.any(gauss):
         out[gauss] = _gauss_series_1mu(mu, z[gauss])
     if not np.all(gauss):
         out[~gauss] = _log_series_1mu(mu, z[~gauss])
-    return float(out) if scalar else out
+    return unwrap(out, scalar)
 
 
 def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
@@ -195,15 +187,11 @@ def hyp2f1(a: float, b: float, c: float, z):
     with S from ``_log_series``.  Other parameter families raise
     ``ValueError``.
     """
+    checked((a, b, c), "a, b and c", 0.0, ends="()")
     m = round(c - a - b)
-    if not (a > 0.0 and b > 0.0 and m in (0, 1)
-            and abs(c - a - b - m) <= _BALANCE_ULPS * _EPS * max(a, b, c)):
-        raise ValueError(
-            f"need a, b > 0 and c - a - b in {{0, 1}}, got a={a}, b={b}, c={c}"
-        )
-    z, scalar = _as_float_array(z)
-    if not np.all((z >= 0.0) & (z < 1.0)):
-        raise ValueError("argument must satisfy 0 <= z < 1")
+    if not (m in (0, 1) and abs(c - a - b - m) <= _BALANCE_ULPS * _EPS * max(a, b, c)):
+        raise ValueError(f"need c - a - b in {{0, 1}}, got a={a}, b={b}, c={c}")
+    z, scalar = checked(z, "z", 0.0, 1.0, "[)")
     gauss = z <= _SERIES_SWITCH
     out = np.empty_like(z)
     if np.any(gauss):
@@ -213,7 +201,7 @@ def hyp2f1(a: float, b: float, c: float, z):
         scale = math.gamma(c) / (math.gamma(a) * math.gamma(b))
         series = _log_series(a, b, m, scale, w)
         out[~gauss] = scale * (m / (a * b) + (-w) ** m * series)
-    return float(out) if scalar else out
+    return unwrap(out, scalar)
 
 
 def _dilog_series(x: np.ndarray) -> np.ndarray:
@@ -229,9 +217,7 @@ def dilog(x):
     Li2(x) = pi^2/6 - log(x) log(1-x) - Li2(1-x), below it the inversion
     Li2(x) = -pi^2/6 - log(-x)^2/2 - Li2(1/x).
     """
-    x, scalar = _as_float_array(x)
-    if not np.all(x <= 1.0):
-        raise ValueError("dilogarithm argument must be <= 1")
+    x, scalar = checked(x, "x", hi=1.0)
     out = np.full_like(x, math.pi**2 / 6.0)          # Li2(1)
     mid = (x >= -1.0) & (x <= 0.5)
     out[mid] = _dilog_series(x[mid])
@@ -241,7 +227,7 @@ def dilog(x):
     low = x < -1.0
     y = x[low]
     out[low] = -math.pi**2 / 6.0 - 0.5 * np.log(-y) ** 2 - _dilog_series(1.0 / y)
-    return float(out) if scalar else out
+    return unwrap(out, scalar)
 
 
 def trigamma(x: float) -> float:
@@ -252,8 +238,7 @@ def trigamma(x: float) -> float:
     1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1) is summed in Horner form; the
     recurrence terms are then added from the smallest up.
     """
-    if not x > 0.0:
-        raise ValueError(f"trigamma needs x > 0, got {x}")
+    checked(x, "x", 0.0, ends="()")
     shifts = max(0, math.ceil(_DIGAMMA_ASYMPTOTIC - x))
     y = x + shifts
     t = 1.0 / (y * y)

@@ -48,6 +48,12 @@ class TestFhat:
     def test_vanishes_at_origin(self):
         assert bounds.fhat(0.25, 0.0) == 0.0
 
+    @pytest.mark.parametrize("fn", [bounds.fhat, bounds.fhat_prime])
+    def test_lambda_r_outside_range_rejected(self, fn):
+        # fhat_prime had no check: at lambda_r = 0.7 it returned -0.4986
+        with pytest.raises(ValueError, match="lambda_r"):
+            fn(0.7, 1.0)
+
     def test_derivatives_match_finite_differences(self):
         h = 1e-6
         for lr in (0.1, 0.25):
@@ -239,6 +245,11 @@ class TestAuxiliaryFunctions:
 class TestHilbertQuotientModulus:
     def test_zero_distance(self, fig_coupling):
         assert bounds.hilbert_quotient_modulus(10.0, 0.0, fig_coupling) == 0.0
+
+    def test_negative_point_rejected(self, fig_coupling):
+        # log1p(a) made it NaN
+        with pytest.raises(ValueError, match="a must lie"):
+            bounds.hilbert_quotient_modulus(-2.0, 1.0, fig_coupling)
 
     def test_value_at_origin(self, fig_coupling):
         from carlemanfp.specfun import zeta_lambda

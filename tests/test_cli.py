@@ -66,6 +66,7 @@ class TestSolve:
     def test_range_guard_exit_code(self, tmp_path):
         code = run(["solve", "--lambda=-0.2", "--out", str(tmp_path / "x.csv")])
         assert code == 4
+        assert run(["solve", "--lambda=0.1", "--out", str(tmp_path / "x.csv")]) == 4
 
     def test_exploratory_bypass(self, tmp_path):
         code = run(
@@ -207,6 +208,13 @@ def _write(tmp_path, name, text):
         (["verify", "--suite=nope"], None, "nope"),
         (["verify", "--suite=prop4,nope"], None, "nope"),
         (["verify", "--suite=all,nope"], None, "nope"),
+        # a coupling that is not a finite number is a usage error, not a
+        # coupling outside the stability range
+        (["solve", "--lambda=nan"], None, "coupling"),
+        (["solve", "--lambda=-inf"], None, "coupling"),
+        (["solve", "--lambda=nan", "--exploratory"], None, "coupling"),
+        (["solve", "--lambda=-inf", "--exploratory"], None, "coupling"),
+        (["solve", "--lambda=0.1", "--exploratory"], None, "coupling"),
     ],
 )
 def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):

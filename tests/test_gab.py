@@ -36,6 +36,15 @@ class TestAngle:
         with pytest.raises(ValueError):
             rec.tau_at(a, 1.0)
 
+    @pytest.mark.parametrize("b", [-0.5, -math.inf, math.nan, math.inf])
+    def test_b_off_the_half_line_rejected(self, reconstruction, b):
+        # b < 0 gave finite G: g(1, -5) was 0.12 and g(1, -inf) 1.1e-19
+        _, rec = reconstruction
+        for call in (lambda: rec.tau_at(1.0, b), lambda: rec.g(1.0, b),
+                     lambda: rec.boundary_limit(b), lambda: rec.table([1.0], [b])):
+            with pytest.raises(ValueError, match="b must lie"):
+                call()
+
     def test_branch_at_vanishing_denominator(self):
         from carlemanfp.gab import _branch_arctan
 

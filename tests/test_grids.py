@@ -53,7 +53,7 @@ def test_make_nodes_layout():
 
 @pytest.mark.parametrize("n_nodes", [20, 32, 63])
 def test_make_nodes_rejects_short_grid(n_nodes):
-    with pytest.raises(ValueError, match=f"n_nodes must be >= 64, got {n_nodes}"):
+    with pytest.raises(ValueError, match=rf"n_nodes must lie in \[64, inf\), got {n_nodes}"):
         make_nodes(n_nodes, 1e6)
 
 
@@ -73,8 +73,10 @@ def test_make_nodes_shares_one_read_only_array_per_grid():
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(n_nodes=32)
+    # a NaN count passed `n_nodes < 64`
+    for n_nodes in (32, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_nodes"):
+            QuadratureConfig(n_nodes=n_nodes)
     for cutoff in (-1.0, 1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="cutoff"):
             QuadratureConfig(lambda2=cutoff)
@@ -91,6 +93,13 @@ def test_hermite_exact_at_nodes_and_smooth():
     probe = np.geomspace(1e-3, 9e3, 200)
     assert np.allclose(f.at(probe), -0.8 * np.log1p(probe), atol=1e-9)
     assert np.allclose(f.derivative_at(probe), -0.8 / (1.0 + probe), rtol=1e-5)
+
+
+def test_nan_nodes_rejected():
+    # NaN passed `np.any(np.diff(nodes) <= 0)` as false
+    nodes = np.array([0.0, math.nan, 2.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GridFunction(nodes, np.zeros(3), np.zeros(3))
 
 
 @pytest.mark.parametrize("x", [math.nan, [0.1, math.nan], [math.nan, 0.9]])

@@ -83,6 +83,8 @@ class TestPowerLawClosedForm:
             hilbert_power_law(1.0, 1.5, 1.0)
         with pytest.raises(ValueError):
             hilbert_power_law(1.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            hilbert_power_law(math.nan, 0.5, 1.0)
 
 
 class TestHilbertOfExp:
@@ -156,6 +158,11 @@ class TestHilbertOfExp:
         f = zero_function(make_nodes(200, 1e4))
         with pytest.raises(ValueError):
             HilbertOfExp(f, cfg)
+        # a NaN exponent passed `p >= -1e-6` and the sum raised
+        # QuadratureError on the NaN tail instead
+        f.tail_exponent = math.nan
+        with pytest.raises(ValueError, match="decaying tail"):
+            HilbertOfExp(f, cfg)
 
 
 class TestSampledTransformLinearity:
@@ -183,6 +190,15 @@ class TestSampledTransformLinearity:
         got = SampledPVTransform(nodes).at_zero(vals)
         exact = math.log1p(1e4) / math.pi
         assert got == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("at, error", [(0, ValueError), (5, hilbert.QuadratureError)])
+    def test_zero_point_refuses_nan(self, at, error):
+        # NaN passed `abs(s(0)) > 1e-12`, and the sum came back NaN
+        nodes = make_nodes(300, 1e4)
+        vals = nodes / (1.0 + nodes)
+        vals[at] = math.nan
+        with pytest.raises(error):
+            SampledPVTransform(nodes).at_zero(vals)
 
     def test_only_the_targets_are_located(self, monkeypatch):
         # the panel samples come at fixed fractions of each interval; the

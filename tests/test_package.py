@@ -70,3 +70,30 @@ class TestScipyStaysOffTheSolvePath:
                 if any(name.split(".")[0] == "scipy" for name in names):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
+
+
+def test_no_nan_blind_guard():
+    # `if np.any(x < lo): raise` lets NaN through, since every comparison
+    # with NaN is false; a guard is written `if not np.all(<in range>)`,
+    # or goes through carlemanfp.domain.checked
+    package = Path(carlemanfp.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.If):
+                continue
+            blind = any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "any"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "np"
+                and any(isinstance(arg, ast.Compare) for arg in call.args)
+                for call in ast.walk(node.test)
+            )
+            raises = any(
+                isinstance(sub, ast.Raise) for stmt in node.body for sub in ast.walk(stmt)
+            )
+            if blind and raises:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

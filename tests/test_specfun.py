@@ -124,6 +124,9 @@ class TestHyp2f1OneMu:
             hyp2f1_1mu(0.25, 1.0)
         with pytest.raises(ValueError):
             hyp2f1_1mu(-0.5, 0.5)
+        # +inf passed `not mu > 0`; the series then grew until memory ran out
+        with pytest.raises(ValueError, match="mu"):
+            hyp2f1_1mu(math.inf, 0.3)
 
     @pytest.mark.parametrize("z", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
     def test_nan_rejected(self, z):
@@ -174,6 +177,9 @@ class TestHyp2f1General:
             hyp2f1(1.0, 1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)
+        # rejected by the parameter check, not by round(nan) failing
+        with pytest.raises(ValueError, match="a, b and c"):
+            hyp2f1(math.nan, 1.0, 2.0, 0.5)
 
     # measured worst relative error: 8.0e-15, at (2, 1.25, 4.25) just above z = 1/2
     @pytest.mark.parametrize("a,b,c", _bound_parameter_sets())
@@ -252,7 +258,7 @@ class TestDigammaDilog:
 
     def test_domain(self):
         # pole at 0, outside the domain x > 0
-        for x in (0.0, -1.0, math.nan):
+        for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 digamma(x)
 
@@ -267,7 +273,7 @@ class TestDigammaDilog:
         assert np.max(np.abs(mine - ref) / np.maximum(1.0, ref)) <= 2e-15
 
     def test_trigamma_domain(self):
-        for x in (0.0, -1.0, math.nan):
+        for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 trigamma(x)
 
