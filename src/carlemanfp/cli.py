@@ -106,34 +106,37 @@ def _write_manifest(args, command: str, snapshot: dict, t0: float, history=None)
         fh.write("\n")
 
 
-def _emit(args, command: str, snapshot: dict, t0: float, header: list[str], rows,
+def _emit(args, command: str, snapshot: dict, t0: float, header: list[str], blocks,
           meta: dict, history) -> None:
     """The command's CSV at --out, with a ``# key=value`` preamble from
-    ``meta``, and then its manifest."""
+    ``meta`` and the rows of each of ``blocks`` in turn, and then its
+    manifest."""
     with open(args.out, "w") as fh:
         fh.write(f"# carleman-fp {__version__}\n")
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(_csv_lines(rows))
+        fh.writelines(_csv_lines(*blocks))
     _write_manifest(args, command, snapshot, t0, history)
 
 
-def _csv_lines(rows):
-    """CSV text of the rows, numbers as ``_FMT`` and strings as they are;
-    every row has the shape of the first.  Each block of ``_CSV_BLOCK``
-    rows is formatted by one %-operation, which bounds the Python floats
-    alive at once."""
-    if len(rows) == 0:
-        return
-    line = ",".join("%s" if isinstance(cell, str) else _FMT for cell in rows[0]) + "\n"
-    for lo in range(0, len(rows), _CSV_BLOCK):
-        block = rows[lo : lo + _CSV_BLOCK]
-        if isinstance(block, np.ndarray):
-            cells = block.ravel().tolist()
-        else:
-            cells = list(itertools.chain.from_iterable(block))
-        yield (line * len(block)) % tuple(cells)
+def _csv_lines(*blocks):
+    """CSV text of the rows of each block (a list of rows or a 2-D
+    array), numbers as ``_FMT`` and strings as they are; every row of a
+    block has the shape of its first.  Each run of ``_CSV_BLOCK`` rows is
+    formatted by one %-operation, which bounds the Python floats alive
+    at once."""
+    for rows in blocks:
+        if len(rows) == 0:
+            continue
+        line = ",".join("%s" if isinstance(cell, str) else _FMT for cell in rows[0]) + "\n"
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo : lo + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                cells = block.ravel().tolist()
+            else:
+                cells = list(itertools.chain.from_iterable(block))
+            yield (line * len(block)) % tuple(cells)
 
 
 def _run_solve_config(args) -> tuple[SolverConfig, dict]:
@@ -193,7 +196,7 @@ def cmd_solve(args) -> int:
                 tail_exponent=f.fitted_tail_exponent(), slow_tail=f.has_slow_tail())
     _emit(args, "solve", snapshot, t0,
           ["b", "f", "g0b", "lower_envelope", "upper_envelope"],
-          solution_rows(res, cfg.coupling), meta, res.history)
+          [solution_rows(res, cfg.coupling)], meta, res.history)
     print(
         f"converged in {res.iterations} iterations, residual {res.residual:.3e}, "
         f"wrote {args.out}"
@@ -247,7 +250,7 @@ def cmd_figure2(args) -> int:
         for b, g, lo, up in zip(f.nodes[sel], g0b[sel], lower[sel], upper[sel]):
             rows.append([label, b, g, lo, up])
     _emit(args, "figure2", snapshot, t0,
-          ["window", "b", "g0b", "lower_envelope", "upper_envelope"], rows,
+          ["window", "b", "g0b", "lower_envelope", "upper_envelope"], [rows],
           dict(snapshot, iterations=res.iterations, residual=res.residual),
           res.history)
     print(f"wrote {args.out} ({len(rows)} rows over four windows)")
@@ -267,16 +270,14 @@ def cmd_gab(args) -> int:
     rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
     grid = np.geomspace(args.a_min, args.a_max, args.grid)
     table = rec.table(grid, grid)
-    rows = [list(r) for r in table]
     # a -> 0 block: the extrapolated boundary limit against the solved edge
-    for b in grid:
-        lim = rec.boundary_limit(float(b))
-        ref = math.exp(float(res.grid_function.at(float(b))))
-        rows.append([0.0, float(b), 0.0, lim, abs(lim - ref) / ref])
+    limits, deviation = rec.boundary_limits(grid)
+    zeros = np.zeros_like(grid)
+    edge = np.column_stack([zeros, grid, zeros, limits, deviation])
     snapshot = dict(snapshot, grid=args.grid, a_min=args.a_min, a_max=args.a_max)
     _emit(args, "gab", snapshot, t0, ["a", "b", "tau", "g_ab", "symmetry_defect"],
-          rows, snapshot, res.history)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+          [table, edge], snapshot, res.history)
+    print(f"wrote {args.out} ({len(table) + len(edge)} rows)")
     return EXIT_OK
 
 

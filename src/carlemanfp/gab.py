@@ -6,6 +6,13 @@ two-variable function is
 with the angle tau_b(a) = arctan_[0,pi](|lam| pi a / (b + R(a))) taken on
 the [0, pi] branch and all transforms truncated at the cutoff.  Valid
 for negative coupling.
+
+The a -> 0 limit G(0, b) is a Richardson extrapolation from three points
+a near 0.  ``table`` samples each b's angle once, for its column, and
+transforms it at the a-grid and at those three points in one
+``SampledPVTransform.at`` call; the reconstruction keeps the latter for
+the b's of its last table, so ``boundary_limit`` of such a b forms no
+samples of its own.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ class TwoPointReconstruction:
         )
         self._angle = SampledPVTransform(f.nodes)
         self._h0_tau0 = self._angle.at_zero(self.tau_values(0.0))
+        # the angle transforms at the points of the a -> 0 limit that the
+        # last table formed, by b
+        self._table_probes: dict[float, np.ndarray] = {}
 
     # -- angle ---------------------------------------------------------
 
@@ -80,16 +90,18 @@ class TwoPointReconstruction:
 
     # -- two-point values ------------------------------------------------
 
-    def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float):
+    def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float, h_tau=None):
         """The angle tau_b and G(a, b) at points a for one b, given R at a
-        (``_r_at``), with one angle transform for all of them; ValueError
+        (``_r_at``) and the angle transform ``h_tau`` at a if it is formed
+        already, else with one angle transform for all of them; ValueError
         as for ``g``."""
         checked(b, "b", 0.0)
         al = self.coupling.abs_lambda
         tau = _branch_arctan(al * math.pi * a, b + r_a)
         if not np.all((0.0 <= tau) & (tau <= math.pi)):
             raise ValueError("angle must lie in [0, pi]")
-        h_tau = self._angle.at(self.tau_values(b), a)
+        if h_tau is None:
+            h_tau = self._angle.at(self.tau_values(b), a)
         g_val = np.exp(-(h_tau - self._h0_tau0)) * np.sin(tau) / (al * math.pi * a)
         if not np.all(g_val > 0.0):
             raise ValueError("two-point values must be positive")
@@ -108,14 +120,26 @@ class TwoPointReconstruction:
 
     def boundary_limit(self, b: float) -> float:
         """a -> 0 limit by two-level Richardson over {a0, a0/2, a0/4},
-        a0 = BOUNDARY_A0."""
-        g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b)[1]
+        a0 = BOUNDARY_A0.  For a b of the last ``table`` the angle
+        transform at those points is the one that table formed with its
+        column; any other b transforms its own."""
+        h_probes = self._table_probes.get(float(b))
+        g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b, h_probes)[1]
         e1 = 2.0 * g2 - g1
         e2 = 2.0 * g3 - g2
         return (4.0 * e2 - e1) / 3.0
 
+    def boundary_limits(self, b_values):
+        """The a -> 0 limits at b_values (``boundary_limit``), and their
+        relative deviations from the boundary solution exp(f(b))."""
+        b_values, _ = checked(b_values, "b", 0.0)
+        limits = np.array([self.boundary_limit(b) for b in b_values.tolist()])
+        ref = np.array([math.exp(v) for v in self.f.at(b_values).tolist()])
+        return limits, np.abs(limits - ref) / ref
+
     def boundary_consistency(self, b_values=None) -> float:
-        """Worst relative deviation of the a -> 0 limit from exp(f(b)).
+        """Worst relative deviation of the a -> 0 limit from exp(f(b))
+        (``boundary_limits``).
 
         The reconstruction is cutoff-truncated while the boundary
         solution solves the untruncated problem, so the deviation grows
@@ -124,25 +148,26 @@ class TwoPointReconstruction:
         """
         if b_values is None:
             b_values = np.geomspace(0.5, 1e-3 * self.lambda2, 12)
-        worst = 0.0
-        for b in np.asarray(b_values, dtype=float):
-            ref = math.exp(float(self.f.at(b)))
-            worst = max(worst, abs(self.boundary_limit(float(b)) - ref) / ref)
-        return worst
+        return float(np.max(self.boundary_limits(b_values)[1], initial=0.0))
 
     def table(self, a_grid, b_grid) -> np.ndarray:
         """Columns a, b, tau, G(a,b), symmetry defect on a rectangular grid.
 
-        The defect column |G(a,b)-G(b,a)|/G(a,b) is filled when the two
-        grids are equal, NaN otherwise: on grids that differ, G(b_j, a_i)
-        is not in the table.
+        Each b's angle is sampled once, and its transform taken at the
+        a-grid and at the points of the a -> 0 limit together; the latter
+        are kept until the next table, for ``boundary_limit`` of that b,
+        which checks them.  The defect column |G(a,b)-G(b,a)|/G(a,b) is
+        filled when the two grids are equal, NaN otherwise: on grids that
+        differ, G(b_j, a_i) is not in the table.
         """
         a_grid, r_a, _ = self._r_at(a_grid)
-        b_grid = np.asarray(b_grid, dtype=float)
+        b_grid, _ = checked(b_grid, "b", 0.0)
         gmat = np.empty((a_grid.size, b_grid.size))
         taumat = np.empty_like(gmat)
-        for j, b in enumerate(b_grid):
-            taumat[:, j], gmat[:, j] = self._g_at(a_grid, r_a, float(b))
+        self._table_probes = probes = {}
+        for j, b in enumerate(b_grid.tolist()):
+            h_a, probes[b] = self._angle.at(self.tau_values(b), a_grid, _BOUNDARY_PROBES)
+            taumat[:, j], gmat[:, j] = self._g_at(a_grid, r_a, b, h_a)
         symmetric = np.array_equal(a_grid, b_grid)
         defect = (
             np.abs(gmat - gmat.T) / gmat if symmetric else np.full_like(gmat, np.nan)

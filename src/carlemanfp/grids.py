@@ -179,6 +179,8 @@ class GridFunction:
             raise ValueError("grid must start at 0")
         if not np.all(np.diff(self.nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
+        if self.tail_exponent is not None:
+            checked(self.tail_exponent, "tail_exponent")
 
     # -- membership ---------------------------------------------------
 

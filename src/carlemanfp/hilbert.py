@@ -28,7 +28,8 @@ first sum past DENSE_MAX targets, and the (Tf)' layout of the last b
 set.  A source plan keeps the target plan (``_PVTargets``: each target's
 box and Lagrange rows, T's far field there and the near-field rows) of
 the last point set it summed at; any other point set is planned for its
-call.  ``SampledPVTransform`` keeps its own panels and source plan.  An
+call.  ``SampledPVTransform`` keeps its own panels and source plan, and
+samples a function once for all the point sets it is transformed at.  An
 application then computes only what depends on the sampled function: its
 panel samples and Hermite values, the charges of w s with their upward
 and downward passes, the near-field arithmetic, and the 2F1 tail.  Both
@@ -494,13 +495,23 @@ class SampledPVTransform:
         derivs = np.sum(self._fd_c * values[self._fd_idx], axis=1)
         return values, derivs, _limited_slopes(self.nodes, values, derivs)
 
-    def at(self, values, a):
-        """Transform of the sampled function at points a in (0, X)."""
+    def at(self, values, *point_sets):
+        """Transform of the sampled function at each set of points a in
+        (0, X): one result for one set, else a tuple of one per set.
+
+        The samples are formed once for all the sets, and each set is
+        summed on its own, so its values have the bits of a call for it
+        alone (a dense sum of several sets together would regroup its
+        rows in the matrix-vector product, and could cross DENSE_MAX).
+        """
         values, derivs, slopes = self._samples(values)
-        a, scalar = checked(a, "a", 0.0, self.x_end, "()")
         sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
-        s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
-        return unwrap(_finite(self.panels.pv(sub_s, a, s_a)), scalar)
+        out = []
+        for a in point_sets:
+            a, scalar = checked(a, "a", 0.0, self.x_end, "()")
+            s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
+            out.append(unwrap(_finite(self.panels.pv(sub_s, a, s_a)), scalar))
+        return out[0] if len(out) == 1 else tuple(out)
 
     def at_zero(self, values) -> float:
         """Transform at a = 0 for functions vanishing at 0 (no pole)."""

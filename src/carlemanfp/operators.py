@@ -153,7 +153,7 @@ class TOperator:
         al = self.coupling.abs_lambda
         if al == 0.0:
             return unwrap(-1.0 / (1.0 + b_arr), scalar)
-        if require_positive and b_arr.min() + cache.min_rf <= 0.0:
+        if require_positive and b_arr.size and b_arr.min() + cache.min_rf <= 0.0:
             raise PoleRegionError(
                 f"b + Rf(t) <= 0 at b={b_arr.min():g} (min Rf = {cache.min_rf:g})"
             )

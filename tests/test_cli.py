@@ -334,3 +334,6 @@ def test_csv_rows_match_the_per_cell_writer(small_solution, rng):
     ]
     for rows in (solve_rows, figure2_rows, gab_rows):
         assert "".join(_csv_lines(rows)).encode() == per_cell_csv(rows).encode()
+    # gab writes its table and its a -> 0 block as two arrays
+    blocks = "".join(_csv_lines(table, np.array(gab_rows[-2:]), np.empty((0, 5))))
+    assert blocks.encode() == per_cell_csv(gab_rows).encode()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carlemanfp import gab
 from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.hilbert import HilbertOfExp
 
@@ -115,6 +116,114 @@ class TestTwoPoint:
         # G -> 1 as both arguments go to 0
         val = rec.g(1e-4, 0.0)
         assert val == pytest.approx(1.0, abs=1e-3)
+
+
+def column_reference(rec, a, b):
+    """tau_b and G(a, b) at points a for one b, with the angle transform
+    taken at a alone (``_angle.at``)."""
+    al = rec.coupling.abs_lambda
+    a = np.asarray(a, dtype=float)
+    tau = np.arctan2(al * math.pi * a, b + rec._hilbert.r(a, al))
+    h = rec._angle.at(rec.tau_values(b), a)
+    return tau, np.exp(-(h - rec._h0_tau0)) * np.sin(tau) / (al * math.pi * a)
+
+
+def limit_reference(rec, b):
+    """The a -> 0 limit from G at the probe points alone."""
+    g1, g2, g3 = column_reference(rec, gab._BOUNDARY_PROBES, b)[1]
+    return (4.0 * (2.0 * g3 - g2) - (2.0 * g2 - g1)) / 3.0
+
+
+def counted_transforms(monkeypatch, rec) -> list:
+    """Record the point sets of every angle transform of rec."""
+    at, calls = rec._angle.at, []
+
+    def counting(values, *point_sets):
+        calls.append(point_sets)
+        return at(values, *point_sets)
+
+    monkeypatch.setattr(rec._angle, "at", counting)
+    return calls
+
+
+class TestSharedColumns:
+    """table transforms each b's angle once, at the a-grid and the points
+    of the a -> 0 limit; boundary_limit reads the latter for the b's of
+    the last table."""
+
+    @pytest.mark.parametrize("a_grid, b_grid", [
+        (np.geomspace(0.05, 80.0, 7), np.geomspace(0.05, 80.0, 7)),
+        (np.geomspace(0.02, 300.0, 5), np.array([0.0, 0.7, 45.0])),
+        # past farfield.DENSE_MAX points a: the compressed sum
+        (np.geomspace(1e-2, 1e2, 301), np.array([0.3, 9.0])),
+    ], ids=["equal", "unequal", "compressed"])
+    def test_bits_of_per_column_transforms(self, small_solution, a_grid, b_grid):
+        cfg, res = small_solution
+        rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
+        ref = TwoPointReconstruction(res.grid_function, cfg.coupling)
+        table = rec.table(a_grid, b_grid)
+        tau = table[:, 2].reshape(a_grid.size, b_grid.size)
+        g = table[:, 3].reshape(a_grid.size, b_grid.size)
+        for j, b in enumerate(b_grid):
+            want_tau, want_g = column_reference(ref, a_grid, b)
+            assert np.array_equal(tau[:, j], want_tau)
+            assert np.array_equal(g[:, j], want_g)
+            assert rec.boundary_limit(b) == limit_reference(ref, b)
+
+    def test_limits_read_the_last_table(self, reconstruction, monkeypatch):
+        _, rec = reconstruction
+        b_grid = np.array([0.5, 2.0, 30.0])
+        rec.table([0.1, 1.0], b_grid)
+        calls = counted_transforms(monkeypatch, rec)
+        limits = [rec.boundary_limit(b) for b in b_grid]
+        assert calls == []
+        # a b outside the table transforms its own column at the probes
+        other = rec.boundary_limit(7.0)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], gab._BOUNDARY_PROBES)
+        monkeypatch.undo()
+        assert limits == [limit_reference(rec, b) for b in b_grid]
+        assert other == limit_reference(rec, 7.0)
+
+    def test_new_table_replaces_kept_limits(self, reconstruction, monkeypatch):
+        _, rec = reconstruction
+        rec.table([0.1, 1.0], [0.5, 2.0])
+        rec.table([0.1, 1.0], [3.0, 40.0])
+        calls = counted_transforms(monkeypatch, rec)
+        assert rec.boundary_limit(40.0) == limit_reference(rec, 40.0)
+        assert len(calls) == 1  # the reference's own transform
+        # a b of the earlier table only: transformed anew, not served by
+        # the b in its place in the last table
+        assert rec.boundary_limit(0.5) == limit_reference(rec, 0.5)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("failure", ["angle", "positivity"])
+    def test_probe_failure_raises_in_boundary_limit_only(
+        self, small_solution, monkeypatch, failure
+    ):
+        cfg, res = small_solution
+        rec = TwoPointReconstruction(res.grid_function, cfg.coupling)
+        if failure == "angle":
+            rec._probe_r = np.full(3, math.nan)  # tau NaN at the probes
+            match = "angle must lie"
+        else:
+            at = rec._angle.at
+
+            def probes_vanish(values, *point_sets):
+                # a transform of 1e4 at the probes makes G underflow to 0 there
+                out = at(values, *point_sets)
+                out = out if len(point_sets) > 1 else (out,)
+                out = tuple(h + 1e4 * np.array_equal(a, gab._BOUNDARY_PROBES)
+                            for h, a in zip(out, point_sets))
+                return out if len(out) > 1 else out[0]
+
+            monkeypatch.setattr(rec._angle, "at", probes_vanish)
+            match = "two-point values must be positive"
+        b_grid = np.array([0.5, 3.0])
+        table = rec.table(b_grid, b_grid)
+        assert np.all(table[:, 3] > 0.0)
+        for b in (0.5, 8.0):  # of the table, and not
+            with pytest.raises(ValueError, match=match):
+                rec.boundary_limit(b)
 
 
 class TestConstruction:

@@ -102,6 +102,15 @@ def test_nan_nodes_rejected():
         GridFunction(nodes, np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_non_finite_tail_exponent_rejected(exponent):
+    # -inf was accepted, and HilbertOfExp then failed on an internal
+    # argument: "coeff must lie in (-inf, inf)"
+    f = log_envelope_function(make_nodes(64, 1e4), -0.5)
+    with pytest.raises(ValueError, match="tail_exponent must lie"):
+        GridFunction(f.nodes, f.values, f.derivs, tail_exponent=exponent)
+
+
 @pytest.mark.parametrize("x", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
 def test_nan_points_rejected(x):
     # NaN passes both x < first node and x > last node as false; the

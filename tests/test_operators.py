@@ -149,6 +149,14 @@ class TestTPrime:
         with pytest.raises(ValueError):
             op.derivative(cache, b)
 
+    @pytest.mark.parametrize("require_positive", [True, False])
+    def test_empty_points(self, grid600, cfg600, fig_coupling, rng, require_positive):
+        # the pole guard's b.min() raised numpy's zero-size reduction error
+        op = TOperator(fig_coupling, cfg600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        got = op.derivative(cache, np.empty(0), require_positive=require_positive)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     @pytest.mark.parametrize("lam", [-0.02, -1.0 / (2.0 * math.pi), -1.0 / 6.0])
     def test_envelope_bounds_random_members(self, grid600, cfg600, lam, rng):
         c = Coupling(lam)
