@@ -18,7 +18,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .domain import checked, unwrap
-from .report import VerificationReport, make_report
+from .report import VerificationReport, Worst
 from .specfun import dilog, hyp2f1, zeta_lambda
 
 _E = math.e
@@ -378,50 +378,35 @@ def sup_c_tilde_aux(coupling: Coupling) -> float:
 # Certification scans
 # ---------------------------------------------------------------------------
 
-def _worst(grid: np.ndarray, margins: np.ndarray):
-    i = int(np.argmin(margins))
-    return float(margins[i]), float(grid[i])
+def _from_zero(hi: float, n: int) -> np.ndarray:
+    return np.concatenate([[0.0], np.geomspace(1e-6, hi, n - 1)])
+
+
+# The six shape certificates of F: (id, domain, grid of n points, margin).
+_F_SHAPE = (
+    ("lemma3.monotone", "[1/2, 1e4] log grid",
+     lambda n: np.geomspace(0.5, 1e4, n), f_bound_prime),
+    ("lemma3.convex", "[0, 9/4] log grid",
+     lambda n: np.geomspace(1e-8, 2.25, n), f_bound_second),
+    ("lemma3.concave", "[5/2, 1e4] log grid",
+     lambda n: np.geomspace(2.5, 1e4, n), lambda a: -f_bound_second(a)),
+    ("lemma3.second-deriv-window", "[9/4, 5/2] linear grid",
+     lambda n: np.linspace(2.25, 2.5, n), lambda a: 0.1 - np.abs(f_bound_second(a))),
+    ("lemma3.nonneg-right", "[4/5, 1e4] log grid",
+     lambda n: np.geomspace(0.8, 1e4, n), f_bound),
+    ("lemma3.global-floor", "[0, 1e4] log grid",
+     lambda n: _from_zero(1e4, n), lambda a: f_bound(a) + 0.2),
+)
 
 
 def verify_F_properties(n: int = 10_000) -> list[VerificationReport]:
     """Six dense-grid certificates for the shape properties of F."""
     reports = []
-
-    grid = np.geomspace(0.5, 1e4, n)
-    margin, loc = _worst(grid, f_bound_prime(grid))
-    reports.append(
-        make_report("lemma3.monotone", "[1/2, 1e4] log grid", margin, loc)
-    )
-
-    grid = np.geomspace(1e-8, 2.25, n)
-    margin, loc = _worst(grid, f_bound_second(grid))
-    reports.append(
-        make_report("lemma3.convex", "[0, 9/4] log grid", margin, loc)
-    )
-
-    grid = np.geomspace(2.5, 1e4, n)
-    margin, loc = _worst(grid, -f_bound_second(grid))
-    reports.append(
-        make_report("lemma3.concave", "[5/2, 1e4] log grid", margin, loc)
-    )
-
-    grid = np.linspace(2.25, 2.5, n)
-    margin, loc = _worst(grid, 0.1 - np.abs(f_bound_second(grid)))
-    reports.append(
-        make_report("lemma3.second-deriv-window", "[9/4, 5/2] linear grid", margin, loc)
-    )
-
-    grid = np.geomspace(0.8, 1e4, n)
-    margin, loc = _worst(grid, f_bound(grid))
-    reports.append(
-        make_report("lemma3.nonneg-right", "[4/5, 1e4] log grid", margin, loc)
-    )
-
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, n - 1)])
-    margin, loc = _worst(grid, f_bound(grid) + 0.2)
-    reports.append(
-        make_report("lemma3.global-floor", "[0, 1e4] log grid", margin, loc)
-    )
+    for lemma_id, domain, grid_of, margin in _F_SHAPE:
+        grid = grid_of(n)
+        worst = Worst()
+        worst.add(margin(grid), lambda i: float(grid[i]))
+        reports.append(worst.report(lemma_id, domain))
     return reports
 
 
@@ -431,13 +416,12 @@ def verify_f_ge_s(n: int = 10_000) -> VerificationReport:
     The margin is exactly zero at the tangency points, so the check is
     not flagged inconclusive for a small positive worst margin.
     """
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, n - 1)])
-    margin, loc = _worst(grid, f_bound(grid) - s_bound(grid))
-    return make_report(
+    grid = _from_zero(1e3, n)
+    worst = Worst()
+    worst.add(f_bound(grid) - s_bound(grid), lambda i: float(grid[i]))
+    return worst.report(
         "lemma4.minorant",
         "[0, 1e3] log grid",
-        margin,
-        loc,
         strict=False,
         floor=-1e-12,
         notes="tangency points make an exactly-zero margin legitimate",
@@ -456,21 +440,14 @@ def master_lambda_grid(n_lambda: int = 200) -> np.ndarray:
 def verify_master_inequality(
     n_lambda: int = 200, n_b: int = 1000
 ) -> VerificationReport:
-    lams = master_lambda_grid(n_lambda)
     b = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, n_b - 1)])
-    worst = math.inf
-    worst_loc = None
-    for lam in lams:
+    worst = Worst()
+    for lam in master_lambda_grid(n_lambda):
         ub = upper_bound_master(b, Coupling(lam))
-        i = int(np.argmax(ub))
-        if -ub[i] < worst:
-            worst = -float(ub[i])
-            worst_loc = (float(lam), float(b[i]))
-    return make_report(
+        worst.add(-ub, lambda i: (float(lam), float(b[i])))
+    return worst.report(
         "ck.master-expression",
         f"{n_lambda} x {n_b} (coupling, b) grid on [-1/6,0) x [0,1e4]",
-        worst,
-        worst_loc,
         strict=False,
         notes="the expression vanishes like coupling^2/b^2 toward the "
         "zero-coupling large-b corner, so the worst margin is tiny by "
@@ -479,18 +456,11 @@ def verify_master_inequality(
 
 
 def verify_c_coeffs(n_lambda: int = 200) -> VerificationReport:
-    lams = master_lambda_grid(n_lambda)
-    worst = math.inf
-    worst_loc = None
-    for lam in lams:
+    worst = Worst()
+    for lam in master_lambda_grid(n_lambda):
         coeffs = c_coeffs_printed(Coupling(lam))
-        i = int(np.argmax(coeffs))
-        if -coeffs[i] < worst:
-            worst = -float(coeffs[i])
-            worst_loc = (float(lam), f"c{14 + i}")
-    return make_report(
+        worst.add(-coeffs, lambda i: (float(lam), f"c{14 + i}"))
+    return worst.report(
         "ck.printed-tail-coefficients",
         f"{n_lambda}-point coupling grid on [-1/6, 0)",
-        worst,
-        worst_loc,
     )

@@ -1,7 +1,7 @@
 """Log-scale far-field compression of the two O(N^2) sums.
 
 Every application of the fixed-point map runs two dense sums: the PV
-transform behind R f (``hilbert._pv``) and the (Tf)' integral
+transform behind R f (``hilbert._Panels.pv``) and the (Tf)' integral
 (``TOperator.derivative``).  Between points a box or more apart in log
 scale both kernels are smooth, so of low numerical rank, and the far
 field can be carried by a few Chebyshev points per box (the black-box

@@ -3,9 +3,9 @@
 Margins are oriented so that a nonnegative value means the inequality
 holds at every sampled point.  A strict check whose margin is positive
 but below the floating-point trust band is flagged "inconclusive"
-instead of passing silently.  A margin that is not finite fails: every
-scan starts from +inf, so an infinite worst margin means nothing was
-sampled.
+instead of passing silently.  A margin that is not finite fails.  Every
+scan folds its margins through one ``Worst``: a NaN margin becomes the
+worst, and a scan that sampled nothing keeps +inf, so both fail.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 INCONCLUSIVE_BAND = 1e-9
 
@@ -81,6 +83,34 @@ def make_report(
         strict=strict,
         notes=notes,
     )
+
+
+class Worst:
+    """The least margin of a scan and where it fell, folded row by row.
+
+    The first least margin wins a tie, the first NaN margin is the least
+    of all, and a scan that adds nothing keeps +inf.
+    """
+
+    def __init__(self) -> None:
+        self.margin = math.inf
+        self.location = None
+
+    def add(self, margins, at: Callable[[int], object]) -> None:
+        """Fold in one row of margins, a scalar or an array; ``at(i)``
+        names the location of its i-th entry in flat order."""
+        if math.isnan(self.margin):
+            return
+        row = np.ravel(margins)
+        if row.size == 0:
+            return
+        i = int(np.argmin(row))  # the first NaN, else the first least
+        m = float(row[i])
+        if math.isnan(m) or m < self.margin:
+            self.margin, self.location = m, at(i)
+
+    def report(self, lemma_id: str, domain: str, **kwargs) -> VerificationReport:
+        return make_report(lemma_id, domain, self.margin, self.location, **kwargs)
 
 
 def all_passed(reports: Iterable[VerificationReport]) -> bool:

@@ -18,7 +18,7 @@ from .coupling import Coupling
 from .grids import QuadratureConfig, make_nodes, random_klambda
 from .hilbert import HilbertOfExp
 from .operators import TOperator, lb_distance
-from .report import VerificationReport, make_report
+from .report import VerificationReport, Worst, make_report
 
 COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
 SUITE_NODES = 400       # grid size of the random-member suites
@@ -57,8 +57,7 @@ def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     reports = []
     for lam in COUPLINGS:
         coupling = Coupling(lam)
-        worst = math.inf
-        loc = None
+        worst = Worst()
         for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
             delta = lb_distance(f, g)
             measured = np.abs(
@@ -66,17 +65,11 @@ def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
                 - HilbertOfExp(g, cfg).r(t_probe, coupling.abs_lambda)
             )
             allowed = bounds.delta_r_bounds(t_probe, delta, coupling).sum(axis=0)
-            margins = allowed + 1e-6 - measured
-            i = int(np.argmin(margins))
-            if margins[i] < worst:
-                worst = float(margins[i])
-                loc = float(t_probe[i])
+            worst.add(allowed + 1e-6 - measured, lambda i: float(t_probe[i]))
         reports.append(
-            make_report(
+            worst.report(
                 f"prop4.delta-r[{lam:.4g}]",
                 f"{n_pairs} random domain pairs, 26 probe points",
-                worst,
-                loc,
                 notes="margin includes 1e-6 quadrature slack",
             )
         )
@@ -94,19 +87,17 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
         coupling = Coupling(lam)
         op = TOperator(coupling, cfg)
         kconst = bounds.continuity_constant(coupling)
-        worst_ratio = 0.0
+        worst = Worst()  # located at the worst ratio
         for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
             delta = lb_distance(f, g)
             if delta < 1e-12:
                 continue
-            dist = lb_distance(op.apply(f), op.apply(g))
-            worst_ratio = max(worst_ratio, dist / delta)
+            ratio = lb_distance(op.apply(f), op.apply(g)) / delta
+            worst.add(1.01 * kconst - ratio, lambda _: ratio)
         reports.append(
-            make_report(
+            worst.report(
                 f"prop5.modulus[{lam:.4g}]",
                 f"{n_pairs} random domain pairs",
-                1.01 * kconst - worst_ratio,
-                worst_ratio,
                 notes=f"continuity constant {kconst:.5f}, 1% slack",
             )
         )
@@ -140,30 +131,25 @@ def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport
     nodes = make_nodes(SUITE_NODES, 1e6)
     cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     near = nodes[nodes <= 65.0]
-    m = near.size
     gaps = np.abs(near[:, None] - near[None, :])
-    mask = (gaps > 0.0) & (gaps <= 1.0)
+    ii, jj = np.nonzero((gaps > 0.0) & (gaps <= 1.0))  # row-major pair order
+    allowed = gaps[ii, jj] * (1.0 + 1e-6)
     reports = []
     for lam in COUPLINGS:
         coupling = Coupling(lam)
         op = TOperator(coupling, cfg)
-        worst = math.inf
-        loc = None
+        worst = Worst()
         for _ in range(n_members):
             f = random_klambda(coupling, nodes, rng)
-            s = op.apply(f).scaled_derivs()[:m]
-            spread = np.abs(s[:, None] - s[None, :])
-            margins = np.where(mask, gaps * (1.0 + 1e-6) - spread, math.inf)
-            i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            if margins[i, j] < worst:
-                worst = float(margins[i, j])
-                loc = (float(near[i]), float(near[j]))
+            s = op.apply(f).scaled_derivs()
+            worst.add(
+                allowed - np.abs(s[ii] - s[jj]),
+                lambda k: (float(near[ii[k]]), float(near[jj[k]])),
+            )
         reports.append(
-            make_report(
+            worst.report(
                 f"equicont.modulus[{lam:.4g}]",
                 f"{n_members} random members, node pairs with gap <= 1",
-                worst,
-                loc,
             )
         )
     return reports
@@ -174,41 +160,29 @@ def suite_appendix(**_) -> list[VerificationReport]:
     of the map applied to zero."""
     coupling = Coupling(APPENDIX_LAMBDA)
     reports = []
-    worst = math.inf
-    loc = None
+    worst = Worst()
     for u in (0.01, 0.1, 1.0, 10.0, 100.0):
         numeric, closed = cauchy_integral(u)
-        margin = 1e-8 - abs(numeric - closed)
-        if margin < worst:
-            worst, loc = margin, u
+        worst.add(1e-8 - abs(numeric - closed), lambda _: u)
     reports.append(
-        make_report(
+        worst.report(
             "appendix.residue-integral",
             "u in {0.01, 0.1, 1, 10, 100}",
-            worst,
-            loc,
             notes="1e-8 agreement budget between quadrature and closed form",
         )
     )
 
     sups = []
-    worst = math.inf
-    loc = None
+    worst = Worst()
     window = 1e3  # pointwise convergence lives on a cutoff-independent window
     for lam2 in (1e4, 1e6):
         nodes, computed, formula, _ = t0_profile(coupling, lam2, n_nodes=APPENDIX_NODES)
-        err = np.abs(computed - formula)
         sups.append(float(np.abs(computed[nodes <= window]).max()))
-        i = int(np.argmax(err))
-        margin = 1e-6 - float(err[i])
-        if margin < worst:
-            worst, loc = margin, (lam2, float(nodes[i]))
+        worst.add(1e-6 - np.abs(computed - formula), lambda i: (lam2, float(nodes[i])))
     reports.append(
-        make_report(
+        worst.report(
             "appendix.zero-input-closed-form",
             "full grid, cutoffs 1e4 and 1e6",
-            worst,
-            loc,
             notes="1e-6 agreement budget between operator and closed form",
         )
     )

@@ -244,10 +244,17 @@ class TestVerify:
 
     def test_empty_scan_certifies_nothing(self):
         reports = run_suites(
-            ["prop4", "equicont", "ck"], seed=0, n_pairs=0, n_members=0, n_lambda=0
+            ["prop4", "prop5", "equicont", "ck"], seed=0, n_pairs=0, n_members=0,
+            n_lambda=0,
         )
-        assert len(reports) == 8
-        assert all(r.status == "fail" for r in reports)
+        aux = [r.to_dict() for r in reports if r.lemma_id.startswith("prop5.aux")]
+        scans = [r for r in reports if not r.lemma_id.startswith("prop5.aux")]
+        assert len(scans) == 11
+        assert all(r.status == "fail" for r in scans)
+        # the auxiliary suprema sample no pairs, so they do not change
+        sampled = run_suites(["prop5"], seed=0, n_pairs=1)
+        assert len(aux) == 6
+        assert aux == [r.to_dict() for r in sampled if r.lemma_id.startswith("prop5.aux")]
 
     @pytest.mark.parametrize("suite", ["ck", "prop4", "prop5", "equicont"])
     def test_settings_have_one_home(self, suite):

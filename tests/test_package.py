@@ -97,3 +97,35 @@ def test_no_nan_blind_guard():
             if blind and raises:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_one_worst_margin_rule():
+    # every certificate scan folds its margins through report.Worst; a scan
+    # that keeps its own running minimum (a name set to inf, an argmin or
+    # argmax) can drop a NaN margin or certify a scan that sampled nothing
+    package = Path(carlemanfp.__file__).resolve().parent
+
+    def is_inf(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "inf"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("math", "np", "numpy")
+        )
+
+    offenders = []
+    for name in ("bounds.py", "verification.py"):
+        path = package / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                value = node.value
+                values = value.elts if isinstance(value, ast.Tuple) else [value]
+                if any(is_inf(v) for v in values):
+                    offenders.append(f"{name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("argmin", "argmax", "nanargmin", "nanargmax")
+            ):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
