@@ -35,6 +35,13 @@ layout of the last b set), so an interpolation at the same points
 evaluates only its function at the Chebyshev points and the sums of the
 rows.  The sources' Chebyshev terms are recomputed by each ``charges``
 call, three rows at a time: kept, they would take 160 bytes per source.
+
+The charges, both tree passes and ``BoxRows.evaluate`` take leading axes
+before the kind axis, one per member of a block of sampled functions on
+the same sources (``hilbert.HilbertOfExp`` of a sequence): the members
+share the Chebyshev terms of the sources and every Python-level step, and
+each matrix product runs on one member's rows, as it does for that member
+alone.
 """
 
 from __future__ import annotations
@@ -156,17 +163,17 @@ class BoxTree:
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
 
     def upward(self, level0: np.ndarray) -> np.ndarray:
-        """Charges [kind, box, l] of every box of every level, level by
+        """Charges [..., kind, box, l] of every box of every level, level by
         level from 0 (box k of level l at offsets[l] + k), from those of
         level 0."""
-        out = np.empty((level0.shape[0], self.offsets[-1], CHEB_POINTS))
-        out[:, : self.n_boxes] = level0
+        out = np.empty(level0.shape[:-2] + (self.offsets[-1], CHEB_POINTS))
+        out[..., : self.n_boxes, :] = level0
         for level, n in enumerate(self.counts[1:]):
-            child = out[:, self.offsets[level] : self.offsets[level + 1]]
-            if child.shape[1] % 2:
-                child = np.concatenate([child, np.zeros_like(child[:, :1])], axis=1)
-            out[:, self.offsets[level + 1] : self.offsets[level + 1] + n] = (
-                child[:, 0::2] @ _TO_PARENT[0] + child[:, 1::2] @ _TO_PARENT[1]
+            child = out[..., self.offsets[level] : self.offsets[level + 1], :]
+            if child.shape[-2] % 2:
+                child = np.concatenate([child, np.zeros_like(child[..., :1, :])], axis=-2)
+            out[..., self.offsets[level + 1] : self.offsets[level + 1] + n, :] = (
+                child[..., 0::2, :] @ _TO_PARENT[0] + child[..., 1::2, :] @ _TO_PARENT[1]
             )
         return out
 
@@ -205,22 +212,24 @@ class BoxTree:
         return out
 
     def downward(self, q: np.ndarray, m2l: list[dict[int, np.ndarray]]) -> np.ndarray:
-        """Local expansions [kind, box, m] of every level-0 box: the field
-        at its Chebyshev points of every source outside its three boxes.
+        """Local expansions [..., kind, box, m] of every level-0 box: the
+        field at its Chebyshev points of every source outside its three
+        boxes.
 
-        ``q`` holds the charges [kind, box, l] of ``upward``; kind 0 is
-        summed from the boxes below a target, kind 1 from those above,
+        ``q`` holds the charges [..., kind, box, l] of ``upward``; kind 0
+        is summed from the boxes below a target, kind 1 from those above,
         through the factors of ``translations``.  Each level adds its
         interaction lists to what its parent passes down, interpolated at
         the children's points (exact: the parent's field is a polynomial
         of degree below CHEB_POINTS)."""
-        loc = np.zeros((2, 1, CHEB_POINTS))  # above the root: no field
+        lead = q.shape[:-3]
+        loc = np.zeros(lead + (2, 1, CHEB_POINTS))  # above the root: no field
         for level in reversed(range(len(self.counts))):
             n = self.counts[level]
-            src = q[:, self.offsets[level] : self.offsets[level + 1]]
-            here = np.zeros((2, n, CHEB_POINTS))
-            here[:, 0::2] = loc[:, : (n + 1) // 2] @ _TO_PARENT[0].T
-            here[:, 1::2] = loc[:, : n // 2] @ _TO_PARENT[1].T
+            src = q[..., self.offsets[level] : self.offsets[level + 1], :]
+            here = np.zeros(lead + (2, n, CHEB_POINTS))
+            here[..., 0::2, :] = loc[..., : (n + 1) // 2, :] @ _TO_PARENT[0].T
+            here[..., 1::2, :] = loc[..., : n // 2, :] @ _TO_PARENT[1].T
             for d, mat in m2l[level].items():
                 # the targets b with b + d in range and d in b's list
                 # (_FAR_OFFSETS): every b for d = +-2, even b for 3, odd
@@ -228,26 +237,33 @@ class BoxTree:
                 lo, hi, step = max(-d, 0), n - max(d, 0), 1 if abs(d) == 2 else 2
                 if lo < hi:
                     kind = int(d > 0)
-                    here[kind, lo:hi:step] += src[kind, lo + d : hi + d : step] @ mat
+                    here[..., kind, lo:hi:step, :] += src[..., kind, lo + d : hi + d : step, :] @ mat
             loc = here
         return loc
 
 
 def charges(x: np.ndarray, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Charges [kind, box, l] = sum over the sources of the box of q L_l(x).
+    """Charges [..., kind, box, l] = sum over the sources of the box of
+    q L_l(x).
 
     The sources are sorted by box: box J holds sources starts[J] ..
     starts[J+1]-1, and ``x`` is each one's local position in its box.
-    ``q`` has one row per kind of charge.
+    ``q`` has one row per kind of charge, and any leading axes (one per
+    member of a block), which share the Chebyshev terms of the sources.
     """
     held = starts[:-1] < starts[1:]
-    moments = np.empty((CHEB_POINTS, q.shape[0], np.count_nonzero(held)))
+    first = starts[:-1][held]
+    moments = np.empty((CHEB_POINTS,) + q.shape[:-1] + first.shape)
     qt = np.empty_like(q)
     for m, t in enumerate(_chebyshev_rows(x)):
         np.multiply(q, t, out=qt)
-        np.add.reduceat(qt, starts[:-1][held], axis=1, out=moments[m])
-    out = np.zeros((q.shape[0], starts.size - 1, CHEB_POINTS))
-    out[:, held] = np.moveaxis(moments, 0, -1) @ _EXPAND
+        np.add.reduceat(qt, first, axis=-1, out=moments[m])
+    held_charges = np.moveaxis(moments, 0, -1) @ _EXPAND
+    del moments
+    if held.all():
+        return held_charges
+    out = np.zeros(q.shape[:-1] + (starts.size - 1, CHEB_POINTS))
+    out[..., held, :] = held_charges
     return out
 
 
@@ -257,19 +273,22 @@ class BoxRows:
     at the Chebyshev points of each box, sum_l v[..., k, l] L_l(y) per
     point.  The rows are built once, in row blocks that hold them and the
     values gathered for ``sets`` such sums per point within the cache
-    budget; ``evaluate`` goes over the same blocks."""
+    budget; ``evaluate`` goes over the same blocks, or over smaller ones
+    for more sums at once (the members of a block)."""
 
     def __init__(self, k: np.ndarray, y: np.ndarray, sets: int):
         self.k = k
-        self.blocks = row_blocks(y.size, 8 * CHEB_POINTS * (sets + 4))
+        self.sets = sets
         self.rows = np.empty(y.shape + (CHEB_POINTS,))
-        for blk in self.blocks:
+        for blk in row_blocks(y.size, 8 * CHEB_POINTS * (sets + 4)):
             self.rows[blk] = _lagrange_rows(y[blk])
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(v.shape[:-2] + self.k.shape)
-        for blk in self.blocks:
-            out[..., blk] = np.einsum("...pl,pl->...p", v[..., self.k[blk], :], self.rows[blk])
+        sets = max(math.prod(v.shape[:-2]), self.sets)
+        for blk in row_blocks(self.k.size, 8 * CHEB_POINTS * (sets + 4)):
+            gathered = v.take(self.k[blk], axis=-2)  # faster than v[..., k, :]
+            out[..., blk] = np.einsum("...pl,pl->...p", gathered, self.rows[blk])
         return out
 
 

@@ -91,11 +91,10 @@ class TwoPointReconstruction:
     # -- two-point values ------------------------------------------------
 
     def _g_at(self, a: np.ndarray, r_a: np.ndarray, b: float, h_tau=None):
-        """The angle tau_b and G(a, b) at points a for one b, given R at a
-        (``_r_at``) and the angle transform ``h_tau`` at a if it is formed
-        already, else with one angle transform for all of them; ValueError
-        as for ``g``."""
-        checked(b, "b", 0.0)
+        """The angle tau_b and G(a, b) at points a for one checked b, given
+        R at a (``_r_at``) and the angle transform ``h_tau`` at a if it is
+        formed already, else with one angle transform for all of them;
+        ValueError as for ``g``."""
         al = self.coupling.abs_lambda
         tau = _branch_arctan(al * math.pi * a, b + r_a)
         if not np.all((0.0 <= tau) & (tau <= math.pi)):
@@ -111,6 +110,7 @@ class TwoPointReconstruction:
         """G(a, b) for b >= 0; ValueError if the angle leaves [0, pi] or
         G <= 0."""
         a, r_a, _ = self._r_at(np.array([float(a)]))
+        checked(b, "b", 0.0)
         return float(self._g_at(a, r_a, b)[1][0])
 
     @functools.cached_property
@@ -123,6 +123,7 @@ class TwoPointReconstruction:
         a0 = BOUNDARY_A0.  For a b of the last ``table`` the angle
         transform at those points is the one that table formed with its
         column; any other b transforms its own."""
+        checked(b, "b", 0.0)
         h_probes = self._table_probes.get(float(b))
         g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b, h_probes)[1]
         e1 = 2.0 * g2 - g1

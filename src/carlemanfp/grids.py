@@ -5,6 +5,10 @@ values f(node), exact derivative samples, and a power-law exponent for
 continuing exp(f) beyond the cutoff.  Interpolation between nodes is
 monotone-limited cubic Hermite, so strictly decreasing members of the
 fixed-point domain stay inside their envelope between nodes.
+
+The limiter slopes and the interpolants take values with leading axes,
+one row per sampled function on the same nodes (the members of a block,
+``hilbert``); every row gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .domain import checked, unwrap
+from .quadrature import PANEL_FRACTIONS
 
 POWER_LAW_EXTEND = "power_law_extend"
 HARD_CUTOFF = "hard_cutoff"
@@ -79,11 +84,12 @@ def _node_layout(n_nodes: int, lambda2: float) -> np.ndarray:
 
 
 def _limited_slopes(nodes, values, derivs):
-    """Fritsch-Carlson limited endpoint slopes per interval."""
+    """Fritsch-Carlson limited endpoint slopes per interval, along the
+    last axis."""
     h = np.diff(nodes)
     delta = np.diff(values) / h
-    m_left = derivs[:-1].copy()
-    m_right = derivs[1:].copy()
+    m_left = derivs[..., :-1].copy()
+    m_right = derivs[..., 1:].copy()
     nonzero = delta != 0.0
     alpha = np.where(nonzero, m_left / np.where(nonzero, delta, 1.0), 0.0)
     beta = np.where(nonzero, m_right / np.where(nonzero, delta, 1.0), 0.0)
@@ -105,54 +111,71 @@ def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes
     them (``GridFunction.slopes``); otherwise they are computed here.
     """
     xf, scalar = checked(x, "x", nodes[0], nodes[-1])
-    ml, mr = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
-    idx = np.clip(np.searchsorted(nodes, xf, side="right") - 1, 0, nodes.size - 2)
+    slopes = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
+    out = _hermite(nodes, values, slopes, xf, with_derivative)
+    if not with_derivative:
+        return unwrap(out, scalar)
+    return unwrap(out[0], scalar), unwrap(out[1], scalar)
+
+
+def _hermite(nodes, values, slopes, x: np.ndarray, with_derivative: bool = False):
+    """``hermite_eval`` at points x already checked to lie on the grid,
+    for values of any leading shape; the derivative too if asked."""
+    ml, mr = slopes
+    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
     h = nodes[idx + 1] - nodes[idx]
-    t = (xf - nodes[idx]) / h
+    t = (x - nodes[idx]) / h
     t2 = t * t
     t3 = t2 * t
     h00 = 2 * t3 - 3 * t2 + 1
     h10 = t3 - 2 * t2 + t
     h01 = -2 * t3 + 3 * t2
     h11 = t3 - t2
-    v = (
-        h00 * values[idx]
-        + h10 * h * ml[idx]
-        + h01 * values[idx + 1]
-        + h11 * h * mr[idx]
-    )
+    # take along the last axis: as fast as values[idx], and for any leading shape
+    v_lo, v_hi = values.take(idx, axis=-1), values.take(idx + 1, axis=-1)
+    m_lo, m_hi = ml.take(idx, axis=-1), mr.take(idx, axis=-1)
+    v = h00 * v_lo + h10 * h * m_lo + h01 * v_hi + h11 * h * m_hi
     if not with_derivative:
-        return unwrap(v, scalar)
+        return v
     d00 = (6 * t2 - 6 * t) / h
     d10 = 3 * t2 - 4 * t + 1
     d01 = (-6 * t2 + 6 * t) / h
     d11 = 3 * t2 - 2 * t
-    d = (
-        d00 * values[idx]
-        + d10 * ml[idx]
-        + d01 * values[idx + 1]
-        + d11 * mr[idx]
-    )
-    return unwrap(v, scalar), unwrap(d, scalar)
+    d = d00 * v_lo + d10 * m_lo + d01 * v_hi + d11 * m_hi
+    return v, d
+
+
+def _fraction_basis(fractions) -> tuple[np.ndarray, ...]:
+    """The four cubic Hermite basis functions at fractions in [0, 1]."""
+    t, _ = checked(fractions, "fractions", 0.0, 1.0)
+    t2 = t * t
+    t3 = t2 * t
+    return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2
+
+
+# The basis at the panel fractions, which are read-only: checked and formed
+# once, not at every panel sample.
+_PANEL_BASIS = _fraction_basis(PANEL_FRACTIONS)
 
 
 def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
     """The interpolant of ``hermite_eval``, of limiter slopes ``slopes``,
     at nodes[i] + c (nodes[i+1] - nodes[i]) for every interval i and
     fraction c in [0, 1], interval by interval: the fixed fractions give
-    fixed basis weights, so no point is located on the grid."""
+    fixed basis weights, so no point is located on the grid.  Values with
+    leading axes give one row of samples per row of values."""
     ml, mr = slopes
-    t, _ = checked(fractions, "fractions", 0.0, 1.0)
-    t2 = t * t
-    t3 = t2 * t
+    b00, b10, b01, b11 = (
+        _PANEL_BASIS if fractions is PANEL_FRACTIONS else _fraction_basis(fractions)
+    )
     h = np.diff(nodes)[:, None]
     v = (
-        (2 * t3 - 3 * t2 + 1) * values[:-1, None]
-        + (t3 - 2 * t2 + t) * h * ml[:, None]
-        + (-2 * t3 + 3 * t2) * values[1:, None]
-        + (t3 - t2) * h * mr[:, None]
+        b00 * values[..., :-1, None]
+        + b10 * h * ml[..., None]
+        + b01 * values[..., 1:, None]
+        + b11 * h * mr[..., None]
     )
-    return v.ravel()
+    return v.reshape(v.shape[:-2] + (-1,))
 
 
 @dataclass

@@ -37,11 +37,23 @@ transforms take the panel samples at the fixed Gauss fractions of every
 interval (``hermite_at_fractions``), from limiter slopes computed once
 per sampled function, so only the targets are located on the grid.
 Targets outside the grid, and NaN, are refused by ``domain.checked``.
+
+``HilbertOfExp`` also takes a block: several members on one grid, run
+through one leading member axis.  Their panel samples come from one
+Hermite pass, the PV sum forms the charges, the tree passes and the near
+rows of all of them at once (the dense sum shares each row block's
+differences x - a and keeps one matrix-vector product per member), and
+the 2F1 tail shares one Horner pass per series.  Every step is
+elementwise along the member axis or sums each member on its own, so
+each member gets the bits of its transform alone; a single GridFunction
+runs the same code without the axis.  ``members_per_block`` sizes a
+block from bytes, so that its transient arrays stay near a member's.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +64,18 @@ from .grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    _hermite,
     _limited_slopes,
     hermite_at_fractions,
-    hermite_eval,
 )
 from .plans import read_only
-from .quadrature import PANEL_FRACTIONS, fd_derivative_coeffs, panel_points, row_blocks
+from .quadrature import (
+    _BLOCK_BYTES,
+    PANEL_FRACTIONS,
+    fd_derivative_coeffs,
+    panel_points,
+    row_blocks,
+)
 from .specfun import hyp2f1_1mu
 
 _TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
@@ -84,56 +102,95 @@ def hilbert_power_law(beta: float, mu: float, a):
     return unwrap(out, scalar)
 
 
-def power_law_tail_integral(coeff: float, p: float, a, x_end: float):
-    """(1/pi) int_{x_end}^inf coeff*(1+x)^p / (x-a) dx for p < 0, a < x_end."""
-    checked(coeff, "coeff")
-    checked(p, "p", hi=0.0, ends="()")
+def power_law_tail_integral(coeff: float | np.ndarray, p: float | np.ndarray, a,
+                            x_end: float):
+    """(1/pi) int_{x_end}^inf coeff*(1+x)^p / (x-a) dx for p < 0, a < x_end.
+
+    Arrays of coefficients and exponents, one per member of a block, give
+    one row per member, each with the bits of its own call: the block
+    shares the checks and the Horner passes of the 2F1 series."""
+    coeff, one = checked(coeff, "coeff")
+    p, _ = checked(p, "p", hi=0.0, ends="()")
     checked(x_end, "x_end", 0.0, ends="()")
     a = np.asarray(a, dtype=float)
     nu = -p
     z = (1.0 + a) / (1.0 + x_end)
-    return coeff * (1.0 + x_end) ** p * hyp2f1_1mu(nu, z) / (nu * math.pi)
+    fit = (slice(None),) + (np.newaxis,) * z.ndim
+    # the powers in float arithmetic, member by member, as for one member
+    scale = np.array([c * (1.0 + x_end) ** q for c, q in zip(coeff.tolist(), p.tolist())])
+    out = scale[fit] * hyp2f1_1mu(nu, z) / (nu * math.pi)[fit]
+    return out[0] if one else out
 
 
-def extend_for_quadrature(f: GridFunction, plan: _GridPlan):
+class Extension:
+    """Sampled functions on the working grid of their transforms, with a
+    leading member axis for a block: the values, derivative samples and
+    limiter slopes of their interpolants."""
+
+    def __init__(self, nodes, values, derivs):
+        self.nodes, self.values, self.derivs = nodes, values, derivs
+        self.slopes = _limited_slopes(nodes, values, derivs)
+
+    def at(self, a: np.ndarray) -> np.ndarray:
+        """Each member at points a already checked to lie on the grid."""
+        return _hermite(self.nodes, self.values, self.slopes, a)
+
+    def at_fractions(self, fractions) -> np.ndarray:
+        """Each member at the same fractions of every interval."""
+        return hermite_at_fractions(self.nodes, self.values, self.slopes, fractions)
+
+
+def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridPlan):
     """f on the working grid of the transform quadratures, the grid of
-    ``plan``.
+    ``plan``; for a sequence of members on one grid, one row per member.
 
     Power-law mode appends log-spaced nodes for five decades past the
-    cutoff, filled with the fitted power-law continuation of f.
+    cutoff, filled with the fitted power-law continuation of each member.
     Hard-cutoff mode instead refines dyadically toward the cutoff edge,
     where the truncated transform develops its logarithmic edge
-    behaviour.  Returns (extended GridFunction, tail coefficient or None,
-    tail exponent or None).
+    behaviour.  Returns (``Extension``, tail coefficients or None, tail
+    exponents or None).
     """
-    lam2, nodes = f.nodes[-1], plan.nodes
-    if plan.tail_mode == POWER_LAW_EXTEND:
-        p = f.fitted_tail_exponent()
-        if not p < -1e-6:
-            raise ValueError(
-                "power-law extension requires a decaying tail "
-                f"(fitted exponent {p:.3g}); use hard_cutoff"
-            )
-        ext = nodes[f.nodes.size :]
-        coeff = math.exp(f.values[-1] - p * math.log1p(lam2))
-        ext_vals = f.values[-1] + p * (np.log1p(ext) - math.log1p(lam2))
-        ext_derivs = p / (1.0 + ext)
-        g = GridFunction(
-            nodes,
-            np.concatenate([f.values, ext_vals]),
-            np.concatenate([f.derivs, ext_derivs]),
-            tail_exponent=p,
-        )
-        return g, coeff, p
+    members = [f] if isinstance(f, GridFunction) else list(f)
 
-    edge = nodes[f.nodes.size - 1 : -1]
-    vals, ders = hermite_eval(
-        f.nodes, f.values, f.derivs, edge, with_derivative=True, slopes=f.slopes
+    def rows(per_member):
+        """One entry per member, along a leading axis unless f is one member."""
+        return np.asarray(per_member[0]) if isinstance(f, GridFunction) else np.stack(per_member)
+
+    grid, nodes = members[0].nodes, plan.nodes
+    lam2 = grid[-1]
+    values, derivs = rows([g.values for g in members]), rows([g.derivs for g in members])
+    if plan.tail_mode == POWER_LAW_EXTEND:
+        exponents = [g.fitted_tail_exponent() for g in members]
+        for p in exponents:
+            if not p < -1e-6:
+                raise ValueError(
+                    "power-law extension requires a decaying tail "
+                    f"(fitted exponent {p:.3g}); use hard_cutoff"
+                )
+        coeff = rows([
+            math.exp(g.values[-1] - p * math.log1p(lam2)) for g, p in zip(members, exponents)
+        ])
+        p = rows(exponents)
+        beyond = nodes[grid.size :]
+        ext_vals = values[..., -1:] + p[..., None] * (np.log1p(beyond) - math.log1p(lam2))
+        ext_derivs = p[..., None] / (1.0 + beyond)
+        ext = Extension(
+            nodes,
+            np.concatenate([values, ext_vals], axis=-1),
+            np.concatenate([derivs, ext_derivs], axis=-1),
+        )
+        return ext, coeff, p
+
+    edge = nodes[grid.size - 1 : -1]
+    slopes = tuple(rows(s) for s in zip(*(g.slopes for g in members)))
+    vals, ders = _hermite(grid, values, slopes, edge, with_derivative=True)
+    ext = Extension(
+        nodes,
+        np.concatenate([values[..., :-1], vals, values[..., -1:]], axis=-1),
+        np.concatenate([derivs[..., :-1], ders, derivs[..., -1:]], axis=-1),
     )
-    values = np.concatenate([f.values[:-1], vals, [f.values[-1]]])
-    derivs = np.concatenate([f.derivs[:-1], ders, [f.derivs[-1]]])
-    g = GridFunction(nodes, values, derivs, tail_exponent=f.tail_exponent)
-    return g, None, None
+    return ext, None, None
 
 
 def _extended_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
@@ -149,12 +206,17 @@ def _extended_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
 
 
 def _subtracted_sum(x, w, s, a, s_a):
-    """sum_j w_j (s_j - s(a)) / (x_j - a) per point a, densely.
+    """sum_j w_j (s_j - s(a)) / (x_j - a) per point a, densely, for each
+    row of samples s and values s_a at a (leading axes, one per member).
 
     Row blocks keep the two work arrays within the cache budget; the
-    arithmetic of every row is the same whatever the blocking.
+    arithmetic of every row is the same whatever the blocking.  The
+    differences x - a of a block serve every member, and each member
+    keeps its own matrix-vector product, so the rows OpenBLAS's dgemv
+    groups by four are those of one member, as in a sum for it alone.
     """
-    out = np.empty_like(a)
+    s_rows, s_a_rows = s.reshape(-1, x.size), s_a.reshape(-1, a.size)
+    out = np.empty(s_a_rows.shape)
     blocks = row_blocks(a.size, 2 * x.itemsize * x.size)
     rows = max(blk.stop - blk.start for blk in blocks)
     diff = np.empty((rows, x.size))
@@ -163,10 +225,11 @@ def _subtracted_sum(x, w, s, a, s_a):
         d = diff[: blk.stop - blk.start]
         q = quot[: blk.stop - blk.start]
         np.subtract(x, a[blk, None], out=d)
-        np.subtract(s, s_a[blk, None], out=q)
-        np.divide(q, d, out=q)
-        out[blk] = q @ w
-    return out
+        for s_m, s_a_m, out_m in zip(s_rows, s_a_rows, out):
+            np.subtract(s_m, s_a_m[blk, None], out=q)
+            np.divide(q, d, out=q)
+            out_m[blk] = q @ w
+    return out.reshape(s_a.shape)
 
 
 # PV boxes hold this many panel points on average: their width in log x
@@ -186,14 +249,14 @@ def _pv_kernel(du: np.ndarray) -> np.ndarray:
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
-    """sum(v[:i]) for i = 0 .. v.size, to about the rounding of the last
-    one: np.cumsum, corrected by the error of each of its additions
-    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005) 1955)."""
-    out = np.concatenate([[0.0], np.cumsum(v)])
-    prev, cur = out[:-1], out[1:]
+    """sum(v[..., :i]) for i = 0 .. n along the last axis, to about the
+    rounding of the last one: np.cumsum, corrected by the error of each of
+    its additions (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005) 1955)."""
+    out = np.concatenate([np.zeros(v.shape[:-1] + (1,)), np.cumsum(v, axis=-1)], axis=-1)
+    prev, cur = out[..., :-1], out[..., 1:]
     part = cur - prev
     err = (prev - (cur - part)) + (v - part)
-    out[1:] += np.cumsum(err)
+    out[..., 1:] += np.cumsum(err, axis=-1)
     return out
 
 
@@ -248,44 +311,55 @@ class _PVFarField:
         self.w_far = self._expansions(sub_x, sub_w)
 
     def _windows(self, v: np.ndarray) -> np.ndarray:
-        """Row j: v[j .. j + width - 1], zero past the end (a view)."""
-        padded = np.concatenate([v, np.zeros(self.width)])
-        return np.lib.stride_tricks.sliding_window_view(padded, self.width)
+        """Row j of the last axis: v[..., j .. j + width - 1], zero past the
+        end (a view)."""
+        padded = np.concatenate([v, np.zeros(v.shape[:-1] + (self.width,))], axis=-1)
+        return np.lib.stride_tricks.sliding_window_view(padded, self.width, axis=-1)
 
     def _expansions(self, sub_x, q) -> tuple[np.ndarray, np.ndarray]:
         """The far field of the charges of q for targets in each level-0
-        box: its local expansions [kind, box, m] and constants [kind, box].
-        Kind 0 is a F(a) of the sources below the target, kind 1 F(a) of
-        those above."""
+        box: its local expansions [..., kind, box, m] and constants
+        [..., kind, box], for q with leading axes (one per member).  Kind 0
+        is a F(a) of the sources below the target, kind 1 F(a) of those
+        above."""
         n = self.tree.n_boxes
-        qs = np.stack([q, q / sub_x])
+        qs = np.stack([q, q / sub_x], axis=-2)
         held = self.starts[:-1] < self.starts[1:]
-        totals = np.zeros((2, n))
-        totals[:, held] = np.add.reduceat(qs, self.starts[:-1][held], axis=1)
+        totals = np.zeros(qs.shape[:-1] + (n,))
+        totals.T[held] = np.add.reduceat(qs, self.starts[:-1][held], axis=-1).T
         level0 = charges(self.local, self.starts, qs)
         del qs  # freed before the tree passes, which set the peak memory
-        local = self.tree.downward(self.tree.upward(level0), self.m2l)
+        merged = self.tree.upward(level0)
+        del level0
+        local = self.tree.downward(merged, self.m2l)
         k = np.arange(n)
-        below = -_prefix_sums(totals[0])[np.maximum(k - 1, 0)]
-        above = _prefix_sums(totals[1, ::-1])[np.maximum(n - k - 2, 0)]
-        return local, np.stack([below, above])
+        below = -_prefix_sums(totals[..., 0, :]).take(np.maximum(k - 1, 0), axis=-1)
+        above = _prefix_sums(totals[..., 1, ::-1]).take(np.maximum(n - k - 2, 0), axis=-1)
+        return local, np.stack([below, above], axis=-2)
 
     def _near(self, sub_s, s_a, targets: _PVTargets) -> np.ndarray:
-        """_subtracted_sum over the near window of each target's box,
-        row by row."""
+        """_subtracted_sum over the near window of each target's box, row
+        by row, for samples with leading axes (one per member).  A row
+        block holds the rows of every member and the differences x - a
+        they share within the cache budget."""
         s_windows = self._windows(sub_s)
-        sums = np.empty(targets.lo.size)
-        for blk in targets.blocks:
+        members = math.prod(s_a.shape[:-1])
+        sums = np.empty(s_a.shape[:-1] + targets.lo.shape)
+        for blk in row_blocks(targets.lo.size, (members + 2) * 8 * self.width):
             lo, t = targets.lo[blk], targets.target[blk]
-            q = s_windows[lo]
-            q -= s_a[t, None]
+            q = s_windows[..., lo, :]
+            q -= s_a.take(t, axis=-1)[..., None]
             d = self.x_windows[lo]
             d -= targets.a_row[blk, None]
             q /= d
-            del d  # at most three work arrays per block, as row_blocks is told
+            del d  # at most the members' rows and two work arrays per block
             q *= self.w_windows[lo]
-            sums[blk] = np.einsum("ij,ij->i", q, self.row_mask[targets.row[blk]])
-        return np.bincount(targets.target, weights=sums, minlength=s_a.size)
+            sums[..., blk] = np.einsum("...ij,ij->...i", q, self.row_mask[targets.row[blk]])
+        # one bincount for all members: member m's targets are bins m * size ..
+        bins = targets.target + s_a.shape[-1] * np.arange(members).reshape(s_a.shape[:-1] + (1,))
+        return np.bincount(
+            bins.ravel(), weights=sums.ravel(), minlength=s_a.size
+        ).reshape(s_a.shape)
 
     def sum(self, sub_s, a, s_a):
         """_subtracted_sum over all panel points: for targets in box k, the
@@ -293,22 +367,27 @@ class _PVFarField:
         the local expansions of box k, of the charges S of w s and T of w,
         combined as S - s(a) T.  Targets outside the boxes sum densely.
         The plan of the targets a (``_PVTargets``) is the kept one if a is
-        the last point set summed at, else a new one kept in its place."""
+        the last point set summed at, else a new one kept in its place.
+        Samples with leading axes (one per member) go through every step
+        together: one set of charges, tree passes and near rows per block."""
         sub_x, sub_w = self.sub_x, self.sub_w
         targets = self.targets
         if targets is None or not np.array_equal(targets.a, a):
             self.targets = None  # dropped before the new plan is built
             self.targets = targets = read_only(_PVTargets(self, a))
         inside = targets.inside
-        out = np.empty_like(a)
+        out = np.empty(s_a.shape)
+        # masks on the last axis through .T: numpy's fast path in 1-D
         if not inside.all():
-            out[~inside] = _subtracted_sum(sub_x, sub_w, sub_s, a[~inside], s_a[~inside])
-        a, s_a = a[inside], s_a[inside]
+            out.T[~inside] = _subtracted_sum(
+                sub_x, sub_w, sub_s, a[~inside], s_a.T[~inside].T
+            ).T
+        a, s_a = a[inside], s_a.T[inside].T
         s_local, s_const = self._expansions(sub_x, sub_w * sub_s)
         far = targets.points.evaluate(s_local)
-        far += s_const[:, targets.points.k]
-        far -= s_a * targets.t_far
-        out[inside] = far[1] + far[0] / a + self._near(sub_s, s_a, targets)
+        far += s_const.take(targets.points.k, axis=-1)
+        far -= s_a[..., None, :] * targets.t_far
+        out.T[inside] = (far[..., 1, :] + far[..., 0, :] / a + self._near(sub_s, s_a, targets)).T
         return out
 
 
@@ -338,7 +417,6 @@ class _PVTargets:
         self.row = np.arange(self.target.size) + np.repeat(first, count)
         self.lo = far.row_lo[self.row]
         self.a_row = a[self.target]
-        self.blocks = row_blocks(self.row.size, 3 * 8 * far.width)
 
 
 class _Panels:
@@ -417,6 +495,21 @@ def _finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
+# A block of members holds, per member, about this many arrays as long as
+# the working grid's panel points at once: the panel samples of exp f with
+# the Hermite terms they are summed from, and the charges of both kinds.
+_PANEL_ARRAYS_PER_MEMBER = 5
+
+
+def members_per_block(nodes: np.ndarray) -> int:
+    """How many members on ``nodes`` to transform as one block in
+    power-law mode (``HilbertOfExp`` of a sequence): as many as keep their
+    panel-point arrays within the row-block budget of ``quadrature``, and
+    at least one."""
+    points = 4 * (_extended_nodes(np.asarray(nodes, dtype=float), POWER_LAW_EXTEND).size - 1)
+    return max(1, _BLOCK_BYTES // (_PANEL_ARRAYS_PER_MEMBER * 8 * points))
+
+
 class HilbertOfExp:
     """PV transform of exp(f) for a sampled f, evaluated at many points.
 
@@ -424,16 +517,38 @@ class HilbertOfExp:
     the rescaled transform R f(a) built from it; in power-law mode the
     transform is the untruncated one, in hard-cutoff mode the transform
     truncated at the grid cutoff.
+
+    ``f`` is one GridFunction, or a sequence of them on one grid: a block
+    of members.  Then every per-member array (the extension ``ext``, the
+    panel samples ``sub_g``, the tail coefficients and exponents) and
+    every result has a leading member axis, one row per member, each with
+    the bits of the transform of that member alone.  One GridFunction
+    runs the same code without that axis.
     """
 
-    def __init__(self, f: GridFunction, cfg: QuadratureConfig):
-        f.validate()
-        self.lambda2 = float(f.nodes[-1])
-        self.plan = _plan_of(f.nodes, cfg.tail_mode)
-        self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(f, self.plan)
+    def __init__(self, f: GridFunction | Sequence[GridFunction], cfg: QuadratureConfig):
+        self.single = isinstance(f, GridFunction)
+        members = [f] if self.single else list(f)
+        if not members:
+            raise ValueError("a block needs at least one member")
+        nodes = members[0].nodes
+        for g in members:
+            g.validate()
+            if g.nodes is not nodes and not np.array_equal(g.nodes, nodes):
+                raise ValueError("the members of a block live on different node sets")
+        self.lambda2 = float(nodes[-1])
+        self.plan = _plan_of(nodes, cfg.tail_mode)
+        self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(
+            f if self.single else members, self.plan
+        )
         panels = self.plan.panels
         self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
         self.sub_g = np.exp(self.ext.at_fractions(PANEL_FRACTIONS))
+
+    def _result(self, out: np.ndarray, scalar: bool):
+        """out as a method returns it: for one GridFunction a float at a
+        scalar point."""
+        return unwrap(out, scalar) if self.single else out
 
     def _quotient(self, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
         """H_a[exp(f)] / exp(f(a)) at points a > 0, given s_a = exp(f(a))."""
@@ -447,16 +562,16 @@ class HilbertOfExp:
         (0, end of the working grid) with ``allow_extension``."""
         hi = self.x_end if allow_extension else self.lambda2
         a, scalar = checked(a, "a", 0.0, hi, "()")
-        return unwrap(self._quotient(a, np.exp(self.ext.at(a))), scalar)
+        return self._result(self._quotient(a, np.exp(self.ext.at(a))), scalar)
 
     def r(self, a, abs_lambda: float, allow_extension: bool = False, f_a=None):
         """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a).
 
         Formed as exp(-f(a)) - |lam| pi a * quotient, so no large
         exponentials appear; f is interpolated once per point, unless the
-        caller passes its values ``f_a`` at a, and R f(0) = exp(-f(0)).
-        Points lie in [0, cutoff), or in [0, end of the working grid) with
-        ``allow_extension``.
+        caller passes its values ``f_a`` at a (one row per member), and
+        R f(0) = exp(-f(0)).  Points lie in [0, cutoff), or in [0, end of
+        the working grid) with ``allow_extension``.
         """
         hi = self.x_end if allow_extension else self.lambda2
         a, scalar = checked(a, "a", 0.0, hi, "[)")
@@ -465,9 +580,10 @@ class HilbertOfExp:
         inside = a > 0.0
         if abs_lambda != 0.0 and np.any(inside):
             a_in = a[inside]
-            quot = self._quotient(a_in, np.exp(f_a[inside]))
-            out[inside] -= abs_lambda * math.pi * a_in * quot
-        return unwrap(out, scalar)
+            # masks on the last axis through .T: numpy's fast path in 1-D
+            quot = self._quotient(a_in, np.exp(f_a.T[inside].T))
+            out.T[inside] -= (abs_lambda * math.pi * a_in * quot).T
+        return self._result(out, scalar)
 
 
 class SampledPVTransform:
@@ -504,12 +620,12 @@ class SampledPVTransform:
         alone (a dense sum of several sets together would regroup its
         rows in the matrix-vector product, and could cross DENSE_MAX).
         """
-        values, derivs, slopes = self._samples(values)
+        values, _, slopes = self._samples(values)
         sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
         out = []
         for a in point_sets:
             a, scalar = checked(a, "a", 0.0, self.x_end, "()")
-            s_a = hermite_eval(self.nodes, values, derivs, a, slopes=slopes)
+            s_a = _hermite(self.nodes, values, slopes, a)
             out.append(unwrap(_finite(self.panels.pv(sub_s, a, s_a)), scalar))
         return out[0] if len(out) == 1 else tuple(out)
 

@@ -17,12 +17,20 @@ application and reads them in every later one: the grid plan of
 layout at the nodes) and the composite weights of the t-grid
 (``quadrature``).  Each application still samples R, sums the (Tf)'
 kernel at the Chebyshev points of its boxes, and integrates.
+
+``apply`` and ``rf_cache`` also take a block: several members on one
+grid, whose R samples come from one ``HilbertOfExp`` with a leading
+member axis (its panel samples, PV sum and 2F1 tail); the (Tf)' kernel is
+then summed member by member.  Each image has the bits of T applied to
+its member alone.  The verify suites apply T this way to their random
+members, a bounded block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -84,34 +92,40 @@ class TOperator:
 
     # -- R ----------------------------------------------------------------
 
-    def rf_cache(self, f: GridFunction) -> RfCache:
+    def rf_cache(self, f: GridFunction | Sequence[GridFunction]) -> RfCache | list[RfCache]:
+        """The R samples of f, or of each member of a block (a sequence of
+        members on one grid, one cache each, sharing one ``HilbertOfExp``)."""
         he = HilbertOfExp(f, self.cfg)
         # the R nodes are the working grid's nodes, with the midpoints of
         # its intervals in hard-cutoff mode; f there is its stored values
         # and the interpolant at the fraction 1/2 of each interval
-        t, f_t = he.plan.r_nodes, he.ext.values[:-1]
+        t, f_t = he.plan.r_nodes, he.ext.values[..., :-1]
         if self.cfg.tail_mode == HARD_CUTOFF:
-            f_t = np.insert(f_t, np.arange(1, f_t.size), he.ext.at_fractions([0.5])[:-1])
+            mids = he.ext.at_fractions([0.5])[..., :-1]
+            f_t = np.insert(f_t, np.arange(1, f_t.shape[-1]), mids, axis=-1)
         rf = he.r(t, self.coupling.abs_lambda, allow_extension=True, f_a=f_t)
         w = composite_weights(t)
-        r0 = r1 = None
-        if self.cfg.tail_mode == POWER_LAW_EXTEND:
-            # Secant model through the last decade, exact at the grid end;
-            # beyond the grid R deviates from affine only sublinearly.
-            k = int(np.searchsorted(t, t[-1] / 10.0))
-            r1 = float((rf[-1] - rf[k]) / (t[-1] - t[k]))
-            r0 = float(rf[-1] - r1 * t[-1])
-            if not r1 > 0.0:
-                raise QuadratureError("tail model of R has non-positive slope")
-        return RfCache(
-            t_nodes=t,
-            rf=rf,
-            weights=w,
-            hilbert=he,
-            tail_r0=r0,
-            tail_r1=r1,
-            min_rf=float(rf.min()),
-        )
+        k = int(np.searchsorted(t, t[-1] / 10.0))  # the last decade of t
+        caches = []
+        for row in [rf] if he.single else rf:
+            r0 = r1 = None
+            if self.cfg.tail_mode == POWER_LAW_EXTEND:
+                # Secant model through the last decade, exact at the grid end;
+                # beyond the grid R deviates from affine only sublinearly.
+                r1 = float((row[-1] - row[k]) / (t[-1] - t[k]))
+                r0 = float(row[-1] - r1 * t[-1])
+                if not r1 > 0.0:
+                    raise QuadratureError("tail model of R has non-positive slope")
+            caches.append(RfCache(
+                t_nodes=t,
+                rf=row,
+                weights=w,
+                hilbert=he,
+                tail_r0=r0,
+                tail_r1=r1,
+                min_rf=float(row.min()),
+            ))
+        return caches[0] if he.single else caches
 
     # -- (Tf)' --------------------------------------------------------------
 
@@ -199,11 +213,23 @@ class TOperator:
             val += b * alpha / (math.pi * (alpha**2 + r1**2) * t_end)
         return -math.log1p(b) + val
 
-    def apply(self, f: GridFunction, require_positive: bool = True) -> GridFunction:
-        """The image T f on the nodes of f (values and derivatives)."""
+    def apply(
+        self, f: GridFunction | Sequence[GridFunction], require_positive: bool = True
+    ) -> GridFunction | list[GridFunction]:
+        """The image T f on the nodes of f (values and derivatives), or the
+        image of each member of a block, in order: a sequence of members on
+        one grid, whose R samples are formed together (``rf_cache``) and
+        whose (Tf)' kernels are summed member by member."""
+        single = isinstance(f, GridFunction)
+        members = [f] if single else list(f)
         if self.coupling.abs_lambda == 0.0:
-            return log_envelope_function(f.nodes, -1.0)  # T f = -log(1+b)
-        cache = self.rf_cache(f)
-        d = self.derivative(cache, f.nodes, require_positive=require_positive)
-        return GridFunction(f.nodes, cumulative_integral(f.nodes, d), d)
+            # T f = -log(1+b)
+            images = [log_envelope_function(g.nodes, -1.0) for g in members]
+        else:
+            caches = self.rf_cache(f if single else members)
+            images = []
+            for g, cache in zip(members, [caches] if single else caches):
+                d = self.derivative(cache, g.nodes, require_positive=require_positive)
+                images.append(GridFunction(g.nodes, cumulative_integral(g.nodes, d), d))
+        return images[0] if single else images
 

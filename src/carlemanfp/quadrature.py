@@ -26,7 +26,9 @@ _GL4_WEIGHTS = np.array(
     [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
 )
 # where the Gauss-Legendre points sit in each interval, as fractions of it
+# (read-only: the interpolants check them once, see grids)
 PANEL_FRACTIONS = 0.5 * (1.0 + _GL4_POINTS)
+PANEL_FRACTIONS.setflags(write=False)
 
 
 # Work-array budget of one row block of the kernels that are still summed

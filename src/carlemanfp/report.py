@@ -5,7 +5,9 @@ holds at every sampled point.  A strict check whose margin is positive
 but below the floating-point trust band is flagged "inconclusive"
 instead of passing silently.  A margin that is not finite fails.  Every
 scan folds its margins through one ``Worst``: a NaN margin becomes the
-worst, and a scan that sampled nothing keeps +inf, so both fail.
+worst, and a scan that sampled nothing keeps +inf, so both fail.  The
+JSON report is strict (RFC 8259): such a margin, or any other non-finite
+number in it, is written as the string "inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
@@ -117,11 +119,24 @@ def all_passed(reports: Iterable[VerificationReport]) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
+def _strict(value):
+    """value with every non-finite float, at any depth of its dicts, lists
+    and tuples, as the string "inf", "-inf" or "nan": strict JSON has no
+    token for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def write_reports_json(path, reports: Iterable[VerificationReport], meta: dict | None = None) -> None:
     payload = {
         "meta": meta or {},
         "reports": [r.to_dict() for r in reports],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

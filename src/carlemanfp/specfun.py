@@ -44,12 +44,30 @@ _EPS = float(np.finfo(float).eps)
 _BALANCE_ULPS = 8        # c - a - b may miss its integer by this many ulps
 
 
-def _horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k by Horner's rule."""
-    out = np.full_like(x, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= x
-        out += c
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule; coefficients of shape (K, M)
+    give one row of sums per column.  The coefficients of one column are
+    added as floats, the ufuncs' fast scalar path; those of several as one
+    column of M per step."""
+    c = np.asarray(coeffs, dtype=float)
+    several = c.ndim == 2 and c.shape[1] > 1
+    steps = c.reshape(c.shape + (1,) * x.ndim) if several else c.ravel().tolist()
+    out = np.empty(c.shape[1:] + x.shape)
+    acc = out if several else out.reshape(x.shape)  # one column: x's shape
+    acc[...] = steps[-1]
+    for ck in steps[-2::-1]:
+        acc *= x
+        acc += ck
+    return out
+
+
+def _columns(rows: list[list[float]]) -> np.ndarray:
+    """Coefficient lists as the columns of one array for ``_horner``, each
+    padded with zeros at the top: a padded column starts its pass at
+    0 x + c = c exactly, so it gets the bits of its own list alone."""
+    out = np.zeros((max(map(len, rows)), len(rows)))
+    for m, row in enumerate(rows):
+        out[: len(row), m] = row
     return out
 
 
@@ -61,6 +79,11 @@ def digamma(x: float) -> float:
     log x - 1/(2x) - sum_n B_2n / (2n x^2n) is summed in Horner form.
     """
     checked(x, "x", 0.0, ends="()")
+    return _digamma(x)
+
+
+def _digamma(x: float) -> float:
+    """``digamma`` of an x > 0 already checked."""
     shift = 0.0
     while x < _DIGAMMA_ASYMPTOTIC:
         shift += 1.0 / x
@@ -72,22 +95,26 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - t * series - shift
 
 
-def _gauss_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
-    """mu * sum_k z^k / (mu + k) for 0 <= z <= 1/2: a polynomial in z with
-    as many terms as the largest z needs."""
+def _gauss_series_1mu(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mu * sum_k z^k / (mu + k) for 0 <= z <= 1/2, one row per mu: a
+    polynomial in z with as many terms as the largest z needs."""
     z_max = float(z.max())
-    coeffs, zk = [1.0], 1.0
-    while True:
-        k = len(coeffs)
-        zk *= z_max
-        if mu / (mu + k) * zk < _SERIES_RTOL:
-            return _horner(coeffs, z)
-        coeffs.append(mu / (mu + k))
+    rows = []
+    for m in mu.tolist():
+        coeffs, zk = [1.0], 1.0
+        while True:
+            k = len(coeffs)
+            zk *= z_max
+            if m / (m + k) * zk < _SERIES_RTOL:
+                break
+            coeffs.append(m / (m + k))
+        rows.append(coeffs)
+    return _horner(_columns(rows), z)
 
 
-def _log_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
+def _log_series_1mu(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Rearrangement near z=1 splitting off the -log(1-z) divergence, for
-    1/2 < z < 1.
+    1/2 < z < 1, one row per mu.
 
     2F1(1,mu;1+mu;z) = mu * sum_n (mu)_n/n! * (psi(n+1) - psi(mu+n)
     - log(1-z)) * (1-z)^n, valid for the zero-balanced parameter set, is
@@ -97,38 +124,49 @@ def _log_series_1mu(mu: float, z: np.ndarray) -> np.ndarray:
     w = 1.0 - z
     w_max = float(w.max())
     log_w_max = abs(math.log(w_max))
-    coeff = 1.0                      # (mu)_n / n!
-    psi_n = -EULER_GAMMA             # psi(1)
-    psi_mun = digamma(mu)            # psi(mu)
-    a, b, wn = [psi_n - psi_mun], [1.0], 1.0
-    while True:
-        n = len(b)
-        coeff *= (mu + n - 1.0) / n
-        psi_n += 1.0 / n
-        psi_mun += 1.0 / (mu + n - 1.0)
-        wn *= w_max
-        if mu * (abs(psi_n - psi_mun) + log_w_max) * coeff * wn < _SERIES_RTOL:
-            return mu * (_horner(a, w) - np.log(w) * _horner(b, w))
-        a.append(coeff * (psi_n - psi_mun))
-        b.append(coeff)
+    a_rows, b_rows = [], []
+    for m in mu.tolist():
+        coeff = 1.0                      # (mu)_n / n!
+        psi_n = -EULER_GAMMA             # psi(1)
+        psi_mun = _digamma(m)            # psi(mu)
+        a, b, wn = [psi_n - psi_mun], [1.0], 1.0
+        while True:
+            n = len(b)
+            coeff *= (m + n - 1.0) / n
+            psi_n += 1.0 / n
+            psi_mun += 1.0 / (m + n - 1.0)
+            wn *= w_max
+            if m * (abs(psi_n - psi_mun) + log_w_max) * coeff * wn < _SERIES_RTOL:
+                break
+            a.append(coeff * (psi_n - psi_mun))
+            b.append(coeff)
+        a_rows.append(a)
+        b_rows.append(b)
+    # A and B of every mu in one Horner pass: a's and b's lists are equally long
+    a_w, b_w = np.split(_horner(_columns(a_rows + b_rows), w), 2)
+    return mu[:, None] * (a_w - np.log(w) * b_w)
 
 
-def hyp2f1_1mu(mu: float, z):
+def hyp2f1_1mu(mu: float | np.ndarray, z):
     """Gauss hypergeometric 2F1(1, mu; 1+mu; z) for 0 < mu, 0 <= z < 1.
 
     Equals ``mu * sum_k z^k/(mu+k)``; strictly increasing in z and >= 1.
     Relative accuracy is kept at ~1e-13 up to z = 1 - 1e-8 by switching
-    to the logarithmic rearrangement for z > 0.5.
+    to the logarithmic rearrangement for z > 0.5.  An array of mu gives
+    one row per mu, each with the bits of its own call: the rows share
+    one Horner pass per series, and the checks.
     """
-    checked(mu, "mu", 0.0, ends="()")
+    mu, one_mu = checked(mu, "mu", 0.0, ends="()")
     z, scalar = checked(z, "z", 0.0, 1.0, "[)")
     gauss = z <= _SERIES_SWITCH
-    out = np.empty_like(z)
-    if np.any(gauss):
-        out[gauss] = _gauss_series_1mu(mu, z[gauss])
-    if not np.all(gauss):
-        out[~gauss] = _log_series_1mu(mu, z[~gauss])
-    return unwrap(out, scalar)
+    out = np.empty((mu.size,) + z.shape)
+    for part, series in ((gauss, _gauss_series_1mu), (~gauss, _log_series_1mu)):
+        if np.any(part):
+            for row, values in zip(out, series(mu, z[part])):
+                row[part] = values  # row by row: a 1-D mask is numpy's fast path
+    if one_mu:
+        return unwrap(out[0], scalar)
+    return out[:, 0] if scalar else out
 
 
 def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:

@@ -4,6 +4,12 @@ Each suite returns a list of VerificationReports; the command-line
 driver serialises them and owns every default: the settings a suite
 reads (``seed``, ``n_pairs``, ``n_members``, ``n_lambda``) are
 keyword-only, with no default here.
+
+The random-member suites draw all the members of a coupling first, in
+the order of one-by-one draws, and take R and T of them in blocks of
+``MEMBER_BLOCK`` (``_in_blocks``), each result with the bits of a run
+for its member alone; they fold the margins in draw order as the blocks
+come.
 """
 
 from __future__ import annotations
@@ -16,12 +22,15 @@ from . import bounds
 from .appendix import cauchy_integral, t0_profile
 from .coupling import Coupling
 from .grids import QuadratureConfig, make_nodes, random_klambda
-from .hilbert import HilbertOfExp
+from .hilbert import HilbertOfExp, members_per_block
 from .operators import TOperator, lb_distance
 from .report import VerificationReport, Worst, make_report
 
 COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
 SUITE_NODES = 400       # grid size of the random-member suites
+# Members per block of the random-member suites, sized from bytes: 4 at
+# SUITE_NODES (hilbert.members_per_block).
+MEMBER_BLOCK = members_per_block(make_nodes(SUITE_NODES, 1e6))
 APPENDIX_LAMBDA = -1.0 / (2.0 * math.pi)
 APPENDIX_NODES = 1200
 
@@ -41,11 +50,21 @@ def suite_ck(*, n_lambda: int, **_) -> list[VerificationReport]:
     ]
 
 
-def _random_pairs(coupling, nodes, rng, n_pairs):
-    for _ in range(n_pairs):
-        yield random_klambda(coupling, nodes, rng), random_klambda(
-            coupling, nodes, rng
-        )
+def _random_members(coupling, nodes, rng, count):
+    return [random_klambda(coupling, nodes, rng) for _ in range(count)]
+
+
+def _in_blocks(fn, members):
+    """fn, which maps a block of members to one result per member, over the
+    members MEMBER_BLOCK at a time: the results in member order, one block
+    of them held at a time."""
+    for lo in range(0, len(members), MEMBER_BLOCK):
+        yield from fn(members[lo : lo + MEMBER_BLOCK])
+
+
+def _r_at(points, abs_lambda, cfg):
+    """R at the points of each member of a block, as ``_in_blocks`` takes it."""
+    return lambda block: HilbertOfExp(block, cfg).r(points, abs_lambda)
 
 
 def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
@@ -58,12 +77,12 @@ def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     for lam in COUPLINGS:
         coupling = Coupling(lam)
         worst = Worst()
-        for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
+        members = _random_members(coupling, nodes, rng, 2 * n_pairs)  # f, g, f, g, ...
+        rf = _in_blocks(_r_at(t_probe, coupling.abs_lambda, cfg), members)
+        # one iterator twice: consecutive results, f's then g's
+        for f, g, rf_f, rf_g in zip(members[::2], members[1::2], rf, rf):
             delta = lb_distance(f, g)
-            measured = np.abs(
-                HilbertOfExp(f, cfg).r(t_probe, coupling.abs_lambda)
-                - HilbertOfExp(g, cfg).r(t_probe, coupling.abs_lambda)
-            )
+            measured = np.abs(rf_f - rf_g)
             allowed = bounds.delta_r_bounds(t_probe, delta, coupling).sum(axis=0)
             worst.add(allowed + 1e-6 - measured, lambda i: float(t_probe[i]))
         reports.append(
@@ -88,11 +107,14 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
         op = TOperator(coupling, cfg)
         kconst = bounds.continuity_constant(coupling)
         worst = Worst()  # located at the worst ratio
-        for f, g in _random_pairs(coupling, nodes, rng, n_pairs):
+        members = _random_members(coupling, nodes, rng, 2 * n_pairs)  # f, g, f, g, ...
+        images = _in_blocks(op.apply, members)
+        # one iterator twice: consecutive images, f's then g's
+        for f, g, tf, tg in zip(members[::2], members[1::2], images, images):
             delta = lb_distance(f, g)
             if delta < 1e-12:
                 continue
-            ratio = lb_distance(op.apply(f), op.apply(g)) / delta
+            ratio = lb_distance(tf, tg) / delta
             worst.add(1.01 * kconst - ratio, lambda _: ratio)
         reports.append(
             worst.report(
@@ -139,9 +161,8 @@ def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport
         coupling = Coupling(lam)
         op = TOperator(coupling, cfg)
         worst = Worst()
-        for _ in range(n_members):
-            f = random_klambda(coupling, nodes, rng)
-            s = op.apply(f).scaled_derivs()
+        for image in _in_blocks(op.apply, _random_members(coupling, nodes, rng, n_members)):
+            s = image.scaled_derivs()
             worst.add(
                 allowed - np.abs(s[ii] - s[jj]),
                 lambda k: (float(near[ii[k]]), float(near[jj[k]])),

@@ -8,6 +8,7 @@ from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    _hermite,
     _limited_slopes,
     hermite_at_fractions,
     hermite_eval,
@@ -205,15 +206,15 @@ class TestSampledTransformLinearity:
         # point count of every Hermite evaluation, by kind
         calls = []
 
-        def located(nodes, values, derivs, x, *args, **kw):
+        def located(nodes, values, slopes, x, *args, **kw):
             calls.append(("located", np.size(x)))
-            return hermite_eval(nodes, values, derivs, x, *args, **kw)
+            return _hermite(nodes, values, slopes, x, *args, **kw)
 
         def at_fractions(nodes, values, slopes, fractions):
             calls.append(("fractions", (nodes.size - 1) * np.size(fractions)))
             return hermite_at_fractions(nodes, values, slopes, fractions)
 
-        monkeypatch.setattr(hilbert, "hermite_eval", located)
+        monkeypatch.setattr(hilbert, "_hermite", located)
         monkeypatch.setattr(hilbert, "hermite_at_fractions", at_fractions)
         nodes = make_nodes(300, 1e4)
         vals = nodes / (1.0 + nodes)

@@ -10,6 +10,7 @@ from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
     QuadratureConfig,
+    _hermite,
     hermite_at_fractions,
     hermite_eval,
     log_envelope_function,
@@ -42,7 +43,8 @@ def cfg600():
 def f_evaluations(monkeypatch):
     """``watch(f)`` returns a list that collects the point count of every
     Hermite evaluation of f, or of its working-grid extension, through
-    every module binding of ``hermite_eval`` and ``hermite_at_fractions``."""
+    every module binding of ``hermite_eval``, ``_hermite`` and
+    ``hermite_at_fractions``."""
     watched, sizes = [], []
 
     def count(values, n_points):
@@ -55,6 +57,10 @@ def f_evaluations(monkeypatch):
         count(values, np.size(x))
         return hermite_eval(nodes, values, derivs, x, *args, **kw)
 
+    def counted_located(nodes, values, slopes, x, *args, **kw):
+        count(values, np.size(x))
+        return _hermite(nodes, values, slopes, x, *args, **kw)
+
     def counted_fractions(nodes, values, slopes, fractions):
         count(values, (nodes.size - 1) * np.size(fractions))
         return hermite_at_fractions(nodes, values, slopes, fractions)
@@ -62,6 +68,8 @@ def f_evaluations(monkeypatch):
     for mod in (grids, hilbert, operators, gab):
         if hasattr(mod, "hermite_eval"):
             monkeypatch.setattr(mod, "hermite_eval", counted)
+        if mod is not grids and hasattr(mod, "_hermite"):  # grids' is hermite_eval's
+            monkeypatch.setattr(mod, "_hermite", counted_located)
         if hasattr(mod, "hermite_at_fractions"):
             monkeypatch.setattr(mod, "hermite_at_fractions", counted_fractions)
 

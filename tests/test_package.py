@@ -129,3 +129,33 @@ def test_one_worst_margin_rule():
             ):
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_suites_take_t_and_r_in_blocks():
+    # the verify suites take T and R of their random members a block at a
+    # time (verification._in_blocks); a HilbertOfExp or an apply called in
+    # the body of a loop, or of a comprehension, would go member by member
+    path = Path(carlemanfp.__file__).resolve().parent / "verification.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def per_member(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "HilbertOfExp")
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("HilbertOfExp", "apply"))
+        )
+
+    offenders = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            bodies = loop.body + loop.orelse
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bodies = [loop.elt]
+        elif isinstance(loop, ast.DictComp):
+            bodies = [loop.key, loop.value]
+        else:
+            continue
+        offenders |= {
+            node.lineno for body in bodies for node in ast.walk(body) if per_member(node)
+        }
+    assert sorted(offenders) == []

@@ -4,6 +4,7 @@ A NaN margin injected at any scan site must fail its report, and a scan
 that samples nothing must fail too.
 """
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from carlemanfp import bounds, verification
 from carlemanfp.grids import GridFunction
 from carlemanfp.operators import TOperator
-from carlemanfp.report import Worst
+from carlemanfp.report import Worst, write_reports_json
 from carlemanfp.verification import run_suites
 
 
@@ -115,14 +116,16 @@ class TestNaNMarginFails:
         real = TOperator.apply
         calls = []
 
-        def nan_image(self, f, require_positive=True):
-            img = real(self, f, require_positive)
-            calls.append(None)
-            if len(calls) % 2:
-                derivs = img.derivs.copy()
-                derivs[3] = math.nan
-                img = GridFunction(img.nodes, img.values, derivs)
-            return img
+        def nan_image(self, block, require_positive=True):
+            images = []
+            for img in real(self, block, require_positive):
+                calls.append(None)
+                if len(calls) % 2:
+                    derivs = img.derivs.copy()
+                    derivs[3] = math.nan
+                    img = GridFunction(img.nodes, img.values, derivs)
+                images.append(img)
+            return images
 
         monkeypatch.setattr(TOperator, "apply", nan_image)
         reports = run_suites(["equicont"], seed=0, n_members=2)
@@ -156,3 +159,48 @@ class TestNaNMarginFails:
         assert _statuses(reports, "appendix.zero-input-vanishing") == ["pass"]
         assert _statuses(reports, "appendix.residue-integral") == ["pass"]
 
+
+
+def refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+class TestStrictJson:
+    """The JSON report holds no Infinity or NaN token, which RFC 8259
+    parsers reject; a non-finite number is written as a string."""
+
+    def strict(self, path):
+        return json.loads(path.read_text(), parse_constant=refuse_constant)
+
+    def test_empty_scan(self, tmp_path):
+        path = tmp_path / "ck.json"
+        write_reports_json(path, run_suites(["ck"], n_lambda=0))
+        reports = self.strict(path)["reports"]
+        assert [r["worst_margin"] for r in reports] == ["inf", "inf"]
+        assert [r["status"] for r in reports] == ["fail", "fail"]
+
+    def test_nan_scan(self, monkeypatch, tmp_path):
+        # prop5 puts the worst ratio, NaN here, in the location too
+        real = verification.lb_distance
+        calls = []
+
+        def nan_image_distance(f, g):
+            calls.append(None)
+            return math.nan if len(calls) % 4 == 2 else real(f, g)
+
+        monkeypatch.setattr(verification, "lb_distance", nan_image_distance)
+        path = tmp_path / "prop5.json"
+        write_reports_json(path, run_suites(["prop5"], seed=0, n_pairs=2),
+                           meta={"bound": -math.inf})
+        payload = self.strict(path)
+        modulus = [r for r in payload["reports"] if r["lemma_id"].startswith("prop5.modulus")]
+        assert [(r["worst_margin"], r["worst_location"]) for r in modulus] == [("nan", "nan")] * 3
+        assert payload["meta"] == {"bound": "-inf"}
+
+    def test_finite_margins_keep_their_bytes(self, tmp_path):
+        reports = run_suites(["lemma4", "appendix"])
+        path = tmp_path / "finite.json"
+        write_reports_json(path, reports, meta={"seed": 0, "lambda": -0.1})
+        payload = {"meta": {"seed": 0, "lambda": -0.1},
+                   "reports": [r.to_dict() for r in reports]}
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
