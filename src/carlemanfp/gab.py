@@ -132,8 +132,9 @@ class TwoPointReconstruction:
 
     def boundary_limits(self, b_values):
         """The a -> 0 limits at b_values (``boundary_limit``), and their
-        relative deviations from the boundary solution exp(f(b))."""
-        b_values, _ = checked(b_values, "b", 0.0)
+        relative deviations from the boundary solution exp(f(b)), for b
+        in [0, cutoff]."""
+        b_values, _ = checked(b_values, "b", 0.0, self.lambda2)
         limits = np.array([self.boundary_limit(b) for b in b_values.tolist()])
         ref = np.array([math.exp(v) for v in self.f.at(b_values).tolist()])
         return limits, np.abs(limits - ref) / ref

@@ -37,6 +37,9 @@ transforms take the panel samples at the fixed Gauss fractions of every
 interval (``hermite_at_fractions``), from limiter slopes computed once
 per sampled function, so only the targets are located on the grid.
 Targets outside the grid, and NaN, are refused by ``domain.checked``.
+Every caller on a grid shares its plans' arrays, so ``_read_only`` makes
+them read-only.  The plans hold intermediates an application would
+compute, combined in the same order, so the results keep their bits.
 
 ``HilbertOfExp`` also takes a block: several members on one grid, run
 through one leading member axis.  Their panel samples come from one
@@ -68,7 +71,6 @@ from .grids import (
     _limited_slopes,
     hermite_at_fractions,
 )
-from .plans import read_only
 from .quadrature import (
     _BLOCK_BYTES,
     PANEL_FRACTIONS,
@@ -81,6 +83,23 @@ from .specfun import hyp2f1_1mu
 _TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
 _TAIL_NODES_PER_DECADE = 64
 _EDGE_REFINE_LEVELS = 40     # dyadic refinement toward the cutoff (hard mode)
+
+
+def _read_only(plan):
+    """plan, with every array it holds made read-only: in a tuple, list or
+    dict, or an attribute of an object, at any depth."""
+    if isinstance(plan, np.ndarray):
+        plan.setflags(write=False)
+    elif isinstance(plan, (tuple, list)):
+        for part in plan:
+            _read_only(part)
+    elif isinstance(plan, dict):
+        for part in plan.values():
+            _read_only(part)
+    elif hasattr(plan, "__dict__"):
+        for part in vars(plan).values():
+            _read_only(part)
+    return plan
 
 
 class QuadratureError(RuntimeError):
@@ -215,7 +234,7 @@ def _subtracted_sum(x, w, s, a, s_a):
     keeps its own matrix-vector product, so the rows OpenBLAS's dgemv
     groups by four are those of one member, as in a sum for it alone.
     """
-    s_rows, s_a_rows = s.reshape(-1, x.size), s_a.reshape(-1, a.size)
+    s_rows, s_a_rows = s.reshape(-1, x.size), s_a.reshape(s.size // x.size, a.size)
     out = np.empty(s_a_rows.shape)
     blocks = row_blocks(a.size, 2 * x.itemsize * x.size)
     rows = max(blk.stop - blk.start for blk in blocks)
@@ -374,7 +393,7 @@ class _PVFarField:
         targets = self.targets
         if targets is None or not np.array_equal(targets.a, a):
             self.targets = None  # dropped before the new plan is built
-            self.targets = targets = read_only(_PVTargets(self, a))
+            self.targets = targets = _read_only(_PVTargets(self, a))
         inside = targets.inside
         out = np.empty(s_a.shape)
         # masks on the last axis through .T: numpy's fast path in 1-D
@@ -427,7 +446,7 @@ class _Panels:
 
     def __init__(self, nodes: np.ndarray):
         self.x_end = float(nodes[-1])
-        self.sub_x, self.sub_w = read_only(panel_points(nodes))
+        self.sub_x, self.sub_w = _read_only(panel_points(nodes))
         self.far = None
 
     def pv(self, sub_s, a: np.ndarray, s_a: np.ndarray) -> np.ndarray:
@@ -438,7 +457,7 @@ class _Panels:
             out = _subtracted_sum(self.sub_x, self.sub_w, sub_s, a, s_a)
         else:
             if self.far is None:
-                self.far = read_only(_PVFarField(self.sub_x, self.sub_w))
+                self.far = _read_only(_PVFarField(self.sub_x, self.sub_w))
             out = self.far.sum(sub_s, a, s_a)
         out += s_a * np.log((self.x_end - a) / a)
         return out / math.pi
@@ -462,7 +481,7 @@ class _GridPlan:
             t = np.sort(np.concatenate([t, 0.5 * (t[1:] + t[:-1])]))
         self.r_nodes = t
         self._layout = None
-        read_only(self)
+        _read_only(self)
 
     def layout(self, u: np.ndarray, boxes: LogBoxes) -> BoxLayout:
         """The layout of the points u in ``boxes``: the kept one if u is the
@@ -470,7 +489,7 @@ class _GridPlan:
         kept = self._layout
         if kept is None or kept.boxes != boxes or not np.array_equal(kept.u, u):
             self._layout = None  # dropped before the new layout is built
-            self._layout = read_only(BoxLayout(u, boxes))
+            self._layout = _read_only(BoxLayout(u, boxes))
         return self._layout
 
 
@@ -604,12 +623,11 @@ class SampledPVTransform:
         self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
         self._fd_idx, self._fd_c = fd_derivative_coeffs(self.nodes)
 
-    def _samples(self, values) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Values, finite-difference derivative samples and the limiter
-        slopes of their interpolant on the nodes."""
+    def _extension(self, values) -> Extension:
+        """The interpolant of the values on the nodes, with their
+        finite-difference derivative samples."""
         values = np.asarray(values, dtype=float)
-        derivs = np.sum(self._fd_c * values[self._fd_idx], axis=1)
-        return values, derivs, _limited_slopes(self.nodes, values, derivs)
+        return Extension(self.nodes, values, np.sum(self._fd_c * values[self._fd_idx], axis=1))
 
     def at(self, values, *point_sets):
         """Transform of the sampled function at each set of points a in
@@ -620,18 +638,18 @@ class SampledPVTransform:
         alone (a dense sum of several sets together would regroup its
         rows in the matrix-vector product, and could cross DENSE_MAX).
         """
-        values, _, slopes = self._samples(values)
-        sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
+        ext = self._extension(values)
+        sub_s = ext.at_fractions(PANEL_FRACTIONS)
         out = []
         for a in point_sets:
             a, scalar = checked(a, "a", 0.0, self.x_end, "()")
-            s_a = _hermite(self.nodes, values, slopes, a)
+            s_a = ext.at(a)
             out.append(unwrap(_finite(self.panels.pv(sub_s, a, s_a)), scalar))
         return out[0] if len(out) == 1 else tuple(out)
 
     def at_zero(self, values) -> float:
         """Transform at a = 0 for functions vanishing at 0 (no pole)."""
-        values, _, slopes = self._samples(values)
-        checked(values[0], "s(0)", -1e-12, 1e-12)
-        sub_s = hermite_at_fractions(self.nodes, values, slopes, PANEL_FRACTIONS)
+        ext = self._extension(values)
+        checked(ext.values[0], "s(0)", -1e-12, 1e-12)
+        sub_s = ext.at_fractions(PANEL_FRACTIONS)
         return float(_finite(np.sum(self.sub_w * sub_s / self.sub_x)) / math.pi)

@@ -14,9 +14,10 @@ int dt/((alpha t)^2 + (beta + gamma t)^2) = arctan(alpha t/(beta+gamma t))/(alph
 Applied in a loop on one grid, T builds the grid's plans in its first
 application and reads them in every later one: the grid plan of
 ``hilbert`` (the working grid, the R nodes t, the PV plans and the (Tf)'
-layout at the nodes) and the composite weights of the t-grid
-(``quadrature``).  Each application still samples R, sums the (Tf)'
-kernel at the Chebyshev points of its boxes, and integrates.
+layout at the nodes) and the composite weights of the t-grid, from
+``quadrature``'s memo of weights by grid, which outlives a switch of the
+grid plan to another grid.  Each application still samples R, sums the
+(Tf)' kernel at the Chebyshev points of its boxes, and integrates.
 
 ``apply`` and ``rf_cache`` also take a block: several members on one
 grid, whose R samples come from one ``HilbertOfExp`` with a leading

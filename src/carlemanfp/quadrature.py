@@ -3,21 +3,22 @@
 All rules are locally cubic (4-point stencils), giving O(h^5) accuracy
 per interval on the smooth integrands this package produces.  The
 interval weights are solved from scaled Vandermonde systems once per
-grid and kept, with the composite weights they sum to, in a small
-least-recently-used cache keyed by the node positions (``_weight_cache``,
-the package's one memo by points), so every caller on the same grid
-shares them.  The finite-difference stencils need no solve: they are the
-derivatives of the Lagrange basis at the stencil's own node, in closed
-form from products of node differences.  The panel points of a grid are
-built for their caller, which keeps them with the grid's other plans
-(``hilbert``).
+grid and kept, read-only, with the composite weights they sum to, in an
+``lru_cache`` of the last 16 grids keyed by the bytes of the nodes
+(``_weight_cache``, the package's one memo by points), so every caller on
+the same grid shares them, across switches of ``hilbert``'s grid plan
+(one ``verify`` run switches between six weight grids).  The
+finite-difference stencils need no solve: they are the derivatives of
+the Lagrange basis at the stencil's own node, in closed form from
+products of node differences.  The panel points of a grid are built for
+their caller, which keeps them with the grid's other plans (``hilbert``).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .plans import PlanCache
+import numpy as np
 
 _GL4_POINTS = np.array(
     [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
@@ -87,19 +88,20 @@ def _scaled_stencils(x: np.ndarray, starts: np.ndarray):
     return idx, u, centre.ravel(), scale.ravel()
 
 
-_weight_cache = PlanCache(16)
-
-
 def _weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The interval weights of x and the composite weights they sum to,
     read-only and shared by every caller on the same grid."""
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise ValueError("need at least 4 nodes for cubic quadrature")
-    return _weight_cache.get(x.tobytes(), lambda: _solve_weights(x))
+    return _weight_cache(x.tobytes())
 
 
-def _solve_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _weight_cache(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights of the nodes whose bytes are ``key``, solved at the
+    first call for them and read-only: the callers on the grid share them."""
+    x = np.frombuffer(key)
     n = x.size
     starts = _stencil_starts(n)
     idx, u, centre, scale = _scaled_stencils(x, starts)
@@ -112,6 +114,8 @@ def _solve_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = np.linalg.solve(np.swapaxes(vand_t, 1, 2), moments[..., None])[..., 0]
     composite = np.zeros(n)
     np.add.at(composite, idx, w)
+    for array in (idx, w, composite):
+        array.setflags(write=False)
     return idx, w, composite
 
 

@@ -1,6 +1,7 @@
 """Domain checks, walked over the public functions of ``bounds``,
 ``specfun``, ``appendix``, ``hilbert`` and ``grids`` and the functions of
-``carlemanfp.__all__``.
+``carlemanfp.__all__``, and, for empty points, over public methods that
+take points.
 
 Each float parameter is set in turn to NaN, +inf and -inf, the others
 keeping a valid value from one table.  A NaN must raise ValueError: no
@@ -21,6 +22,7 @@ import carlemanfp
 from carlemanfp import appendix, bounds, grids, hilbert, specfun
 from carlemanfp.coupling import Coupling
 from carlemanfp.domain import checked
+from carlemanfp.gab import TwoPointReconstruction
 
 NODES = grids.make_nodes(64, 1e2)
 F = grids.log_envelope_function(NODES, -0.9)
@@ -118,6 +120,40 @@ def test_non_finite_refused(label, name, bad):
 @pytest.mark.parametrize("label, name", ARRAY_PARAMS)
 def test_empty_points_give_empty_result(label, name):
     assert np.asarray(call(label, **{name: np.empty(0)})).size == 0
+
+
+def transform(tail_mode: str, members: int) -> hilbert.HilbertOfExp:
+    f = F if members == 1 else [F] * members
+    return hilbert.HilbertOfExp(f, grids.QuadratureConfig(tail_mode=tail_mode))
+
+
+def reconstruction() -> TwoPointReconstruction:
+    return TwoPointReconstruction(F, Coupling(-0.1))
+
+
+TRANSFORMS = [(mode, members) for mode in (grids.POWER_LAW_EXTEND, grids.HARD_CUTOFF)
+              for members in (1, 2)]
+# Public methods that take an array of points, as calls at the points with
+# valid other arguments: the transforms of exp f, of one member and of a
+# block in both tail modes, and the objects built on them.
+METHODS = {
+    **{f"HilbertOfExp.quotient[{mode}-{m}]":
+       lambda a, mode=mode, m=m: transform(mode, m).quotient(a) for mode, m in TRANSFORMS},
+    **{f"HilbertOfExp.r[{mode}-{m}]":
+       lambda a, mode=mode, m=m: transform(mode, m).r(a, 0.1) for mode, m in TRANSFORMS},
+    "GridFunction.at": lambda x: F.at(x),
+    "SampledPVTransform.at": lambda a: hilbert.SampledPVTransform(NODES).at(F.values, a),
+    "TwoPointReconstruction.tau_at": lambda a: reconstruction().tau_at(a, 0.5),
+    "TwoPointReconstruction.table[a]": lambda a: reconstruction().table(a, [0.5]),
+    "TwoPointReconstruction.table[b]": lambda b: reconstruction().table([0.5], b),
+    "TwoPointReconstruction.boundary_limits": lambda b: reconstruction().boundary_limits(b),
+}
+
+
+@pytest.mark.parametrize("label", sorted(METHODS))
+def test_empty_points_give_empty_result_of_methods(label):
+    assert np.asarray(METHODS[label](np.empty(0))).size == 0
+    assert np.asarray(METHODS[label](np.array([0.5]))).size > 0
 
 
 @pytest.mark.parametrize("label, name", ARRAY_PARAMS)

@@ -68,6 +68,11 @@ class TestTwoPoint:
         _, rec = reconstruction
         assert rec.boundary_consistency() <= 1e-3
 
+    def test_limits_beyond_the_cutoff_name_b(self, reconstruction):
+        _, rec = reconstruction
+        with pytest.raises(ValueError, match=r"b must lie in \[0, 1e\+06\], got 2e\+06"):
+            rec.boundary_limits([0.5, 2e6])
+
     def test_boundary_limits_form_r_once(self, small_solution, monkeypatch):
         # the a -> 0 limits of every b share one R at the probe points,
         # with the bits of R formed anew for each b

@@ -259,7 +259,8 @@ def sampled_pv_args(transform, vals, a):
     interpolant of the finite-difference derivative samples, from one set
     of limiter slopes, at the panel fractions and at the targets."""
     nodes = transform.nodes
-    values, derivs, _ = transform._samples(vals)
+    ext = transform._extension(vals)
+    values, derivs = ext.values, ext.derivs
     slopes = _limited_slopes(nodes, values, derivs)
     sub_s = hermite_at_fractions(nodes, values, slopes, PANEL_FRACTIONS)
     s_a = hermite_eval(nodes, values, derivs, a, slopes=slopes)

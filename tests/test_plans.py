@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlemanfp
-from carlemanfp import bounds, farfield, grids, hilbert, plans, quadrature, solver
+from carlemanfp import bounds, farfield, grids, hilbert, quadrature, solver
 from carlemanfp.coupling import Coupling
 from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import HARD_CUTOFF, QuadratureConfig, make_nodes, random_klambda
@@ -40,7 +40,7 @@ MODULE_LEVEL_PLANS = {
 
 def clear_plans() -> None:
     hilbert._grid_plan = None
-    quadrature._weight_cache.clear()
+    quadrature._weight_cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -178,7 +178,8 @@ def test_one_grid_plan_at_a_time():
     gc.collect()
     assert [plan() is None for plan in held] == [True] * 4 + [False]
     assert hilbert._grid_plan.grid.size == 340
-    assert 1 <= len(quadrature._weight_cache) <= quadrature._weight_cache.size
+    weights = quadrature._weight_cache.cache_info()
+    assert 1 <= weights.currsize <= weights.maxsize
     assert grids._node_layout.cache_info().currsize <= 8
 
 
@@ -241,7 +242,8 @@ def test_plans_are_read_only(fig_coupling, rng):
         op.apply(f)
     plan = hilbert._grid_plan
     assert plan.panels.far.targets is not None and plan._layout is not None
-    held = list(arrays_in(plan)) + list(arrays_in(quadrature._weight_cache._plans))
+    weights = [quadrature.interval_weights(plan.grid), quadrature.composite_weights(plan.r_nodes)]
+    held = list(arrays_in(plan)) + list(arrays_in(weights))
     assert held and not any(array.flags.writeable for array in held)
     with pytest.raises(ValueError):
         plan.panels.sub_x[0] = 1.0
@@ -251,6 +253,23 @@ def test_plans_are_read_only(fig_coupling, rng):
         plan._layout.rows.rows[0, 0] = 0.0
     with pytest.raises(ValueError):
         quadrature.composite_weights(plan.r_nodes)[0] = 0.0
+
+
+def test_weights_are_solved_once_per_grid(monkeypatch):
+    # the suites switch the grid plan's slot between their grids, and the
+    # weights of each grid outlive the switches: a second run solves none
+    # (the solve builds the scaled stencils of a grid once)
+    solves, plans_built = [], []
+    for _ in range(2):
+        with monkeypatch.context() as m:
+            solved = count_calls(m, quadrature, "_scaled_stencils")
+            planned = count_calls(m, hilbert, "_GridPlan")
+            run_suites(["prop5", "equicont", "appendix"],
+                       seed=0, n_pairs=1, n_members=2, n_lambda=3)
+        solves.append(len(solved))
+        plans_built.append(len(planned))
+    assert solves[0] >= 2 and plans_built[1] >= 2
+    assert solves[1] == 0
 
 
 def test_table_builds_its_angle_target_plan_once(small_solution, monkeypatch):
@@ -304,7 +323,7 @@ def module_level_state() -> dict:
                 continue
             if hasattr(value, "cache_info"):
                 size = value.cache_info().currsize
-            elif isinstance(value, (dict, list, set, plans.PlanCache)):
+            elif isinstance(value, (dict, list, set)):
                 size = len(value)
             else:
                 size = None
@@ -313,13 +332,9 @@ def module_level_state() -> dict:
 
 
 def is_plan_or_cache(value) -> bool:
-    """A memo (a PlanCache or a functools cache) or an object of the
-    package's own classes held at module level."""
-    return (
-        isinstance(value, plans.PlanCache)
-        or hasattr(value, "cache_info")
-        or type(value).__module__.startswith("carlemanfp.")
-    )
+    """A memo (a functools cache) or an object of the package's own
+    classes held at module level."""
+    return hasattr(value, "cache_info") or type(value).__module__.startswith("carlemanfp.")
 
 
 def test_no_other_module_level_plan_or_cache(fig_coupling):
