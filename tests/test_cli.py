@@ -1,11 +1,15 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from carlemanfp import verification
 from carlemanfp.cli import EXIT_USAGE, _csv_lines, main
+from carlemanfp.hilbert import QuadratureError
 from carlemanfp.solver import envelope_curves, solution_rows
-from carlemanfp.verification import run_suites
+from carlemanfp.verification import SUITES, run_suites
 
 LAM = "-0.159154"
 
@@ -268,6 +272,75 @@ class TestVerify:
         assert "unknown suite 'nope'" in capsys.readouterr().err
         with pytest.raises(KeyError):  # the library call still raises
             run_suites(["nope"])
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make the command see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestVerifyProcesses:
+    """With more than one usable CPU the suites run in worker processes,
+    one per CPU; on one CPU they run in-process.  The report is the same."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite=all", "--seed=0"],
+        ["--suite=all", "--seed=1"],
+        ["--suite=all", "--seed=2"],
+        ["--suite=prop4,lemma4"],
+    ])
+    def test_pooled_and_one_cpu_reports_are_identical(self, argv, tmp_path, monkeypatch):
+        outs = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                use_cpus(m, cpus)
+                outs[cpus] = tmp_path / f"cpus{cpus}.json"
+                assert main(["verify", *argv, "--out", str(outs[cpus])]) == 0
+            manifest = json.loads((tmp_path / f"cpus{cpus}.json.manifest.json").read_text())
+            assert manifest["workers"] == cpus
+            assert multiprocessing.active_children() == []
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("suite, ran", [
+        ("lemma3,lemma4", ["lemma3", "lemma4"]),
+        ("lemma4", ["lemma4"]),
+        ("all", list(SUITES)),
+    ])
+    def test_manifest_times_each_suite_that_ran(self, suite, ran, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["verify", f"--suite={suite}", "--lambda-grid=4", "--pairs=1",
+                     "--members=1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+        walls = manifest["suite_wall_s"]
+        assert sorted(walls) == sorted(ran)
+        assert all(wall >= 0.0 for wall in walls.values())
+        assert manifest["workers"] == min(len(os.sched_getaffinity(0)), len(ran))
+
+    def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)
+
+        def refuse(*_):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--suite=lemma3,lemma4,appendix", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "rep.json.manifest.json").read_text())["workers"] == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_suite_raises_its_own_error(self, cpus, tmp_path, monkeypatch):
+        def broken(**_):
+            raise QuadratureError("injected failure")
+
+        monkeypatch.setitem(verification.SUITES, "lemma4", broken)
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "rep.json"
+        with pytest.raises(QuadratureError, match="injected failure") as excinfo:
+            main(["verify", "--suite=lemma3,lemma4,ck", "--lambda-grid=4", "--out", str(out)])
+        assert excinfo.type is QuadratureError
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFigure2:

@@ -17,15 +17,15 @@ def test_public_names_resolve():
     assert not missing
 
 
-def run_fresh(code: str, cwd: Path) -> list[str]:
+def run_fresh(code: str, cwd: Path, roots=("scipy",)) -> list[str]:
     """Run ``code`` in a fresh interpreter on this source tree; returns
-    the scipy modules loaded when it ends."""
+    the modules of the top-level packages ``roots`` loaded when it ends."""
     src = str(Path(carlemanfp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -70,6 +70,14 @@ class TestScipyStaysOffTheSolvePath:
                 if any(name.split(".")[0] == "scipy" for name in names):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # verify imports the process pool only when it uses one, so the other
+    # commands, and verify on one CPU, pay neither its time nor its memory
+    loaded = run_fresh("import carlemanfp.cli", tmp_path,
+                       roots=("multiprocessing", "concurrent"))
+    assert loaded == []
 
 
 def test_no_nan_blind_guard():
