@@ -14,11 +14,11 @@ input (flag, config file or key, or setting: one line, no output).
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import asdict
@@ -41,7 +41,7 @@ from .solver import (
     solve,
     solution_rows,
 )
-from .verification import SUITES, resolve_suites, run_suites
+from .verification import SUITES, SUITES_BY_COST, resolve_suites, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -213,41 +213,131 @@ def _timed_suite(name: str, **kwargs) -> tuple[list, float]:
     return reports, time.perf_counter() - t0
 
 
-def _run_verify_suites(names: list[str], **kwargs) -> tuple[list, dict, int]:
-    """The reports of the suites, in order, each suite's wall seconds, and
-    the number of processes that ran them.
+_RECORD = 2  # bytes of one work-queue record, a suite's index: each read is atomic
 
-    The suites share no state, so with more than one usable CPU they run
-    in worker processes, one per CPU up to one per suite; a free worker
-    takes the next suite in order.  Each suite builds its own generator
-    from the seed, so the reports are those of an in-process run.  The
-    workers are forked: they inherit the imports, which a spawned worker
-    would spend about 0.3 s repeating, and the per-grid caches the parent
-    holds.  A suite's
-    exception is raised here, after the suites not yet started are
-    dropped.  On one CPU the suites run here and no process is started.
+
+def _work_queue(names: list[str]) -> int:
+    """The read end of a pipe holding the index of every suite in
+    ``names``, costliest first, its write end closed.  The queue is
+    written before any process reads it, so a list the pipe cannot hold
+    is refused rather than blocking."""
+    rank = {name: k for k, name in enumerate(SUITES_BY_COST)}
+    order = sorted(range(len(names)), key=lambda i: rank[names[i]])
+    queue, feed = os.pipe()
+    os.set_blocking(feed, False)
+    try:
+        full = len(order) > 1 << 8 * _RECORD or os.write(
+            feed, b"".join(i.to_bytes(_RECORD, "little") for i in order)
+        ) < _RECORD * len(order)
+    finally:
+        os.close(feed)
+    if full:
+        os.close(queue)
+        raise argparse.ArgumentError(
+            None, f"--suite: {len(names)} suites are more than the work queue holds")
+    return queue
+
+
+def _drain(queue: int) -> None:
+    """Empty the work queue, so that no process starts another suite."""
+    while os.read(queue, 1 << 16):
+        pass
+
+
+def _work(queue: int, names: list[str], kwargs: dict, parent: int | None = None) -> list:
+    """The ``(index, (reports, wall))`` pair of each suite this process
+    takes from the queue, until it is empty or, in a forked child, the
+    process ``parent`` is gone.  A suite's error drains the queue and is
+    raised."""
+    done = []
+    try:
+        while (parent is None or os.getppid() == parent) and (
+                record := os.read(queue, _RECORD)):
+            index = int.from_bytes(record, "little")
+            done.append((index, _timed_suite(names[index], **kwargs)))
+    except BaseException:
+        _drain(queue)
+        raise
+    return done
+
+
+def _child(queue: int, result: int, inherited, parent: int, names: list[str],
+           kwargs: dict):
+    """A forked worker: closes the ``inherited`` descriptors, sends its
+    ``_work`` pairs, or its error, pickled down ``result``, and leaves by
+    ``os._exit``, never returning."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = _work(queue, names, kwargs, parent)
+        except BaseException as exc:
+            payload = exc
+        data = pickle.dumps(payload)
+        with open(result, "wb") as fh:  # EPIPE once the parent is gone
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_verify_suites(names: list[str], **kwargs) -> tuple[list, dict]:
+    """The reports of the suites, in order, and the manifest's keys on
+    how they ran: ``workers``, and each suite's wall seconds and worker.
+
+    The suites share no state, and each builds its own generator from the
+    seed, so any process may run any of them.  They wait in one work
+    queue, costliest first (``SUITES_BY_COST``).  This process forks one
+    child per further usable CPU, up to one process per suite, and then
+    it and every child take the next suite until the queue is empty.
+    The children inherit the imports and the per-grid caches; this
+    process keeps its own warm from one run to the next.  Worker 0 is
+    this process, k the k-th child.  A suite's exception drains the
+    queue, so no process starts another suite, and is raised here with
+    its own type after every child has ended.  On one CPU no process is
+    forked.
     """
     workers = min(len(os.sched_getaffinity(0)), len(names))
-    run = functools.partial(_timed_suite, **kwargs)
-    if workers > 1:
-        # imported here: every other run pays neither the time nor the memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    queue = _work_queue(names)
+    # the suites' generators load numpy.random: once here, not in each child
+    import numpy.random  # noqa: F401
 
-        # the suites' generators load numpy.random: once here, not in each worker
-        import numpy.random  # noqa: F401
-
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=multiprocessing.get_context("fork"))
-        try:
-            parts = list(pool.map(run, names))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        parts = [run(name) for name in names]
-    reports = [rep for suite_reports, _ in parts for rep in suite_reports]
-    walls = {name: round(wall, 4) for name, (_, wall) in zip(names, parts)}
-    return reports, walls, workers
+    parent = os.getpid()
+    children = {}  # pid -> read end of its result pipe, until reaped
+    try:
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # an earlier child's result pipe must close when the parent dies
+                _child(queue, result_w, (result_r, *children.values()), parent,
+                       names, kwargs)
+            os.close(result_w)
+            children[pid] = result_r
+        parts = {index: (0, part) for index, part in _work(queue, names, kwargs)}
+        for k, (pid, result_r) in enumerate(list(children.items()), 1):
+            with open(result_r, "rb", closefd=False) as fh:
+                data = fh.read()
+            os.close(children.pop(pid))
+            status = os.waitpid(pid, 0)[1]
+            if not data:
+                raise RuntimeError(f"verify worker {k} sent no result "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+            payload = pickle.loads(data)
+            if isinstance(payload, BaseException):
+                raise payload
+            parts.update((index, (k, part)) for index, part in payload)
+    finally:
+        for pid, result_r in children.items():
+            os.close(result_r)
+            os.waitpid(pid, 0)
+        os.close(queue)
+    ran = [parts[i] for i in range(len(names))]
+    reports = [rep for _, (suite_reports, _) in ran for rep in suite_reports]
+    walls = {name: round(wall, 4) for name, (_, (_, wall)) in zip(names, ran)}
+    where = {name: worker for name, (worker, _) in zip(names, ran)}
+    return reports, {"workers": workers, "suite_wall_s": walls, "suite_worker": where}
 
 
 def cmd_verify(args) -> int:
@@ -257,7 +347,7 @@ def cmd_verify(args) -> int:
         names = resolve_suites([s.strip() for s in suites])
     except KeyError as exc:
         raise argparse.ArgumentError(None, f"--suite: {exc.args[0]}") from exc
-    reports, walls, workers = _run_verify_suites(
+    reports, runs = _run_verify_suites(
         names,
         seed=args.seed,
         n_lambda=args.lambda_grid,
@@ -268,7 +358,7 @@ def cmd_verify(args) -> int:
         print(rep.to_line())
     snapshot = {"suites": suites, "seed": args.seed, "lambda_grid": args.lambda_grid}
     write_reports_json(args.out, reports, meta=snapshot)
-    _write_manifest(args, "verify", snapshot, t0, workers=workers, suite_wall_s=walls)
+    _write_manifest(args, "verify", snapshot, t0, **runs)
     ok = all_passed(reports)
     print(("all checks passed" if ok else "CHECKS FAILED") + f", wrote {args.out}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

@@ -230,6 +230,12 @@ SUITES = {
     "appendix": suite_appendix,
 }
 
+# SUITES, costliest first: the order in which parallel workers take them
+# (longest processing time first).  Median warm walls at the defaults, one
+# BLAS thread, 2-vCPU Xeon: prop5 0.167 s, equicont 0.086, appendix 0.039,
+# prop4 0.038, ck 0.027, lemma3 0.013, lemma4 0.002.
+SUITES_BY_COST = ("prop5", "equicont", "appendix", "prop4", "ck", "lemma3", "lemma4")
+
 
 def resolve_suites(names) -> list[str]:
     """The suites to run, in order; 'all' names every suite.  KeyError on

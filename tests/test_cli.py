@@ -1,11 +1,15 @@
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carlemanfp import verification
+import carlemanfp
+from carlemanfp import cli, verification
 from carlemanfp.cli import EXIT_USAGE, _csv_lines, main
 from carlemanfp.hilbert import QuadratureError
 from carlemanfp.solver import envelope_curves, solution_rows
@@ -279,15 +283,47 @@ def use_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def assert_no_child() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def children_of(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except (FileNotFoundError, ProcessLookupError):  # it has ended
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+def gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 class TestVerifyProcesses:
-    """With more than one usable CPU the suites run in worker processes,
-    one per CPU; on one CPU they run in-process.  The report is the same."""
+    """The suites wait in one work queue, costliest first; with more than
+    one usable CPU the verify process and one forked child per further
+    CPU take them, on one CPU the verify process alone.  The report is
+    the same."""
 
     @pytest.mark.parametrize("argv", [
         ["--suite=all", "--seed=0"],
         ["--suite=all", "--seed=1"],
         ["--suite=all", "--seed=2"],
         ["--suite=prop4,lemma4"],
+        ["--suite=prop4,lemma4,prop4"],
     ])
     def test_pooled_and_one_cpu_reports_are_identical(self, argv, tmp_path, monkeypatch):
         outs = {}
@@ -298,7 +334,7 @@ class TestVerifyProcesses:
                 assert main(["verify", *argv, "--out", str(outs[cpus])]) == 0
             manifest = json.loads((tmp_path / f"cpus{cpus}.json.manifest.json").read_text())
             assert manifest["workers"] == cpus
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert outs[1].read_bytes() == outs[2].read_bytes()
 
     @pytest.mark.parametrize("suite, ran", [
@@ -314,7 +350,10 @@ class TestVerifyProcesses:
         walls = manifest["suite_wall_s"]
         assert sorted(walls) == sorted(ran)
         assert all(wall >= 0.0 for wall in walls.values())
-        assert manifest["workers"] == min(len(os.sched_getaffinity(0)), len(ran))
+        workers = min(len(os.sched_getaffinity(0)), len(ran))
+        assert manifest["workers"] == workers
+        assert sorted(manifest["suite_worker"]) == sorted(ran)
+        assert set(manifest["suite_worker"].values()) <= set(range(workers))
 
     def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 1)
@@ -323,10 +362,33 @@ class TestVerifyProcesses:
             raise AssertionError("a process was started")
 
         monkeypatch.setattr(os, "fork", refuse)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         out = tmp_path / "rep.json"
         assert main(["verify", "--suite=lemma3,lemma4,appendix", "--out", str(out)]) == 0
-        assert json.loads((tmp_path / "rep.json.manifest.json").read_text())["workers"] == 1
+        manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+        assert manifest["workers"] == 1
+        assert manifest["suite_worker"] == {"lemma3": 0, "lemma4": 0, "appendix": 0}
+
+    def test_costliest_suite_runs_first(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        taken = []
+
+        def spy(name, **kwargs):
+            taken.append(name)
+            return real(name, **kwargs)
+
+        real = cli._timed_suite
+        monkeypatch.setattr(cli, "_timed_suite", spy)
+        out = tmp_path / "rep.json"
+        assert main(["verify", "--suite=all", "--lambda-grid=4", "--pairs=1",
+                     "--members=1", "--out", str(out)]) == 0
+        assert taken == list(verification.SUITES_BY_COST)
+        assert taken[0] == "prop5"
+        # the report keeps the order of the suites named
+        order = [r["lemma_id"].split(".")[0] for r in json.loads(out.read_text())["reports"]]
+        assert list(dict.fromkeys(order)) == list(SUITES)
+
+    def test_cost_order_names_every_suite_once(self):
+        assert sorted(verification.SUITES_BY_COST) == sorted(SUITES)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_failing_suite_raises_its_own_error(self, cpus, tmp_path, monkeypatch):
@@ -339,8 +401,105 @@ class TestVerifyProcesses:
         with pytest.raises(QuadratureError, match="injected failure") as excinfo:
             main(["verify", "--suite=lemma3,lemma4,ck", "--lambda-grid=4", "--out", str(out)])
         assert excinfo.type is QuadratureError
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus, failing", [(1, "parent"), (2, "parent"), (2, "child")])
+    def test_no_suite_starts_after_a_failure(self, cpus, failing, tmp_path, monkeypatch):
+        # the suite fails in the process named; in the other it waits
+        # until the failing process has drained the queue, so that it
+        # cannot take every suite first
+        log, drained = tmp_path / "started", tmp_path / "drained"
+        here = os.getpid()
+
+        def suite(**_):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if (os.getpid() == here) == (failing == "parent"):
+                raise QuadratureError("injected failure")
+            deadline = time.monotonic() + 10.0
+            while not drained.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return []
+
+        def drain(queue):
+            real_drain(queue)
+            drained.write_text(str(os.getpid()))
+
+        real_drain = cli._drain
+        monkeypatch.setattr(cli, "_drain", drain)
+        monkeypatch.setitem(verification.SUITES, "lemma4", suite)
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "out" / "rep.json"
+        with pytest.raises(QuadratureError, match="injected failure") as excinfo:
+            main(["verify", "--suite=" + ",".join(["lemma4"] * 6), "--out", str(out)])
+        assert excinfo.type is QuadratureError
+        assert_no_child()
+        assert (int(drained.read_text()) == here) == (failing == "parent")
+        starts = log.read_text().split()
+        assert len(starts) == len(set(starts)) <= cpus  # one suite per process at most
+        assert not out.parent.exists()
+
+    def test_a_child_that_dies_is_reported(self, tmp_path, monkeypatch):
+        # the child dies without a result; the verify process waits for
+        # that, so that it cannot take both suites first
+        died = tmp_path / "died"
+        here = os.getpid()
+
+        def suite(**_):
+            if os.getpid() != here:
+                died.touch()
+                os._exit(3)
+            deadline = time.monotonic() + 10.0
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return []
+
+        monkeypatch.setitem(verification.SUITES, "lemma4", suite)
+        use_cpus(monkeypatch, 2)
+        out = tmp_path / "out" / "rep.json"
+        with pytest.raises(RuntimeError, match=r"worker 1 sent no result \(exit status 3\)"):
+            main(["verify", "--suite=lemma4,lemma4", "--out", str(out)])
+        assert_no_child()
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_queue_longer_than_the_pipe_is_refused(self, cpus, tmp_path, monkeypatch, capsys):
+        def refuse(*_, **__):
+            raise AssertionError("a suite ran or a process was started")
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(cli, "_timed_suite", refuse)
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite=" + ",".join(["lemma4"] * 40_000), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "40000 suites are more than the work queue holds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    @pytest.mark.parametrize("suites", ["all", ",".join(["prop5"] * 80)], ids=["all", "long"])
+    def test_killing_verify_ends_its_child(self, suites, tmp_path):
+        src = str(Path(carlemanfp.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "carlemanfp.cli", "verify", f"--suite={suites}",
+             "--out", str(tmp_path / "rep.json")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (children := children_of(proc.pid)):
+                assert proc.poll() is None, "verify ended before its child was seen"
+                assert time.monotonic() < deadline, "verify forked no child"
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 5.0
+        while not all(map(gone_or_zombie, children)):
+            assert time.monotonic() < deadline, f"child {children} outlived verify by 5 s"
+            time.sleep(0.01)
 
 
 class TestFigure2:

@@ -73,11 +73,18 @@ class TestScipyStaysOffTheSolvePath:
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
-    # verify imports the process pool only when it uses one, so the other
-    # commands, and verify on one CPU, pay neither its time nor its memory
-    loaded = run_fresh("import carlemanfp.cli", tmp_path,
-                       roots=("multiprocessing", "concurrent"))
-    assert loaded == []
+    # verify forks its workers itself: no command, and no verify run on
+    # any number of CPUs, pays for the process-pool modules
+    pools = ("multiprocessing", "concurrent")
+    assert run_fresh("import carlemanfp.cli", tmp_path, roots=pools) == []
+    two_cpus = (
+        "import json, os\n"
+        "from carlemanfp.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "assert main(['verify', '--suite=lemma3,lemma4', '--out', 'rep.json']) == 0\n"
+        "assert json.load(open('rep.json.manifest.json'))['workers'] == 2"
+    )
+    assert run_fresh(two_cpus, tmp_path, roots=pools) == []
 
 
 def test_no_nan_blind_guard():
