@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .coupling import Coupling, CouplingRangeError
+from .coupling import Coupling, CouplingRangeError, lambda_in_theorem_range
 from .gab import TwoPointReconstruction
 from .grids import POWER_LAW_EXTEND
 from .hilbert import QuadratureError
@@ -179,9 +179,12 @@ def _solve_or_exit(cfg: SolverConfig) -> SolveResult:
     except NonConvergenceError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NONCONVERGENCE)
-    except EnvelopeEscapeError as exc:  # only in-range runs check the band
-        print(f"solve failed: {exc}; T keeps the band for lambda in [-1/6, 0], so "
-              "the grid is too coarse: raise --nodes", file=sys.stderr)
+    except EnvelopeEscapeError as exc:
+        hint = ("T keeps the band for lambda in [-1/6, 0], so the grid is too coarse: "
+                "raise --nodes" if lambda_in_theorem_range(cfg.coupling.lam)
+                else "past -1/6 T need not keep the band, or the grid is too coarse: "
+                "try more --nodes")
+        print(f"solve failed: {exc}; {hint}", file=sys.stderr)
         raise SystemExit(EXIT_ENVELOPE)
     except (QuadratureError, PoleRegionError) as exc:
         # exploratory couplings can break the transform's structure
@@ -456,7 +459,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--damping", type=float, default=1.0,
                        help="mixing factor beta in (0, 1]")
         p.add_argument("--exploratory", action="store_true",
-                       help="bypass the coupling range guard (diagnostic only)")
+                       help="widen the coupling range to (-1/pi, 0] (diagnostic only)")
 
     p = sub.choices["verify"]
     p.add_argument("--suite", default="all",

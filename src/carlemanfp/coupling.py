@@ -8,15 +8,18 @@ upper edge of the fixed-point domain and most bound constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .domain import checked
 
 THEOREM_LAMBDA_MIN = -1.0 / 6.0
 
-# Hard limit: lambda_r blows up at |lambda| = 1/2, and the fixed-point
-# domain itself is only defined for |lambda| < 1/3.
-EXPLORATORY_LAMBDA_MIN = -0.499
+# Open lower end of the exploratory range (-1/pi, 0]: R(t)/t tends to
+# sqrt(1 - (lambda pi)^2), which has no real value from -1/pi on, and the
+# exact solution of the model (Grosse-Hock-Wulkenhaar, arXiv:1908.04543)
+# exists for every lambda > -1/pi.
+EXPLORATORY_LAMBDA_MIN = -1.0 / math.pi
 
 
 def lambda_in_theorem_range(lam: float) -> bool:
@@ -33,8 +36,8 @@ class Coupling:
     """Coupling ``lam`` in ``[-1/6, 0]`` with cached ``lambda_r``.
 
     ``exploratory=True`` (the CLI's ``--exploratory``) marks a diagnostic
-    run: it relaxes the range check, and ``solve`` then enforces neither
-    the envelope band nor the pole guard; no bound is asserted.
+    run: it widens the range to (-1/pi, 0] and nothing else; ``solve``
+    keeps the envelope band and the pole guard, and no bound is asserted.
     """
 
     lam: float
@@ -43,14 +46,15 @@ class Coupling:
 
     def __post_init__(self) -> None:
         lam = float(self.lam)
+        checked(lam, "coupling")
         if self.exploratory:
-            checked(lam, "exploratory coupling", EXPLORATORY_LAMBDA_MIN, 0.0)
-        else:
-            checked(lam, "coupling")
-            if not lambda_in_theorem_range(lam):
-                raise CouplingRangeError(
-                    f"coupling {lam} outside [{THEOREM_LAMBDA_MIN:.6f}, 0]"
+            if not EXPLORATORY_LAMBDA_MIN < lam <= 0.0:
+                raise ValueError(
+                    f"exploratory coupling must lie in (-1/pi, 0], got {lam:g}: "
+                    "R(t)/t tends to sqrt(1 - (lambda pi)^2), not real from -1/pi on"
                 )
+        elif not lambda_in_theorem_range(lam):
+            raise CouplingRangeError(f"coupling {lam} outside [{THEOREM_LAMBDA_MIN:.6f}, 0]")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(
             self, "lambda_r", abs(lam) / (1.0 - 2.0 * abs(lam))

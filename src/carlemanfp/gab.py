@@ -60,6 +60,8 @@ class TwoPointReconstruction:
             math.inf,
         )
         self._angle = SampledPVTransform(f.nodes)
+        # the numerator |lam| pi a of the angle on the grid, for every column
+        self._tau_num = coupling.abs_lambda * math.pi * f.nodes
         self._h0_tau0 = self._angle.at_zero(self.tau_values(0.0))
         # the angle transforms at the points of the a -> 0 limit that the
         # last table formed, by b
@@ -69,9 +71,8 @@ class TwoPointReconstruction:
 
     def tau_values(self, b: float) -> np.ndarray:
         """Angle sampled on the boundary grid; 0 at both domain ends."""
-        al = self.coupling.abs_lambda
         with np.errstate(invalid="ignore"):
-            out = _branch_arctan(al * math.pi * self.f.nodes, b + self._r_nodes)
+            out = _branch_arctan(self._tau_num, b + self._r_nodes)
         out[0] = 0.0
         out[-1] = 0.0
         return out

@@ -8,7 +8,9 @@ fixed-point domain stay inside their envelope between nodes.
 
 The limiter slopes and the interpolants take values with leading axes,
 one row per sampled function on the same nodes (the members of a block,
-``hilbert``); every row gets the bits it gets alone.
+``hilbert``); every row gets the bits it gets alone.  The per-interval
+kernels keep the intervals on the last axis, numpy's inner loop, with
+the bits of their interval-major formulas (``hermite_at_fractions``).
 """
 
 from __future__ import annotations
@@ -86,21 +88,26 @@ def _node_layout(n_nodes: int, lambda2: float) -> np.ndarray:
 def _limited_slopes(nodes, values, derivs):
     """Fritsch-Carlson limited endpoint slopes per interval, along the
     last axis."""
-    h = np.diff(nodes)
-    delta = np.diff(values) / h
-    m_left = derivs[..., :-1].copy()
-    m_right = derivs[..., 1:].copy()
+    delta = np.diff(values) / np.diff(nodes)
     nonzero = delta != 0.0
-    alpha = np.where(nonzero, m_left / np.where(nonzero, delta, 1.0), 0.0)
-    beta = np.where(nonzero, m_right / np.where(nonzero, delta, 1.0), 0.0)
-    m_left = np.where(nonzero & (alpha < 0.0), 0.0, m_left)
-    m_right = np.where(nonzero & (beta < 0.0), 0.0, m_right)
-    alpha = np.maximum(alpha, 0.0)
-    beta = np.maximum(beta, 0.0)
-    r2 = alpha**2 + beta**2
-    scale = np.where(r2 > 9.0, 3.0 / np.sqrt(np.where(r2 > 0, r2, 1.0)), 1.0)
-    m_left = np.where(nonzero, m_left * scale, 0.0)
-    m_right = np.where(nonzero, m_right * scale, 0.0)
+    safe = np.where(nonzero, delta, 1.0)
+    m_left, m_right = derivs[..., :-1], derivs[..., 1:]
+    alpha = np.where(nonzero, m_left / safe, 0.0)
+    beta = np.where(nonzero, m_right / safe, 0.0)
+    # a slope against the data, and every slope of a flat interval, is 0
+    drop_left = (alpha < 0.0) | ~nonzero
+    drop_right = (beta < 0.0) | ~nonzero
+    np.maximum(alpha, 0.0, out=alpha)
+    np.maximum(beta, 0.0, out=beta)
+    r2 = np.multiply(alpha, alpha, out=alpha)
+    r2 += np.multiply(beta, beta, out=beta)
+    # 3 / sqrt(max(r2, 9)) is 1 exactly inside the circle r2 <= 9, and
+    # fmax takes 9 for a NaN r2, which the limiter leaves unscaled
+    scale = np.divide(3.0, np.sqrt(np.fmax(r2, 9.0, out=r2), out=r2), out=r2)
+    m_left = m_left * scale
+    m_right = m_right * scale
+    np.copyto(m_left, 0.0, where=drop_left)
+    np.copyto(m_right, 0.0, where=drop_right)
     return m_left, m_right
 
 
@@ -122,9 +129,15 @@ def _hermite(nodes, values, slopes, x: np.ndarray, with_derivative: bool = False
     """``hermite_eval`` at points x already checked to lie on the grid,
     for values of any leading shape; the derivative too if asked."""
     ml, mr = slopes
-    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    t = (x - nodes[idx]) / h
+    # the interval of each point; minimum and maximum in place, as the
+    # np.clip wrapper costs more than the clipping on a few points
+    idx = np.searchsorted(nodes, x, side="right")
+    idx -= 1
+    np.minimum(np.maximum(idx, 0, out=idx), nodes.size - 2, out=idx)
+    upper = idx + 1
+    x_lo = nodes[idx]
+    h = nodes[upper] - x_lo
+    t = (x - x_lo) / h
     t2 = t * t
     t3 = t2 * t
     h00 = 2 * t3 - 3 * t2 + 1
@@ -132,7 +145,7 @@ def _hermite(nodes, values, slopes, x: np.ndarray, with_derivative: bool = False
     h01 = -2 * t3 + 3 * t2
     h11 = t3 - t2
     # take along the last axis: as fast as values[idx], and for any leading shape
-    v_lo, v_hi = values.take(idx, axis=-1), values.take(idx + 1, axis=-1)
+    v_lo, v_hi = values.take(idx, axis=-1), values.take(upper, axis=-1)
     m_lo, m_hi = ml.take(idx, axis=-1), mr.take(idx, axis=-1)
     v = h00 * v_lo + h10 * h * m_lo + h01 * v_hi + h11 * h * m_hi
     if not with_derivative:
@@ -146,8 +159,10 @@ def _hermite(nodes, values, slopes, x: np.ndarray, with_derivative: bool = False
 
 
 def _fraction_basis(fractions) -> tuple[np.ndarray, ...]:
-    """The four cubic Hermite basis functions at fractions in [0, 1]."""
+    """The four cubic Hermite basis functions at fractions in [0, 1], as
+    columns: one row per fraction, to broadcast against the intervals."""
     t, _ = checked(fractions, "fractions", 0.0, 1.0)
+    t = t[:, None]
     t2 = t * t
     t3 = t2 * t
     return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2
@@ -163,19 +178,25 @@ def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
     at nodes[i] + c (nodes[i+1] - nodes[i]) for every interval i and
     fraction c in [0, 1], interval by interval: the fixed fractions give
     fixed basis weights, so no point is located on the grid.  Values with
-    leading axes give one row of samples per row of values."""
+    leading axes give one row of samples per row of values.
+
+    The four terms are summed stencil-major, in a (..., fraction,
+    interval) array with the intervals on the last axis, where numpy's
+    inner loops run long; each sample takes the same products and sums in
+    the same order as at the interval-major layout, so it keeps its bits.
+    The result is swapped back to interval-major order.
+    """
     ml, mr = slopes
     b00, b10, b01, b11 = (
         _PANEL_BASIS if fractions is PANEL_FRACTIONS else _fraction_basis(fractions)
     )
-    h = np.diff(nodes)[:, None]
-    v = (
-        b00 * values[..., :-1, None]
-        + b10 * h * ml[..., None]
-        + b01 * values[..., 1:, None]
-        + b11 * h * mr[..., None]
-    )
-    return v.reshape(v.shape[:-2] + (-1,))
+    h = np.diff(nodes)
+    out = np.multiply(b00, values[..., None, :-1])
+    work = np.empty_like(out)
+    out += np.multiply(b10 * h, ml[..., None, :], out=work)
+    out += np.multiply(b01, values[..., None, 1:], out=work)
+    out += np.multiply(b11 * h, mr[..., None, :], out=work)
+    return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (-1,))
 
 
 @dataclass

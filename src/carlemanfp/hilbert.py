@@ -74,6 +74,7 @@ from .grids import (
 from .quadrature import (
     _BLOCK_BYTES,
     PANEL_FRACTIONS,
+    _stencil_sums,
     fd_derivative_coeffs,
     panel_points,
     row_blocks,
@@ -621,13 +622,14 @@ class SampledPVTransform:
         self.nodes = np.asarray(nodes, dtype=float)
         self.panels = panels = _Panels(self.nodes)
         self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
-        self._fd_idx, self._fd_c = fd_derivative_coeffs(self.nodes)
+        # the stencils stencil-major, contiguous in (4, n), for _stencil_sums
+        self._fd_idx, self._fd_c = (a.T for a in fd_derivative_coeffs(self.nodes))
 
     def _extension(self, values) -> Extension:
         """The interpolant of the values on the nodes, with their
         finite-difference derivative samples."""
         values = np.asarray(values, dtype=float)
-        return Extension(self.nodes, values, np.sum(self._fd_c * values[self._fd_idx], axis=1))
+        return Extension(self.nodes, values, _stencil_sums(self._fd_idx, self._fd_c, values))
 
     def at(self, values, *point_sets):
         """Transform of the sampled function at each set of points a in

@@ -12,6 +12,15 @@ finite-difference stencils need no solve: they are the derivatives of
 the Lagrange basis at the stencil's own node, in closed form from
 products of node differences.  The panel points of a grid are built for
 their caller, which keeps them with the grid's other plans (``hilbert``).
+
+The stencils are laid out stencil-major: the memo keeps the interval
+weights and their node indices contiguous in (4, n-1), and the
+finite-difference stencils are built in (4, n), so the stencil sums
+(``_stencil_sums``) run over axis 0 with the intervals or nodes on
+numpy's inner loop rather than a last axis of four.  Each interval or
+node still takes its four products in stencil order, so the sums keep
+the bits of the interval-major rows.  The public functions return
+(n-1, 4) and (n, 4) arrays, as transposed views of that storage.
 """
 
 from __future__ import annotations
@@ -63,14 +72,14 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
 def panel_points(x: np.ndarray):
     """4-point Gauss-Legendre nodes/weights on every interval of ``x``.
 
-    Returns flattened arrays (points, weights) of length 4*(len(x)-1).
+    Returns flattened arrays (points, weights) of length 4*(len(x)-1),
+    interval by interval.
     """
     x = np.asarray(x, dtype=float)
-    lo = x[:-1]
     h = np.diff(x)
-    pts = lo[:, None] + PANEL_FRACTIONS[None, :] * h[:, None]
-    wts = (0.5 * _GL4_WEIGHTS)[None, :] * h[:, None]
-    return pts.ravel(), wts.ravel()
+    pts = x[:-1] + PANEL_FRACTIONS[:, None] * h
+    wts = (0.5 * _GL4_WEIGHTS)[:, None] * h
+    return pts.T.ravel(), wts.T.ravel()
 
 
 def _stencil_starts(n: int) -> np.ndarray:
@@ -100,7 +109,8 @@ def _weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _weight_cache(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The weights of the nodes whose bytes are ``key``, solved at the
-    first call for them and read-only: the callers on the grid share them."""
+    first call for them and read-only: the callers on the grid share them.
+    ``idx`` and ``w`` are kept stencil-major, contiguous in (4, n-1)."""
     x = np.frombuffer(key)
     n = x.size
     starts = _stencil_starts(n)
@@ -114,6 +124,7 @@ def _weight_cache(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = np.linalg.solve(np.swapaxes(vand_t, 1, 2), moments[..., None])[..., 0]
     composite = np.zeros(n)
     np.add.at(composite, idx, w)
+    idx, w = np.ascontiguousarray(idx.T), np.ascontiguousarray(w.T)
     for array in (idx, w, composite):
         array.setflags(write=False)
     return idx, w, composite
@@ -124,10 +135,12 @@ def interval_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(idx, w)`` with shape (n-1, 4) each: the integral over
     interval i of the cubic through nodes ``idx[i]`` is ``w[i] @ y[idx[i]]``.
-    The arrays are read-only and shared by every caller on the same grid.
+    The arrays are read-only and shared by every caller on the same grid:
+    transposed views of the stencil-major storage, whose ``.T`` is
+    contiguous in (4, n-1).
     """
     idx, w, _ = _weights(x)
-    return idx, w
+    return idx.T, w.T
 
 
 def composite_weights(x: np.ndarray) -> np.ndarray:
@@ -137,8 +150,18 @@ def composite_weights(x: np.ndarray) -> np.ndarray:
 
 
 def interval_integrals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The integral over each interval of the cubic through its stencil."""
     idx, w = interval_weights(x)
-    return np.sum(w * y[idx], axis=1)
+    return _stencil_sums(idx.T, w.T, y)
+
+
+def _stencil_sums(idx: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k c[k] y[idx[k]] for stencil-major (4, m) ``idx`` and ``c``:
+    the products of a row of four, summed in stencil order along axis 0,
+    with the m stencils on numpy's inner loop."""
+    terms = np.asarray(y, dtype=float).take(idx)
+    terms *= c
+    return np.sum(terms, axis=0)
 
 
 def cumulative_integral(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -156,21 +179,23 @@ def fd_derivative_coeffs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is ``c[i] @ y[idx[i]]``.  c[i, j] is the derivative at x_i of the
     Lagrange basis polynomial of stencil node j, in closed form:
     prod_{k != i, j} (x_i - x_k) / prod_{k != j} (x_j - x_k) for j != i,
-    and sum_{k != i} 1 / (x_i - x_k) at the node's own place.
+    and sum_{k != i} 1 / (x_i - x_k) at the node's own place.  Both are
+    built stencil-major, and returned as transposed views: their ``.T``
+    is contiguous in (4, n), for sums over axis 0.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
         raise ValueError("need at least 4 nodes for cubic differentiation")
     starts = np.clip(np.arange(n) - 1, 0, n - 4)
-    idx = starts[:, None] + np.arange(4)[None, :]
+    idx = np.arange(4)[:, None] + starts
     xs = x[idx]
-    own = (np.arange(n), np.arange(n) - starts)  # node i's place in its stencil
-    d = x[:, None] - xs
+    own = (np.arange(n) - starts, np.arange(n))  # node i's place in its stencil
+    d = x - xs
     d[own] = 1.0  # left out of the products
-    spans = xs[:, :, None] - xs[:, None, :]
-    spans[:, np.arange(4), np.arange(4)] = 1.0
-    c = np.prod(d, axis=1, keepdims=True) / d / np.prod(spans, axis=2)
+    spans = xs[:, None, :] - xs[None, :, :]
+    spans[np.arange(4), np.arange(4)] = 1.0
+    c = np.prod(d, axis=0) / d / np.prod(spans, axis=1)
     d[own] = np.inf  # left out of the sum
-    c[own] = np.sum(1.0 / d, axis=1)
-    return idx, c
+    c[own] = np.sum(1.0 / d, axis=0)
+    return idx.T, c.T

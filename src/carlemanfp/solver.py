@@ -186,8 +186,7 @@ def _next_iterate(
     """Safeguarded Anderson step from f, whose image is tf.
 
     ``restart`` (the residual grew) or a mix leaving the envelope band
-    (checked unless the coupling is exploratory) clears the history and
-    takes the damped Picard step instead.
+    clears the history and takes the damped Picard step instead.
     """
     mixer.push(
         (f.values, f.derivs), (tf.values, tf.derivs),
@@ -197,7 +196,7 @@ def _next_iterate(
         mixer.restart()
     (values, derivs), depth = mixer.step(beta)
     new = GridFunction(f.nodes, values, derivs)
-    if depth and not coupling.exploratory and _escapes(_band_margin(new, coupling)[0]):
+    if depth and _escapes(_band_margin(new, coupling)[0]):
         mixer.restart()
         (values, derivs), depth = mixer.step(beta)
         new = GridFunction(f.nodes, values, derivs)
@@ -208,10 +207,10 @@ def solve(cfg: SolverConfig) -> SolveResult:
     """Safeguarded Anderson iteration until ||T f - f||_LB drops below
     tolerance; returns the last image T f.
 
-    Raises NonConvergenceError at the iteration cap.  Unless the coupling
-    is exploratory, an image must keep b + Rf(t) > 0 (PoleRegionError)
-    and its scaled derivative must stay in the envelope band up to the
-    slack (EnvelopeEscapeError).
+    Raises NonConvergenceError at the iteration cap.  An image must keep
+    b + Rf(t) > 0 (PoleRegionError) and its scaled derivative must stay
+    in the envelope band up to the slack (EnvelopeEscapeError), for an
+    exploratory coupling too.
     """
     coupling = cfg.coupling
     op = TOperator(coupling, cfg.quadrature())
@@ -222,9 +221,9 @@ def solve(cfg: SolverConfig) -> SolveResult:
     grew = 0
     prev_residual = math.inf
     for it in range(1, cfg.max_iters + 1):
-        tf = op.apply(f, require_positive=not coupling.exploratory)
+        tf = op.apply(f)
         margin, node = _band_margin(tf, coupling)
-        if not coupling.exploratory and _escapes(margin):
+        if _escapes(margin):
             raise EnvelopeEscapeError(it, node, margin)
         residual = lb_distance(tf, f)
         if residual < cfg.tol_lb:

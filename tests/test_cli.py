@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,15 +87,21 @@ class TestSolve:
         assert code == 0  # just past the stability range the iteration still lands
 
     def test_exploratory_numerical_breakdown_exit(self, tmp_path, capsys):
-        # deep in the exploratory regime the transform's tail slope turns
-        # non-positive; the CLI must report instead of crashing
-        code = run(
-            [
-                "solve", "--lambda=-0.45", "--exploratory", "--nodes=300",
-                "--cutoff=1e4", "--max-iters=20", "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 2
+        # past -1/pi R(t)/t would tend to sqrt(1 - (lambda pi)^2), which is
+        # not real: the run that once iterated into a numerical breakdown
+        # (exit 2) is refused as an input error before it starts
+        out = tmp_path / "x.csv"
+        for lam in ("-0.45", "-0.3184", str(-1.0 / math.pi)):
+            code = run(
+                [
+                    "solve", f"--lambda={lam}", "--exploratory", "--nodes=300",
+                    "--cutoff=1e4", "--max-iters=20", "--out", str(out),
+                ]
+            )
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "-1/pi" in err and "sqrt(1 - (lambda pi)^2)" in err
+        assert not out.exists()
 
     def test_envelope_escape_exit_code(self, tmp_path, capsys):
         # at the range edge 64 nodes are too coarse: the first image leaves
@@ -105,6 +112,18 @@ class TestSolve:
         assert code == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "--nodes" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exploratory_envelope_escape_exit_code(self, tmp_path, capsys):
+        # an exploratory run keeps the band check; past -1/6 the message
+        # does not claim that T keeps the band
+        out = tmp_path / "esc.csv"
+        code = run(["solve", "--lambda=-0.25", "--exploratory", "--nodes=64",
+                    "--cutoff=1e4", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "past -1/6" in err and "--nodes" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_nonconvergence_exit_code(self, tmp_path):

@@ -28,6 +28,14 @@ def test_coupling_basics():
     assert Coupling(-0.2, exploratory=True).lambda_r == pytest.approx(0.2 / 0.6)
 
 
+def test_exploratory_range_ends_at_minus_one_over_pi():
+    # R(t)/t tends to sqrt(1 - (lambda pi)^2): real only for lambda > -1/pi
+    assert Coupling(-1.0 / math.pi + 1e-9, exploratory=True).lam > -1.0 / math.pi
+    for lam in (-1.0 / math.pi, -0.45, -0.499, 0.1):
+        with pytest.raises(ValueError, match=r"\(-1/pi, 0\].*sqrt\(1 - \(lambda pi\)\^2\)"):
+            Coupling(lam, exploratory=True)
+
+
 def test_coupling_range_rule():
     # below -1/6 by more than the guard's 1e-15 of rounding room: refused
     outside = -1.0 / 6.0 - 1e-13

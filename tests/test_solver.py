@@ -86,8 +86,8 @@ class TestSolve:
         assert all(0 <= d <= ANDERSON_DEPTH for d in depths)
 
     def test_range_guard(self):
-        # past the stability range the coupling itself switches the band
-        # and pole checks off; just past -1/6 the iteration still lands
+        # just past -1/6 the iteration still lands, with the band and pole
+        # checks on
         cfg = SolverConfig(coupling=Coupling(-0.2, exploratory=True), n_nodes=300)
         res = solve(cfg)
         assert res.iterations < cfg.max_iters
@@ -128,13 +128,22 @@ class TestAndersonMixer:
         nodes = make_nodes(64, 1e4)
         first = self._pair(nodes, -0.84, -0.80)
         second = self._pair(nodes, -0.80, -0.77)
-        # an exploratory coupling has the same band but leaves it unchecked
-        exploratory = Coupling(fig_coupling.lam, exploratory=True)
+        # the unguarded mix: the mixer's own step, with no band check
         unguarded = AndersonMixer()
-        _next_iterate(unguarded, *first, exploratory, 1.0, False)
-        mixed, depth = _next_iterate(unguarded, *second, exploratory, 1.0, False)
+        for f, tf in (first, second):
+            unguarded.push(
+                (f.values, f.derivs), (tf.values, tf.derivs),
+                tf.scaled_derivs() - f.scaled_derivs(),
+            )
+        (values, derivs), depth = unguarded.step(1.0)
         assert depth == 1
-        assert np.allclose(mixed.scaled_derivs(), -0.68)
+        assert np.allclose((1.0 + nodes) * derivs, -0.68)
+        # an exploratory coupling keeps the band check, as any other
+        exploratory = Coupling(fig_coupling.lam, exploratory=True)
+        guarded = AndersonMixer()
+        _next_iterate(guarded, *first, exploratory, 1.0, False)
+        _, depth = _next_iterate(guarded, *second, exploratory, 1.0, False)
+        assert depth == 0
 
         mixer = AndersonMixer()
         _next_iterate(mixer, *first, fig_coupling, 1.0, False)
