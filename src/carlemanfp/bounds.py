@@ -1,4 +1,4 @@
-"""Closed-form bound functions and the inequality certification scans.
+"""Closed-form bound functions behind the certified inequalities.
 
 Contents: the lower-bound correction F entering the sandwich on the
 rescaled transform, its rescaled-family parent fhat, the piecewise
@@ -8,6 +8,8 @@ coefficients, the pointwise difference bounds for R, the norm-continuity
 constant, and the two auxiliary functions whose suprema enter that
 constant.  Each takes a scalar or an array of points, checked against its
 domain by ``domain.checked``, and returns a float or an array to match.
+The scans that sample them, and their grids, are the suites of
+``verification``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .coupling import Coupling
 from .domain import checked, unwrap
-from .report import VerificationReport, Worst
 from .specfun import dilog, hyp2f1, zeta_lambda
 
 _E = math.e
@@ -344,123 +345,3 @@ def c_tilde_aux(alpha, coupling: Coupling):
     ratio = alpha / (alpha - 1.0)          # overflow-safe for huge alpha
     out = ratio**2 * brace_a + ratio / (alpha - 1.0) * brace_b
     return unwrap(out, scalar)
-
-
-SUP_SCAN_POINTS = 4000  # log-spaced points of the auxiliary-sup scans
-
-
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    grid = np.geomspace(lo, hi, SUP_SCAN_POINTS)
-    return grid[np.abs(grid - 1.0) > 1e-6]
-
-
-def sup_c_aux(coupling: Coupling) -> float:
-    """Scan sup of ``c_aux`` over the arguments reachable from b >= 0."""
-    al = coupling.abs_lambda
-    lr = coupling.lambda_r
-    x = lr * math.pi
-    h_lam = 1.0 - al / 5.0
-    lo = h_lam * math.sin(x) * math.cos(x) / (al * math.pi)
-    hi = math.exp(4.0 / al)
-    return float(np.max(c_aux(_scan_grid(lo, hi), coupling)))
-
-
-def sup_c_tilde_aux(coupling: Coupling) -> float:
-    al = coupling.abs_lambda
-    lr = coupling.lambda_r
-    x = lr * math.pi
-    lo = math.sin(x) * math.cos(x) / (al * math.pi)
-    hi = math.exp(4.0 / al)
-    return float(np.max(c_tilde_aux(_scan_grid(lo, hi), coupling)))
-
-
-# ---------------------------------------------------------------------------
-# Certification scans
-# ---------------------------------------------------------------------------
-
-def _from_zero(hi: float, n: int) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-6, hi, n - 1)])
-
-
-# The six shape certificates of F: (id, domain, grid of n points, margin).
-_F_SHAPE = (
-    ("lemma3.monotone", "[1/2, 1e4] log grid",
-     lambda n: np.geomspace(0.5, 1e4, n), f_bound_prime),
-    ("lemma3.convex", "[0, 9/4] log grid",
-     lambda n: np.geomspace(1e-8, 2.25, n), f_bound_second),
-    ("lemma3.concave", "[5/2, 1e4] log grid",
-     lambda n: np.geomspace(2.5, 1e4, n), lambda a: -f_bound_second(a)),
-    ("lemma3.second-deriv-window", "[9/4, 5/2] linear grid",
-     lambda n: np.linspace(2.25, 2.5, n), lambda a: 0.1 - np.abs(f_bound_second(a))),
-    ("lemma3.nonneg-right", "[4/5, 1e4] log grid",
-     lambda n: np.geomspace(0.8, 1e4, n), f_bound),
-    ("lemma3.global-floor", "[0, 1e4] log grid",
-     lambda n: _from_zero(1e4, n), lambda a: f_bound(a) + 0.2),
-)
-
-
-def verify_F_properties(n: int = 10_000) -> list[VerificationReport]:
-    """Six dense-grid certificates for the shape properties of F."""
-    reports = []
-    for lemma_id, domain, grid_of, margin in _F_SHAPE:
-        grid = grid_of(n)
-        worst = Worst()
-        worst.add(margin(grid), lambda i: float(grid[i]))
-        reports.append(worst.report(lemma_id, domain))
-    return reports
-
-
-def verify_f_ge_s(n: int = 10_000) -> VerificationReport:
-    """Dense-grid certificate that F dominates its tangent minorant.
-
-    The margin is exactly zero at the tangency points, so the check is
-    not flagged inconclusive for a small positive worst margin.
-    """
-    grid = _from_zero(1e3, n)
-    worst = Worst()
-    worst.add(f_bound(grid) - s_bound(grid), lambda i: float(grid[i]))
-    return worst.report(
-        "lemma4.minorant",
-        "[0, 1e3] log grid",
-        strict=False,
-        floor=-1e-12,
-        notes="tangency points make an exactly-zero margin legitimate",
-    )
-
-
-def master_lambda_grid(n_lambda: int = 200) -> np.ndarray:
-    """Coupling grid for the master scans: [-1/6, 0), endpoint excluded.
-
-    The expression is identically zero at zero coupling, so including
-    the endpoint would only produce a vacuous zero margin.
-    """
-    return np.linspace(-1.0 / 6.0, 0.0, n_lambda + 1)[:-1]
-
-
-def verify_master_inequality(
-    n_lambda: int = 200, n_b: int = 1000
-) -> VerificationReport:
-    b = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, n_b - 1)])
-    worst = Worst()
-    for lam in master_lambda_grid(n_lambda):
-        ub = upper_bound_master(b, Coupling(lam))
-        worst.add(-ub, lambda i: (float(lam), float(b[i])))
-    return worst.report(
-        "ck.master-expression",
-        f"{n_lambda} x {n_b} (coupling, b) grid on [-1/6,0) x [0,1e4]",
-        strict=False,
-        notes="the expression vanishes like coupling^2/b^2 toward the "
-        "zero-coupling large-b corner, so the worst margin is tiny by "
-        "construction; any negative value is a violation",
-    )
-
-
-def verify_c_coeffs(n_lambda: int = 200) -> VerificationReport:
-    worst = Worst()
-    for lam in master_lambda_grid(n_lambda):
-        coeffs = c_coeffs_printed(Coupling(lam))
-        worst.add(-coeffs, lambda i: (float(lam), f"c{14 + i}"))
-    return worst.report(
-        "ck.printed-tail-coefficients",
-        f"{n_lambda}-point coupling grid on [-1/6, 0)",
-    )

@@ -399,6 +399,9 @@ def cmd_figure2(args) -> int:
 def cmd_gab(args) -> int:
     t0 = time.time()
     cfg, snapshot = _run_solve_config(args)
+    if cfg.coupling.abs_lambda == 0.0:
+        raise argparse.ArgumentError(
+            None, f"--lambda={args.lam:g}: reconstruction needs a strictly negative coupling")
     if not 0.0 < args.a_min <= args.a_max < cfg.lambda2:
         raise argparse.ArgumentError(
             None,
@@ -420,11 +423,15 @@ def cmd_gab(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 1) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def _seed(text: str) -> int:
+    return _count(text, 0)
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -466,7 +473,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="comma list of " + "|".join(sorted(SUITES)) + "|all")
     p.add_argument("--lambda-grid", dest="lambda_grid", type=_count, default=200,
                    help="couplings in the ck scans")
-    p.add_argument("--seed", type=int, default=0, help="random-member seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random-member seed")
     p.add_argument("--pairs", type=_count, default=10, help="pairs per coupling")
     p.add_argument("--members", type=_count, default=10, help="members per coupling")
 

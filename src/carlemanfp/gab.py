@@ -82,9 +82,14 @@ class TwoPointReconstruction:
         a, scalar = checked(a, "a", 0.0, self.lambda2, "()")
         return a, self._hilbert.r(a, self.coupling.abs_lambda), scalar
 
+    def _checked_b(self, b):
+        """b as ``checked`` returns it, for b in [0, cutoff]: the domain
+        of the truncated reconstruction, the one rule of every method."""
+        return checked(b, "b", 0.0, self.lambda2)
+
     def tau_at(self, a, b: float):
-        """The angle tau_b at points a in (0, cutoff), for b >= 0."""
-        checked(b, "b", 0.0)
+        """The angle tau_b at points a in (0, cutoff), for b in [0, cutoff]."""
+        self._checked_b(b)
         a, r_a, scalar = self._r_at(a)
         tau = _branch_arctan(self.coupling.abs_lambda * math.pi * a, b + r_a)
         return unwrap(tau, scalar)
@@ -108,10 +113,10 @@ class TwoPointReconstruction:
         return tau, g_val
 
     def g(self, a: float, b: float) -> float:
-        """G(a, b) for b >= 0; ValueError if the angle leaves [0, pi] or
-        G <= 0."""
+        """G(a, b) for b in [0, cutoff]; ValueError if the angle leaves
+        [0, pi] or G <= 0."""
         a, r_a, _ = self._r_at(np.array([float(a)]))
-        checked(b, "b", 0.0)
+        self._checked_b(b)
         return float(self._g_at(a, r_a, b)[1][0])
 
     @functools.cached_property
@@ -124,7 +129,7 @@ class TwoPointReconstruction:
         a0 = BOUNDARY_A0.  For a b of the last ``table`` the angle
         transform at those points is the one that table formed with its
         column; any other b transforms its own."""
-        checked(b, "b", 0.0)
+        self._checked_b(b)
         h_probes = self._table_probes.get(float(b))
         g1, g2, g3 = self._g_at(_BOUNDARY_PROBES, self._probe_r, b, h_probes)[1]
         e1 = 2.0 * g2 - g1
@@ -135,7 +140,7 @@ class TwoPointReconstruction:
         """The a -> 0 limits at b_values (``boundary_limit``), and their
         relative deviations from the boundary solution exp(f(b)), for b
         in [0, cutoff]."""
-        b_values, _ = checked(b_values, "b", 0.0, self.lambda2)
+        b_values, _ = self._checked_b(b_values)
         limits = np.array([self.boundary_limit(b) for b in b_values.tolist()])
         ref = np.array([math.exp(v) for v in self.f.at(b_values).tolist()])
         return limits, np.abs(limits - ref) / ref
@@ -164,7 +169,7 @@ class TwoPointReconstruction:
         differ, G(b_j, a_i) is not in the table.
         """
         a_grid, r_a, _ = self._r_at(a_grid)
-        b_grid, _ = checked(b_grid, "b", 0.0)
+        b_grid, _ = self._checked_b(b_grid)
         gmat = np.empty((a_grid.size, b_grid.size))
         taumat = np.empty_like(gmat)
         self._table_probes = probes = {}

@@ -262,10 +262,6 @@ class GridFunction:
             self.nodes, self.values, self.derivs, x, True, slopes=self.slopes
         )[1]
 
-    def at_fractions(self, fractions) -> np.ndarray:
-        """f at the same fractions of every interval (``hermite_at_fractions``)."""
-        return hermite_at_fractions(self.nodes, self.values, self.slopes, fractions)
-
     # -- tail ---------------------------------------------------------
 
     def fitted_tail_exponent(self) -> float:

@@ -1,9 +1,11 @@
-"""Named certification suites combining bound formulas with operator runs.
+"""Named certification suites: every scan of the certified inequalities.
 
-Each suite returns a list of VerificationReports; the command-line
-driver serialises them and owns every default: the settings a suite
-reads (``seed``, ``n_pairs``, ``n_members``, ``n_lambda``) are
-keyword-only, with no default here.
+Each suite samples the closed forms of ``bounds``, or runs the operator
+on random domain members, on grids it builds when it runs; the grid
+sizes are the constants below.  Each returns a list of
+VerificationReports; the command-line driver serialises them and owns
+every default: the settings a suite reads (``seed``, ``n_pairs``,
+``n_members``, ``n_lambda``) are keyword-only, with no default here.
 
 The random-member suites draw all the members of a coupling first, in
 the order of one-by-one draws, and take R and T of them in blocks of
@@ -33,20 +35,89 @@ SUITE_NODES = 400       # grid size of the random-member suites
 MEMBER_BLOCK = members_per_block(make_nodes(SUITE_NODES, 1e6))
 APPENDIX_LAMBDA = -1.0 / (2.0 * math.pi)
 APPENDIX_NODES = 1200
+SHAPE_POINTS = 10_000   # points of each lemma3 and lemma4 grid
+MASTER_B_POINTS = 1000  # b points of the master-expression scan
+AUX_SCAN_POINTS = 4000  # log-spaced points of the auxiliary-sup scans
+
+
+def _from_zero(hi: float) -> np.ndarray:
+    return np.concatenate([[0.0], np.geomspace(1e-6, hi, SHAPE_POINTS - 1)])
+
+
+# The six shape certificates of F: (id, domain, grid, margin on the grid).
+# Each grid is built, and each bound looked up in ``bounds``, when the
+# suite runs.
+_F_SHAPE = (
+    ("lemma3.monotone", "[1/2, 1e4] log grid",
+     lambda: np.geomspace(0.5, 1e4, SHAPE_POINTS), lambda a: bounds.f_bound_prime(a)),
+    ("lemma3.convex", "[0, 9/4] log grid",
+     lambda: np.geomspace(1e-8, 2.25, SHAPE_POINTS), lambda a: bounds.f_bound_second(a)),
+    ("lemma3.concave", "[5/2, 1e4] log grid",
+     lambda: np.geomspace(2.5, 1e4, SHAPE_POINTS), lambda a: -bounds.f_bound_second(a)),
+    ("lemma3.second-deriv-window", "[9/4, 5/2] linear grid",
+     lambda: np.linspace(2.25, 2.5, SHAPE_POINTS),
+     lambda a: 0.1 - np.abs(bounds.f_bound_second(a))),
+    ("lemma3.nonneg-right", "[4/5, 1e4] log grid",
+     lambda: np.geomspace(0.8, 1e4, SHAPE_POINTS), lambda a: bounds.f_bound(a)),
+    ("lemma3.global-floor", "[0, 1e4] log grid",
+     lambda: _from_zero(1e4), lambda a: bounds.f_bound(a) + 0.2),
+)
 
 
 def suite_lemma3(**_) -> list[VerificationReport]:
-    return bounds.verify_F_properties()
+    """Six dense-grid certificates for the shape properties of F."""
+    reports = []
+    for lemma_id, domain, grid_of, margin in _F_SHAPE:
+        grid = grid_of()
+        worst = Worst()
+        worst.add(margin(grid), lambda i: float(grid[i]))
+        reports.append(worst.report(lemma_id, domain))
+    return reports
 
 
 def suite_lemma4(**_) -> list[VerificationReport]:
-    return [bounds.verify_f_ge_s()]
+    """Dense-grid certificate that F dominates its tangent minorant.
+
+    The margin is exactly zero at the tangency points, so the check is
+    not flagged inconclusive for a small positive worst margin.
+    """
+    grid = _from_zero(1e3)
+    worst = Worst()
+    worst.add(bounds.f_bound(grid) - bounds.s_bound(grid), lambda i: float(grid[i]))
+    return [worst.report(
+        "lemma4.minorant",
+        "[0, 1e3] log grid",
+        strict=False,
+        floor=-1e-12,
+        notes="tangency points make an exactly-zero margin legitimate",
+    )]
 
 
 def suite_ck(*, n_lambda: int, **_) -> list[VerificationReport]:
+    """The master expression and the printed tail coefficients on one
+    grid of n_lambda couplings in [-1/6, 0).  Zero coupling is left out:
+    the expression vanishes there identically, a vacuous zero margin, and
+    the printed coefficients are not defined."""
+    b = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, MASTER_B_POINTS - 1)])
+    master, printed = Worst(), Worst()
+    for lam in np.linspace(-1.0 / 6.0, 0.0, n_lambda + 1)[:-1]:
+        coupling = Coupling(lam)
+        master.add(-bounds.upper_bound_master(b, coupling),
+                   lambda i: (float(lam), float(b[i])))
+        printed.add(-bounds.c_coeffs_printed(coupling), lambda i: (float(lam), f"c{14 + i}"))
     return [
-        bounds.verify_master_inequality(n_lambda=n_lambda),
-        bounds.verify_c_coeffs(n_lambda=n_lambda),
+        master.report(
+            "ck.master-expression",
+            f"{n_lambda} x {MASTER_B_POINTS} (coupling, b) grid on [-1/6,0) x [0,1e4]",
+            strict=False,
+            notes="the expression vanishes like coupling^2/b^2 toward the "
+            "zero-coupling large-b corner, so the worst margin is tiny by "
+            "construction; any negative value is a violation",
+        ),
+        printed.report(
+            "ck.printed-tail-coefficients",
+            f"{n_lambda}-point coupling grid on [-1/6, 0)",
+        ),
     ]
 
 
@@ -130,7 +201,7 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
             make_report(
                 f"prop5.aux-sup[{lam:.4g}]",
                 "log scan up to exp(4/|lam|)",
-                (1.0 + al) / math.e - bounds.sup_c_aux(coupling),
+                (1.0 + al) / math.e - _aux_sup(bounds.c_aux, 1.0 - al / 5.0, coupling),
                 None,
                 notes="first auxiliary sup against (1+|lam|)/e",
             )
@@ -139,12 +210,24 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
             make_report(
                 f"prop5.aux-tilde-sup[{lam:.4g}]",
                 "log scan up to exp(4/|lam|)",
-                1.0 + al / 4.0 - bounds.sup_c_tilde_aux(coupling),
+                1.0 + al / 4.0 - _aux_sup(bounds.c_tilde_aux, 1.0, coupling),
                 None,
                 notes="second auxiliary sup against 1 + |lam|/4",
             )
         )
     return reports
+
+
+def _aux_sup(fn, h_lam: float, coupling: Coupling) -> float:
+    """Scan sup of the auxiliary function ``fn`` over the arguments
+    reachable from b >= 0, from h_lam sin(x) cos(x) / (|lam| pi),
+    x = lambda_r pi, up to exp(4/|lam|), less a band about its removable
+    point 1."""
+    al = coupling.abs_lambda
+    x = coupling.lambda_r * math.pi
+    lo = h_lam * math.sin(x) * math.cos(x) / (al * math.pi)
+    grid = np.geomspace(lo, math.exp(4.0 / al), AUX_SCAN_POINTS)
+    return float(np.max(fn(grid[np.abs(grid - 1.0) > 1e-6], coupling)))
 
 
 def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport]:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from carlemanfp import bounds
+from carlemanfp import bounds, verification
 from carlemanfp.appendix import cauchy_integral, t0_profile
 from carlemanfp.coupling import Coupling
 from carlemanfp.grids import (
@@ -106,7 +106,7 @@ def test_criterion_04_reference_constants():
 
 def test_criterion_05_shape_certificates():
     t0 = time.time()
-    reps = bounds.verify_F_properties(n=10_000)
+    reps = verification.suite_lemma3()
     elapsed = time.time() - t0
     worst = min(r.worst_margin for r in reps)
     window = next(r for r in reps if r.lemma_id == "lemma3.second-deriv-window")
@@ -148,8 +148,7 @@ def test_criterion_06_domain_preservation():
 
 
 def test_criterion_07_master_inequality():
-    rep = bounds.verify_master_inequality(n_lambda=200, n_b=1000)
-    rep_c = bounds.verify_c_coeffs(n_lambda=200)
+    rep, rep_c = verification.suite_ck(n_lambda=200)
     _report(
         7,
         rep.passed and rep_c.passed,

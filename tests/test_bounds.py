@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanfp import bounds
+from carlemanfp import bounds, verification
 from carlemanfp.coupling import Coupling
 from carlemanfp.grids import QuadratureConfig, make_nodes, random_klambda
 from carlemanfp.hilbert import HilbertOfExp
@@ -107,14 +107,14 @@ class TestSBound:
         assert bounds.s_bound(0.5) == pytest.approx(min(t1, t2), rel=1e-14)
 
     def test_minorant_certificate(self):
-        rep = bounds.verify_f_ge_s()
+        [rep] = verification.suite_lemma4()
         assert rep.passed
         assert rep.worst_margin >= -1e-12
 
 
 class TestFProperties:
     def test_all_six_certificates(self):
-        reps = bounds.verify_F_properties()
+        reps = verification.suite_lemma3()
         assert len(reps) == 6
         for rep in reps:
             assert rep.passed, rep.to_line()
@@ -141,7 +141,7 @@ class TestMasterExpression:
             assert np.all(bounds.upper_bound_master(b, Coupling(lam)) <= 0.0)
 
     def test_dense_grid_certificate(self):
-        rep = bounds.verify_master_inequality(n_lambda=60, n_b=400)
+        rep, _ = verification.suite_ck(n_lambda=60)
         assert rep.passed
 
     def test_dominates_measured_derivative(self, rng):
@@ -166,7 +166,7 @@ class TestPrintedCoefficients:
         assert coeffs[-1] == pytest.approx(-3.53 / 4.0, rel=1e-3)
 
     def test_all_nonpositive_on_grid(self):
-        rep = bounds.verify_c_coeffs(n_lambda=200)
+        _, rep = verification.suite_ck(n_lambda=200)
         assert rep.passed
 
     def test_signs_toward_zero_coupling(self):
@@ -236,10 +236,14 @@ class TestAuxiliaryFunctions:
             assert devs[-1] == devs.min()
 
     @pytest.mark.parametrize("lam", [-0.05, -0.1, -1.0 / 6.0])
-    def test_sup_bounds(self, lam):
-        c = Coupling(lam)
-        assert bounds.sup_c_aux(c) <= (1.0 + c.abs_lambda) / math.e
-        assert bounds.sup_c_tilde_aux(c) <= 1.0 + c.abs_lambda / 4.0
+    def test_sup_bounds(self, lam, monkeypatch):
+        # prop5's two scans at this coupling; each margin is its bound less
+        # the scanned sup
+        monkeypatch.setattr(verification, "COUPLINGS", (lam,))
+        reports = verification.suite_prop5(seed=0, n_pairs=0)
+        aux = {r.lemma_id.split("[")[0]: r.worst_margin for r in reports}
+        assert aux["prop5.aux-sup"] >= 0.0
+        assert aux["prop5.aux-tilde-sup"] >= 0.0
 
 
 class TestHilbertQuotientModulus:

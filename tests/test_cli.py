@@ -242,6 +242,12 @@ def _write(tmp_path, name, text):
         (["solve", "--lambda=nan", "--exploratory"], None, "coupling"),
         (["solve", "--lambda=-inf", "--exploratory"], None, "coupling"),
         (["solve", "--lambda=0.1", "--exploratory"], None, "coupling"),
+        # a negative seed, by flag or key, before any suite draws from it
+        (["verify", "--seed=-1"], None, "--seed"),
+        (["verify", "--config", "{cfg}"], "seed=-2\n", "--seed"),
+        # the reconstruction needs a negative coupling: refused before the solve
+        (["gab", "--lambda=0"], None, "--lambda"),
+        (["gab", "--lambda=-0.0"], None, "--lambda"),
     ],
 )
 def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):

@@ -68,10 +68,21 @@ class TestTwoPoint:
         _, rec = reconstruction
         assert rec.boundary_consistency() <= 1e-3
 
-    def test_limits_beyond_the_cutoff_name_b(self, reconstruction):
+    @pytest.mark.parametrize("method", [
+        "boundary_limits", "boundary_limit", "g", "tau_at", "table",
+    ])
+    def test_limits_beyond_the_cutoff_name_b(self, reconstruction, method):
+        # b past the cutoff leaves the domain of the truncated reconstruction
         _, rec = reconstruction
+        call = {
+            "boundary_limits": lambda: rec.boundary_limits([0.5, 2e6]),
+            "boundary_limit": lambda: rec.boundary_limit(2e6),
+            "g": lambda: rec.g(0.5, 2e6),
+            "tau_at": lambda: rec.tau_at(0.5, 2e6),
+            "table": lambda: rec.table([0.5], [0.5, 2e6]),
+        }[method]
         with pytest.raises(ValueError, match=r"b must lie in \[0, 1e\+06\], got 2e\+06"):
-            rec.boundary_limits([0.5, 2e6])
+            call()
 
     def test_boundary_limits_form_r_once(self, small_solution, monkeypatch):
         # the a -> 0 limits of every b share one R at the probe points,

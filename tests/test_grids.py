@@ -9,6 +9,7 @@ from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
     _limited_slopes,
+    hermite_at_fractions,
     hermite_eval,
     log_envelope_function,
     make_nodes,
@@ -136,7 +137,7 @@ def test_fixed_fractions_match_pointwise_interpolation(fig_coupling, rng):
     f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
     fractions = np.concatenate([[0.0], PANEL_FRACTIONS, [0.5]])
     points = (f.nodes[:-1, None] + fractions * np.diff(f.nodes)[:, None]).ravel()
-    got = f.at_fractions(fractions)
+    got = hermite_at_fractions(f.nodes, f.values, f.slopes, fractions)
     want = hermite_eval(f.nodes, f.values, f.derivs, points)
     assert np.array_equal(got[:: fractions.size], f.values[:-1])
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14)

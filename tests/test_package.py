@@ -146,6 +146,27 @@ def test_one_worst_margin_rule():
     assert offenders == []
 
 
+def test_scans_live_in_verification():
+    # bounds holds the closed forms; every scan, with its grid and its
+    # report, is a suite of verification
+    path = Path(carlemanfp.__file__).resolve().parent / "bounds.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if "report" in {name.split(".")[-1] for name in names}:
+                offenders.append(f"bounds.py:{node.lineno} imports report")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("geomspace", "linspace")
+        ):
+            offenders.append(f"bounds.py:{node.lineno} builds a grid")
+    assert offenders == []
+
+
 def test_suites_take_t_and_r_in_blocks():
     # the verify suites take T and R of their random members a block at a
     # time (verification._in_blocks); a HilbertOfExp or an apply called in

@@ -8,6 +8,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from carlemanfp import bounds, verification
 from carlemanfp.grids import GridFunction
@@ -78,8 +79,8 @@ class TestNaNMarginFails:
             return out
 
         monkeypatch.setattr(bounds, "upper_bound_master", nan_at_edge)
-        b = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 49)])
-        rep = bounds.verify_master_inequality(n_lambda=4, n_b=50)
+        b = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 999)])
+        rep, _ = run_suites(["ck"], n_lambda=4)
         assert rep.status == "fail"
         assert rep.worst_location == (-1.0 / 6.0, float(b[20]))
 
@@ -93,9 +94,29 @@ class TestNaNMarginFails:
             return out
 
         monkeypatch.setattr(bounds, "c_coeffs_printed", nan_at_edge)
-        rep = bounds.verify_c_coeffs(n_lambda=4)
+        _, rep = run_suites(["ck"], n_lambda=4)
         assert rep.status == "fail"
         assert rep.worst_location == (-1.0 / 6.0, "c16")
+
+    @pytest.mark.parametrize("name, suite, failing", [
+        ("f_bound_second", "lemma3",
+         ["lemma3.convex", "lemma3.concave", "lemma3.second-deriv-window"]),
+        ("s_bound", "lemma4", ["lemma4.minorant"]),
+        ("c_aux", "prop5", [f"prop5.aux-sup[{lam:.4g}]" for lam in verification.COUPLINGS]),
+        ("c_tilde_aux", "prop5",
+         [f"prop5.aux-tilde-sup[{lam:.4g}]" for lam in verification.COUPLINGS]),
+    ], ids=["lemma3", "lemma4", "aux-sup", "aux-tilde-sup"])
+    def test_closed_form_scan(self, monkeypatch, name, suite, failing):
+        real = getattr(bounds, name)
+
+        def nan_at_five(x, *args):
+            out = real(x, *args)
+            out[5] = math.nan
+            return out
+
+        monkeypatch.setattr(bounds, name, nan_at_five)
+        reports = run_suites([suite], seed=0, n_pairs=1)
+        assert [r.lemma_id for r in reports if r.status == "fail"] == failing
 
     def test_prop5_image_distance(self, monkeypatch):
         real = verification.lb_distance

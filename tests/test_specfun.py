@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import psi
 
-from carlemanfp import bounds
+from carlemanfp import bounds, verification
 from carlemanfp.coupling import Coupling
 from carlemanfp.specfun import (
     EULER_GAMMA,
@@ -288,8 +288,7 @@ class TestDigammaDilog:
             return dilog(x)
 
         monkeypatch.setattr(bounds, "dilog", recording_dilog)
-        for lam in COUPLINGS:
-            bounds.sup_c_tilde_aux(Coupling(lam))
+        verification.suite_prop5(seed=0, n_pairs=0)
         x = np.concatenate([
             -np.geomspace(1e-12, 1e8, 120),
             np.linspace(-1.0, 1.0, 81),
