@@ -424,7 +424,10 @@ def cmd_gab(args) -> int:
 
 
 def _count(text: str, least: int = 1) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if n < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n

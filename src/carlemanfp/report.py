@@ -4,8 +4,9 @@ Margins are oriented so that a nonnegative value means the inequality
 holds at every sampled point.  A strict check whose margin is positive
 but below the floating-point trust band is flagged "inconclusive"
 instead of passing silently.  A margin that is not finite fails.  Every
-scan folds its margins through one ``Worst``: a NaN margin becomes the
-worst, and a scan that sampled nothing keeps +inf, so both fail.  The
+scan folds its margins through one ``Worst``, which builds its report: a
+NaN margin becomes the worst, and a scan that sampled nothing keeps
++inf, so both fail.  The
 JSON report is strict (RFC 8259): such a margin, or any other non-finite
 number in it, is written as the string "inf", "-inf" or "nan".
 """
@@ -66,27 +67,6 @@ class VerificationReport:
         )
 
 
-def make_report(
-    lemma_id: str,
-    domain: str,
-    worst_margin: float,
-    worst_location=None,
-    *,
-    strict: bool = True,
-    floor: float = 0.0,
-    notes: str = "",
-) -> VerificationReport:
-    return VerificationReport(
-        lemma_id=lemma_id,
-        domain=domain,
-        worst_margin=float(worst_margin),
-        worst_location=worst_location,
-        passed=bool(math.isfinite(worst_margin) and worst_margin >= floor),
-        strict=strict,
-        notes=notes,
-    )
-
-
 class Worst:
     """The least margin of a scan and where it fell, folded row by row.
 
@@ -111,8 +91,19 @@ class Worst:
         if math.isnan(m) or m < self.margin:
             self.margin, self.location = m, at(i)
 
-    def report(self, lemma_id: str, domain: str, **kwargs) -> VerificationReport:
-        return make_report(lemma_id, domain, self.margin, self.location, **kwargs)
+    def report(self, lemma_id: str, domain: str, *, strict: bool = True,
+               floor: float = 0.0, notes: str = "") -> VerificationReport:
+        """The scan's report: it passes if its least margin is finite and
+        at least ``floor``."""
+        return VerificationReport(
+            lemma_id=lemma_id,
+            domain=domain,
+            worst_margin=self.margin,
+            worst_location=self.location,
+            passed=math.isfinite(self.margin) and self.margin >= floor,
+            strict=strict,
+            notes=notes,
+        )
 
 
 def all_passed(reports: Iterable[VerificationReport]) -> bool:

@@ -7,11 +7,13 @@ VerificationReports; the command-line driver serialises them and owns
 every default: the settings a suite reads (``seed``, ``n_pairs``,
 ``n_members``, ``n_lambda``) are keyword-only, with no default here.
 
-The random-member suites draw all the members of a coupling first, in
-the order of one-by-one draws, and take R and T of them in blocks of
-``MEMBER_BLOCK`` (``_in_blocks``), each result with the bits of a run
-for its member alone; they fold the margins in draw order as the blocks
-come.
+The random-member suites (prop4, prop5, equicont) run on one member scan
+(``_member_scan``): it draws all the members of a coupling first, in the
+order of one-by-one draws, and takes R or T of them in blocks of
+``MEMBER_BLOCK``, each result with the bits of a run for its member
+alone; the suites fold the margins in draw order as the blocks come.
+Every report is built by ``report.Worst``; the auxiliary sups of prop5
+and the zero-input vanishing check fold their margins with no location.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .coupling import Coupling
 from .grids import QuadratureConfig, make_nodes, random_klambda
 from .hilbert import HilbertOfExp, members_per_block
 from .operators import TOperator, lb_distance
-from .report import VerificationReport, Worst, make_report
+from .report import VerificationReport, Worst
 
 COUPLINGS = (-0.05, -1.0 / (2.0 * math.pi), -1.0 / 6.0)
 SUITE_NODES = 400       # grid size of the random-member suites
@@ -121,44 +123,46 @@ def suite_ck(*, n_lambda: int, **_) -> list[VerificationReport]:
     ]
 
 
-def _random_members(coupling, nodes, rng, count):
-    return [random_klambda(coupling, nodes, rng) for _ in range(count)]
+def _member_scan(seed: int, count: int, results):
+    """Each coupling of COUPLINGS with an iterator over ``count`` random
+    members of its domain, each with its result.  All couplings draw from
+    one ``seed`` stream, a coupling's members first, in the order of
+    one-by-one draws; ``results(block, coupling, cfg)`` maps a block of
+    members to one result per member and takes MEMBER_BLOCK of them at a
+    time, each result with the bits of a block of its member alone."""
+    rng = np.random.default_rng(seed)
+    nodes = make_nodes(SUITE_NODES, 1e6)
+    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
+    for lam in COUPLINGS:
+        coupling = Coupling(lam)
+        members = [random_klambda(coupling, nodes, rng) for _ in range(count)]
+        blocks = (members[lo : lo + MEMBER_BLOCK] for lo in range(0, count, MEMBER_BLOCK))
+        yield coupling, ((m, r) for b in blocks for m, r in zip(b, results(b, coupling, cfg)))
 
 
-def _in_blocks(fn, members):
-    """fn, which maps a block of members to one result per member, over the
-    members MEMBER_BLOCK at a time: the results in member order, one block
-    of them held at a time."""
-    for lo in range(0, len(members), MEMBER_BLOCK):
-        yield from fn(members[lo : lo + MEMBER_BLOCK])
-
-
-def _r_at(points, abs_lambda, cfg):
-    """R at the points of each member of a block, as ``_in_blocks`` takes it."""
-    return lambda block: HilbertOfExp(block, cfg).r(points, abs_lambda)
+def _images(block, coupling, cfg):
+    return TOperator(coupling, cfg).apply(block)
 
 
 def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     """Pointwise domination of |Rf - Rg| by the three-component bound."""
-    rng = np.random.default_rng(seed)
-    nodes = make_nodes(SUITE_NODES, 1e6)
-    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     t_probe = np.concatenate([[0.0], np.geomspace(1e-2, 9e5, 25)])
+
+    def r_at_probes(block, coupling, cfg):
+        return HilbertOfExp(block, cfg).r(t_probe, coupling.abs_lambda)
+
     reports = []
-    for lam in COUPLINGS:
-        coupling = Coupling(lam)
+    for coupling, scan in _member_scan(seed, 2 * n_pairs, r_at_probes):
         worst = Worst()
-        members = _random_members(coupling, nodes, rng, 2 * n_pairs)  # f, g, f, g, ...
-        rf = _in_blocks(_r_at(t_probe, coupling.abs_lambda, cfg), members)
-        # one iterator twice: consecutive results, f's then g's
-        for f, g, rf_f, rf_g in zip(members[::2], members[1::2], rf, rf):
+        # one iterator twice: consecutive members, f's then g's
+        for (f, rf_f), (g, rf_g) in zip(scan, scan):
             delta = lb_distance(f, g)
             measured = np.abs(rf_f - rf_g)
             allowed = bounds.delta_r_bounds(t_probe, delta, coupling).sum(axis=0)
             worst.add(allowed + 1e-6 - measured, lambda i: float(t_probe[i]))
         reports.append(
             worst.report(
-                f"prop4.delta-r[{lam:.4g}]",
+                f"prop4.delta-r[{coupling.lam:.4g}]",
                 f"{n_pairs} random domain pairs, 26 probe points",
                 notes="margin includes 1e-6 quadrature slack",
             )
@@ -169,19 +173,12 @@ def suite_prop4(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
 def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     """Measured image distances against the continuity constant, plus the
     two auxiliary suprema that enter its derivation."""
-    rng = np.random.default_rng(seed)
-    nodes = make_nodes(SUITE_NODES, 1e6)
-    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     reports = []
-    for lam in COUPLINGS:
-        coupling = Coupling(lam)
-        op = TOperator(coupling, cfg)
+    for coupling, scan in _member_scan(seed, 2 * n_pairs, _images):
         kconst = bounds.continuity_constant(coupling)
         worst = Worst()  # located at the worst ratio
-        members = _random_members(coupling, nodes, rng, 2 * n_pairs)  # f, g, f, g, ...
-        images = _in_blocks(op.apply, members)
-        # one iterator twice: consecutive images, f's then g's
-        for f, g, tf, tg in zip(members[::2], members[1::2], images, images):
+        # one iterator twice: consecutive members, f's then g's
+        for (f, tf), (g, tg) in zip(scan, scan):
             delta = lb_distance(f, g)
             if delta < 1e-12:
                 continue
@@ -189,7 +186,7 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
             worst.add(1.01 * kconst - ratio, lambda _: ratio)
         reports.append(
             worst.report(
-                f"prop5.modulus[{lam:.4g}]",
+                f"prop5.modulus[{coupling.lam:.4g}]",
                 f"{n_pairs} random domain pairs",
                 notes=f"continuity constant {kconst:.5f}, 1% slack",
             )
@@ -197,54 +194,43 @@ def suite_prop5(*, seed: int, n_pairs: int, **_) -> list[VerificationReport]:
     for lam in COUPLINGS:
         coupling = Coupling(lam)
         al = coupling.abs_lambda
-        reports.append(
-            make_report(
-                f"prop5.aux-sup[{lam:.4g}]",
-                "log scan up to exp(4/|lam|)",
-                (1.0 + al) / math.e - _aux_sup(bounds.c_aux, 1.0 - al / 5.0, coupling),
-                None,
-                notes="first auxiliary sup against (1+|lam|)/e",
+        for name, fn, h_lam, bound, notes in (
+            ("aux-sup", bounds.c_aux, 1.0 - al / 5.0, (1.0 + al) / math.e,
+             "first auxiliary sup against (1+|lam|)/e"),
+            ("aux-tilde-sup", bounds.c_tilde_aux, 1.0, 1.0 + al / 4.0,
+             "second auxiliary sup against 1 + |lam|/4"),
+        ):
+            worst = Worst()
+            worst.add(bound - fn(_aux_grid(h_lam, coupling), coupling), lambda _: None)
+            reports.append(
+                worst.report(f"prop5.{name}[{lam:.4g}]", "log scan up to exp(4/|lam|)",
+                             notes=notes)
             )
-        )
-        reports.append(
-            make_report(
-                f"prop5.aux-tilde-sup[{lam:.4g}]",
-                "log scan up to exp(4/|lam|)",
-                1.0 + al / 4.0 - _aux_sup(bounds.c_tilde_aux, 1.0, coupling),
-                None,
-                notes="second auxiliary sup against 1 + |lam|/4",
-            )
-        )
     return reports
 
 
-def _aux_sup(fn, h_lam: float, coupling: Coupling) -> float:
-    """Scan sup of the auxiliary function ``fn`` over the arguments
-    reachable from b >= 0, from h_lam sin(x) cos(x) / (|lam| pi),
-    x = lambda_r pi, up to exp(4/|lam|), less a band about its removable
-    point 1."""
+def _aux_grid(h_lam: float, coupling: Coupling) -> np.ndarray:
+    """The arguments of an auxiliary function reachable from b >= 0, from
+    h_lam sin(x) cos(x) / (|lam| pi), x = lambda_r pi, up to exp(4/|lam|),
+    less a band about its removable point 1, as a log scan."""
     al = coupling.abs_lambda
     x = coupling.lambda_r * math.pi
     lo = h_lam * math.sin(x) * math.cos(x) / (al * math.pi)
     grid = np.geomspace(lo, math.exp(4.0 / al), AUX_SCAN_POINTS)
-    return float(np.max(fn(grid[np.abs(grid - 1.0) > 1e-6], coupling)))
+    return grid[np.abs(grid - 1.0) > 1e-6]
 
 
 def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport]:
     """|(1+a)(Tf)'(a) - (1+b)(Tf)'(b)| <= |a-b| over close node pairs."""
-    rng = np.random.default_rng(seed)
     nodes = make_nodes(SUITE_NODES, 1e6)
-    cfg = QuadratureConfig(n_nodes=SUITE_NODES, lambda2=1e6)
     near = nodes[nodes <= 65.0]
     gaps = np.abs(near[:, None] - near[None, :])
     ii, jj = np.nonzero((gaps > 0.0) & (gaps <= 1.0))  # row-major pair order
     allowed = gaps[ii, jj] * (1.0 + 1e-6)
     reports = []
-    for lam in COUPLINGS:
-        coupling = Coupling(lam)
-        op = TOperator(coupling, cfg)
+    for coupling, scan in _member_scan(seed, n_members, _images):
         worst = Worst()
-        for image in _in_blocks(op.apply, _random_members(coupling, nodes, rng, n_members)):
+        for _, image in scan:
             s = image.scaled_derivs()
             worst.add(
                 allowed - np.abs(s[ii] - s[jj]),
@@ -252,7 +238,7 @@ def suite_equicont(*, seed: int, n_members: int, **_) -> list[VerificationReport
             )
         reports.append(
             worst.report(
-                f"equicont.modulus[{lam:.4g}]",
+                f"equicont.modulus[{coupling.lam:.4g}]",
                 f"{n_members} random members, node pairs with gap <= 1",
             )
         )
@@ -291,12 +277,12 @@ def suite_appendix(**_) -> list[VerificationReport]:
         )
     )
     expected_drop = 0.5 * sups[0]  # the sup scales like 1/cutoff, so 1e4 -> 1e6
-    reports.append(                # must lose far more than half of it
-        make_report(
+    worst = Worst()                # must lose far more than half of it
+    worst.add(sups[0] - sups[1] - expected_drop, lambda _: None)
+    reports.append(
+        worst.report(
             "appendix.zero-input-vanishing",
             f"window b <= {window:g}, cutoffs 1e4 -> 1e6",
-            sups[0] - sups[1] - expected_drop,
-            None,
             notes="sup |T0| over a fixed window must shrink with the cutoff",
         )
     )
@@ -315,8 +301,8 @@ SUITES = {
 
 # SUITES, costliest first: the order in which parallel workers take them
 # (longest processing time first).  Median warm walls at the defaults, one
-# BLAS thread, 2-vCPU Xeon: prop5 0.167 s, equicont 0.086, appendix 0.039,
-# prop4 0.038, ck 0.027, lemma3 0.013, lemma4 0.002.
+# BLAS thread, 2-vCPU Xeon: prop5 0.099 s, equicont 0.051, appendix 0.026,
+# prop4 0.021, ck 0.013, lemma3 0.008, lemma4 0.001.
 SUITES_BY_COST = ("prop5", "equicont", "appendix", "prop4", "ck", "lemma3", "lemma4")
 
 

@@ -126,10 +126,13 @@ def test_a_block_needs_one_grid():
         HilbertOfExp([], CFG)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_suites_give_the_reports_of_one_member_blocks(seed, monkeypatch):
+@pytest.mark.parametrize("seed, count", [(0, 10), (1, 10), (2, 10), (3, 3)],
+                         ids=["0", "1", "2", "partial-blocks"])
+def test_suites_give_the_reports_of_one_member_blocks(seed, count, monkeypatch):
+    # 3 pairs and 3 members end each coupling on a partial block: 4 + 2
+    # members, and 3
     suites = ["prop4", "prop5", "equicont"]
-    settings = dict(seed=seed, n_pairs=10, n_members=10)
+    settings = dict(seed=seed, n_pairs=count, n_members=count)
     assert verification.MEMBER_BLOCK > 1
     blocked = run_suites(suites, **settings)
     monkeypatch.setattr(verification, "MEMBER_BLOCK", 1)

@@ -13,6 +13,8 @@ import carlemanfp
 from carlemanfp import cli, verification
 from carlemanfp.cli import EXIT_USAGE, _csv_lines, main
 from carlemanfp.hilbert import QuadratureError
+from carlemanfp.operators import PoleRegionError, TOperator
+from carlemanfp.report import INCONCLUSIVE_BAND, Worst
 from carlemanfp.solver import envelope_curves, solution_rows
 from carlemanfp.verification import SUITES, run_suites
 
@@ -135,6 +137,21 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("error", [QuadratureError, PoleRegionError])
+    def test_numerical_failure_exit_code(self, error, tmp_path, capsys, monkeypatch):
+        # a transform that breaks down inside the iteration ends the run
+        # with exit 2 and one line, before any output is written
+        def broken(self, f, require_positive=True):
+            raise error("injected breakdown")
+
+        monkeypatch.setattr(TOperator, "apply", broken)
+        code = run(["solve", f"--lambda={LAM}", "--nodes=300", "--cutoff=1e4",
+                    "--out", str(tmp_path / "nf.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["solve failed numerically: injected breakdown"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_output(self, tmp_path):
         # lambda = 0 skips the operator; -0.05 runs it and the mixing step;
         # gab adds the reconstruction transforms
@@ -248,6 +265,11 @@ def _write(tmp_path, name, text):
         # the reconstruction needs a negative coupling: refused before the solve
         (["gab", "--lambda=0"], None, "--lambda"),
         (["gab", "--lambda=-0.0"], None, "--lambda"),
+        # a count that is not an integer is named in the project's terms
+        (["verify", "--seed=x"], None, "--seed: must be an integer, got 'x'"),
+        (["verify", "--pairs=x"], None, "--pairs: must be an integer, got 'x'"),
+        (["solve", f"--lambda={LAM}", "--max-iters=x"], None,
+         "--max-iters: must be an integer, got 'x'"),
     ],
 )
 def test_input_errors_exit_usage(tmp_path, capsys, argv, cfg_text, named):
@@ -294,6 +316,25 @@ class TestVerify:
         # the command line owns the defaults; a library call must name them
         with pytest.raises(TypeError):
             run_suites([suite])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_inconclusive_report_fails_the_run(self, cpus, tmp_path, capsys, monkeypatch):
+        # a strict margin inside the trust band neither passes nor fails
+        # its report, and the run does not count it as passed
+        def thin(**_):
+            worst = Worst()
+            worst.add(INCONCLUSIVE_BAND / 2.0, lambda _: None)
+            return [worst.report("thin", "one point")]
+
+        monkeypatch.setitem(verification.SUITES, "lemma4", thin)
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite=lemma3,lemma4", "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("CHECKS FAILED")
+        statuses = [r["status"] for r in json.loads(out.read_text())["reports"]]
+        assert statuses == ["pass"] * 6 + ["inconclusive"]
 
     def test_unknown_suite(self, tmp_path, capsys):
         code = run(["verify", "--suite=nope", "--out", str(tmp_path / "r.json")])

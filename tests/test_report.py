@@ -13,7 +13,7 @@ import pytest
 from carlemanfp import bounds, verification
 from carlemanfp.grids import GridFunction
 from carlemanfp.operators import TOperator
-from carlemanfp.report import Worst, write_reports_json
+from carlemanfp.report import INCONCLUSIVE_BAND, Worst, write_reports_json
 from carlemanfp.verification import run_suites
 
 
@@ -44,6 +44,24 @@ class TestWorst:
         worst = Worst()
         worst.add(np.array([[3.0, 1.0], [1.0, 2.0]]), lambda k: divmod(k, 2))
         assert (worst.margin, worst.location) == (1.0, (0, 1))
+
+
+class TestInconclusive:
+    # a positive margin inside the floating-point trust band certifies
+    # nothing for a strict check, and is a pass for a check whose margin
+    # may legitimately be zero
+    def thin(self) -> Worst:
+        worst = Worst()
+        worst.add([1.0, INCONCLUSIVE_BAND / 2.0], lambda i: i)
+        return worst
+
+    def test_strict_margin_in_the_band_is_inconclusive(self):
+        report = self.thin().report("x", "thin")
+        assert report.passed and report.status == "inconclusive"
+        assert report.to_dict()["status"] == "inconclusive"
+
+    def test_non_strict_margin_in_the_band_passes(self):
+        assert self.thin().report("x", "thin", strict=False).status == "pass"
 
 
 def _statuses(reports, prefix):
