@@ -46,10 +46,11 @@ through one leading member axis.  Their panel samples come from one
 Hermite pass, the PV sum forms the charges, the tree passes and the near
 rows of all of them at once (the dense sum shares each row block's
 differences x - a and keeps one matrix-vector product per member), and
-the 2F1 tail shares one Horner pass per series.  Every step is
-elementwise along the member axis or sums each member on its own, so
-each member gets the bits of its transform alone; a single GridFunction
-runs the same code without the axis.  ``members_per_block`` sizes a
+the 2F1 tail is one ``specfun.hyp2f1`` call, one row per member, with
+one Horner pass per series.  Every step is elementwise along the member
+axis or sums each member on its own, so each member gets the bits of its
+transform alone; a single GridFunction runs the same code without the
+axis.  ``members_per_block`` sizes a
 block from bytes, so that its transient arrays stay near a member's.
 """
 
@@ -79,7 +80,7 @@ from .quadrature import (
     panel_points,
     row_blocks,
 )
-from .specfun import hyp2f1_1mu
+from .specfun import hyp2f1
 
 _TAIL_DECADES = 5.0          # power-law extension beyond the cutoff
 _TAIL_NODES_PER_DECADE = 64
@@ -118,7 +119,7 @@ def hilbert_power_law(beta: float, mu: float, a):
     checked(mu, "mu", 0.0, 1.0, "()")
     a, scalar = checked(a, "a", 0.0, ends="()")
     z = beta / (beta + a)
-    out = -1.0 / math.tan(math.pi * mu) + z**mu * hyp2f1_1mu(mu, z) / (mu * math.pi)
+    out = -1.0 / math.tan(math.pi * mu) + z**mu * hyp2f1(1.0, mu, 1.0 + mu, z) / (mu * math.pi)
     return unwrap(out, scalar)
 
 
@@ -138,7 +139,7 @@ def power_law_tail_integral(coeff: float | np.ndarray, p: float | np.ndarray, a,
     fit = (slice(None),) + (np.newaxis,) * z.ndim
     # the powers in float arithmetic, member by member, as for one member
     scale = np.array([c * (1.0 + x_end) ** q for c, q in zip(coeff.tolist(), p.tolist())])
-    out = scale[fit] * hyp2f1_1mu(nu, z) / (nu * math.pi)[fit]
+    out = scale[fit] * hyp2f1(1.0, nu, 1.0 + nu, z) / (nu * math.pi)[fit]
     return out[0] if one else out
 
 

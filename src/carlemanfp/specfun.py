@@ -1,15 +1,16 @@
 """Special functions of the solve path and of the bound suite, in numpy
 and ``math`` alone.
 
-The ``2F1(1, mu; 1+mu; z)`` family enters the power-law Hilbert transform
-identity.  It is needed in vectorised form arbitrarily close to ``z = 1``,
-where its logarithmic rearrangement keeps full relative accuracy, with the
-digamma value that rearrangement needs.  The bound suite needs the general
-2F1 only for a, b > 0 with c - a - b in {0, 1}, where the same kind of
-logarithmic series (Abramowitz & Stegun 15.3.10/15.3.11) applies; it also
-needs one trigamma (the series constant) and the dilogarithm (an auxiliary
-supremum).  Each is a series summed to double precision; the test suite
-checks them against mpmath.
+There is one Gauss hypergeometric function, ``hyp2f1``, for a, b > 0
+with c - a - b in {0, 1}: the Gauss series below z = 1/2, the
+logarithmic series of Abramowitz & Stegun 15.3.10/15.3.11 above it,
+which keeps full relative accuracy arbitrarily close to z = 1.  The
+power-law Hilbert transform identity uses its family 2F1(1, mu; 1+mu; z),
+with one row per member of a block (arrays of b and c); the bound
+formulas use scalar parameters.  The bound suite also needs one trigamma
+(the series constant) and the dilogarithm (an auxiliary supremum).  Each
+is a series summed to double precision; the test suite checks them
+against mpmath.
 """
 
 from __future__ import annotations
@@ -95,151 +96,100 @@ def _digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - t * series - shift
 
 
-def _gauss_series_1mu(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """mu * sum_k z^k / (mu + k) for 0 <= z <= 1/2, one row per mu: a
-    polynomial in z with as many terms as the largest z needs."""
+def _gauss_series(a: float, rows: list[tuple], z: np.ndarray) -> np.ndarray:
+    """sum_k (a)_k (b)_k / ((c)_k k!) z^k for 0 <= z <= 1/2, one row per
+    (b, c, m) of ``rows``: polynomials in z with as many terms as the
+    largest z needs, in one Horner pass."""
     z_max = float(z.max())
-    rows = []
-    for m in mu.tolist():
-        coeffs, zk = [1.0], 1.0
+    coeff_rows = []
+    for b, c, _ in rows:
+        coeffs, coeff, zk = [1.0], 1.0, 1.0
         while True:
             k = len(coeffs)
+            coeff *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k)
             zk *= z_max
-            if m / (m + k) * zk < _SERIES_RTOL:
+            if coeff * zk < _SERIES_RTOL:
                 break
-            coeffs.append(m / (m + k))
-        rows.append(coeffs)
-    return _horner(_columns(rows), z)
+            coeffs.append(coeff)
+        coeff_rows.append(coeffs)
+    return _horner(_columns(coeff_rows), z)
 
 
-def _log_series_1mu(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rearrangement near z=1 splitting off the -log(1-z) divergence, for
-    1/2 < z < 1, one row per mu.
+def _log_series(a: float, rows: list[tuple], w: np.ndarray) -> list[np.ndarray]:
+    """2F1 at w = 1 - z for 0 < w < 1/2, one row per (b, c, m) of ``rows``:
+    Gamma(c)/(Gamma(a) Gamma(b)) * (m/(ab) + (-w)^m S(w)) with
+    S(w) = sum_n (a+m)_n (b+m)_n / (n! (n+m)!) (d_n - log w) w^n and
+    d_n = psi(n+1) + psi(n+m+1) - psi(a+m+n) - psi(b+m+n).
 
-    2F1(1,mu;1+mu;z) = mu * sum_n (mu)_n/n! * (psi(n+1) - psi(mu+n)
-    - log(1-z)) * (1-z)^n, valid for the zero-balanced parameter set, is
-    mu (A(w) - log(w) B(w)) with two polynomials in w = 1 - z, as many
-    terms as the largest w needs.
-    """
-    w = 1.0 - z
-    w_max = float(w.max())
-    log_w_max = abs(math.log(w_max))
-    a_rows, b_rows = [], []
-    for m in mu.tolist():
-        coeff = 1.0                      # (mu)_n / n!
-        psi_n = -EULER_GAMMA             # psi(1)
-        psi_mun = _digamma(m)            # psi(mu)
-        a, b, wn = [psi_n - psi_mun], [1.0], 1.0
-        while True:
-            n = len(b)
-            coeff *= (m + n - 1.0) / n
-            psi_n += 1.0 / n
-            psi_mun += 1.0 / (m + n - 1.0)
-            wn *= w_max
-            if m * (abs(psi_n - psi_mun) + log_w_max) * coeff * wn < _SERIES_RTOL:
-                break
-            a.append(coeff * (psi_n - psi_mun))
-            b.append(coeff)
-        a_rows.append(a)
-        b_rows.append(b)
-    # A and B of every mu in one Horner pass: a's and b's lists are equally long
-    a_w, b_w = np.split(_horner(_columns(a_rows + b_rows), w), 2)
-    return mu[:, None] * (a_w - np.log(w) * b_w)
-
-
-def hyp2f1_1mu(mu: float | np.ndarray, z):
-    """Gauss hypergeometric 2F1(1, mu; 1+mu; z) for 0 < mu, 0 <= z < 1.
-
-    Equals ``mu * sum_k z^k/(mu+k)``; strictly increasing in z and >= 1.
-    Relative accuracy is kept at ~1e-13 up to z = 1 - 1e-8 by switching
-    to the logarithmic rearrangement for z > 0.5.  An array of mu gives
-    one row per mu, each with the bits of its own call: the rows share
-    one Horner pass per series, and the checks.
-    """
-    mu, one_mu = checked(mu, "mu", 0.0, ends="()")
-    z, scalar = checked(z, "z", 0.0, 1.0, "[)")
-    gauss = z <= _SERIES_SWITCH
-    out = np.empty((mu.size,) + z.shape)
-    for part, series in ((gauss, _gauss_series_1mu), (~gauss, _log_series_1mu)):
-        if np.any(part):
-            for row, values in zip(out, series(mu, z[part])):
-                row[part] = values  # row by row: a 1-D mask is numpy's fast path
-    if one_mu:
-        return unwrap(out[0], scalar)
-    return out[:, 0] if scalar else out
-
-
-def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """sum_k (a)_k (b)_k / ((c)_k k!) z^k for 0 <= z <= 1/2: a polynomial in
-    z with as many terms as the largest z needs."""
-    z_max = float(z.max())
-    coeffs, coeff, zk = [1.0], 1.0, 1.0
-    while True:
-        k = len(coeffs)
-        coeff *= (a + k - 1.0) * (b + k - 1.0) / ((c + k - 1.0) * k)
-        zk *= z_max
-        if coeff * zk < _SERIES_RTOL:
-            return _horner(coeffs, z)
-        coeffs.append(coeff)
-
-
-def _log_series(a: float, b: float, m: int, scale: float, w: np.ndarray) -> np.ndarray:
-    """sum_n (a+m)_n (b+m)_n / (n! (n+m)!) (d_n - log w) w^n for
-    0 < w < 1/2, with d_n = psi(n+1) + psi(n+m+1) - psi(a+m+n) - psi(b+m+n).
-
-    Summed as A(w) - log(w) B(w), two polynomials in w with as many terms
-    as the largest w needs; ``scale`` is the factor the caller puts in
-    front of w^m S(w), so that each left-out term is below 1e-17 of a
-    2F1 >= 1.
+    S is A(w) - log(w) B(w), two polynomials in w with as many terms as
+    the largest w needs, so that each left-out term is below 1e-17 of a
+    2F1 >= 1; the A and B of every row take one Horner pass.
     """
     w_max = float(w.max())
     log_w_max = abs(math.log(w_max))
-    coeff = 1.0 / math.factorial(m)                  # (a+m)_n (b+m)_n / (n! (n+m)!)
-    psi_n = -EULER_GAMMA                             # psi(n+1)
-    psi_nm = -EULER_GAMMA + m                        # psi(n+m+1), m in {0, 1}
-    psi_a, psi_b = digamma(a + m), digamma(b + m)    # psi(a+m+n), psi(b+m+n)
-    d = psi_n + psi_nm - psi_a - psi_b
-    a_coeffs, b_coeffs, wn = [coeff * d], [coeff], w_max**m
-    while True:
-        n = len(b_coeffs)
-        coeff *= (a + m + n - 1.0) * (b + m + n - 1.0) / (n * (n + m))
-        psi_n += 1.0 / n
-        psi_nm += 1.0 / (n + m)
-        psi_a += 1.0 / (a + m + n - 1.0)
-        psi_b += 1.0 / (b + m + n - 1.0)
+    scales, a_rows, b_rows = [], [], []
+    for b, c, m in rows:
+        scale = math.gamma(c) / (math.gamma(a) * math.gamma(b))
+        coeff = 1.0 / math.factorial(m)              # (a+m)_n (b+m)_n / (n! (n+m)!)
+        psi_n = -EULER_GAMMA                         # psi(n+1)
+        psi_nm = -EULER_GAMMA + m                    # psi(n+m+1), m in {0, 1}
+        psi_a, psi_b = _digamma(a + m), _digamma(b + m)  # psi(a+m+n), psi(b+m+n)
         d = psi_n + psi_nm - psi_a - psi_b
-        wn *= w_max
-        if scale * coeff * (abs(d) + log_w_max) * wn < _SERIES_RTOL:
-            return _horner(a_coeffs, w) - np.log(w) * _horner(b_coeffs, w)
-        a_coeffs.append(coeff * d)
-        b_coeffs.append(coeff)
+        a_coeffs, b_coeffs, wn = [coeff * d], [coeff], w_max**m
+        while True:
+            n = len(b_coeffs)
+            coeff *= (a + m + n - 1.0) * (b + m + n - 1.0) / (n * (n + m))
+            psi_n += 1.0 / n
+            psi_nm += 1.0 / (n + m)
+            psi_a += 1.0 / (a + m + n - 1.0)
+            psi_b += 1.0 / (b + m + n - 1.0)
+            d = psi_n + psi_nm - psi_a - psi_b
+            wn *= w_max
+            if scale * coeff * (abs(d) + log_w_max) * wn < _SERIES_RTOL:
+                break
+            a_coeffs.append(coeff * d)
+            b_coeffs.append(coeff)
+        scales.append(scale)
+        a_rows.append(a_coeffs)
+        b_rows.append(b_coeffs)
+    # a's and b's lists of a row are equally long
+    a_w, b_w = np.split(_horner(_columns(a_rows + b_rows), w), 2)
+    return [scale * (m / (a * b) + (-w) ** m * s)
+            for (b, _, m), scale, s in zip(rows, scales, a_w - np.log(w) * b_w)]
 
 
-def hyp2f1(a: float, b: float, c: float, z):
+def hyp2f1(a: float, b: float | np.ndarray, c: float | np.ndarray, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for a, b > 0, c - a - b = m in
-    {0, 1} and 0 <= z < 1: every parameter set the bound formulas use.
+    {0, 1} and 0 <= z < 1: every parameter set the bound formulas and the
+    power-law tail, 2F1(1, mu; 1+mu; z), use.
 
     Below z = 1/2 the Gauss series; above it the logarithmic series in
     w = 1 - z of Abramowitz & Stegun 15.3.10 (m = 0) and 15.3.11 (m = 1),
         2F1 = Gamma(c)/(Gamma(a) Gamma(b)) * (m/(ab) + (-w)^m S(w)),
-    with S from ``_log_series``.  Other parameter families raise
-    ``ValueError``.
+    with S from ``_log_series``, which keeps full relative accuracy up to
+    z = 1 - 1e-8.  Other parameter families raise ``ValueError``.  1-D
+    arrays of b and c, of one length, give one row per (b, c) pair, each
+    with the bits of its own call: the rows share the checks and one
+    Horner pass per series.
     """
-    checked((a, b, c), "a, b and c", 0.0, ends="()")
-    m = round(c - a - b)
-    if not (m in (0, 1) and abs(c - a - b - m) <= _BALANCE_ULPS * _EPS * max(a, b, c)):
-        raise ValueError(f"need c - a - b in {{0, 1}}, got a={a}, b={b}, c={c}")
+    pairs = np.array([b, c], dtype=float)
+    checked(np.append(pairs, a), "a, b and c", 0.0, ends="()")
+    rows = []
+    for b, c in zip(*pairs.reshape(2, -1).tolist()):
+        m = round(c - a - b)
+        if not (m in (0, 1) and abs(c - a - b - m) <= _BALANCE_ULPS * _EPS * max(a, b, c)):
+            raise ValueError(f"need c - a - b in {{0, 1}}, got a={a}, b={b}, c={c}")
+        rows.append((b, c, m))
     z, scalar = checked(z, "z", 0.0, 1.0, "[)")
     gauss = z <= _SERIES_SWITCH
-    out = np.empty_like(z)
-    if np.any(gauss):
-        out[gauss] = _gauss_series(a, b, c, z[gauss])
-    if not np.all(gauss):
-        w = 1.0 - z[~gauss]
-        scale = math.gamma(c) / (math.gamma(a) * math.gamma(b))
-        series = _log_series(a, b, m, scale, w)
-        out[~gauss] = scale * (m / (a * b) + (-w) ** m * series)
-    return unwrap(out, scalar)
+    out = np.empty((len(rows),) + z.shape)
+    for part, series, at in ((gauss, _gauss_series, z), (~gauss, _log_series, 1.0 - z)):
+        if np.any(part):
+            for row, values in zip(out, series(a, rows, at[part])):
+                row[part] = values  # row by row: a 1-D mask is numpy's fast path
+    if pairs.ndim == 1:
+        return unwrap(out[0], scalar)
+    return out[:, 0] if scalar else out
 
 
 def _dilog_series(x: np.ndarray) -> np.ndarray:

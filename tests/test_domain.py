@@ -99,7 +99,7 @@ def refused(label: str, bad: np.ndarray, **override) -> None:
 
 
 def test_walk_covers_the_known_functions():
-    for label in ("bounds.f_bound", "specfun.hyp2f1_1mu", "appendix.t0_closed",
+    for label in ("bounds.f_bound", "specfun.hyp2f1", "appendix.t0_closed",
                   "hilbert.hilbert_power_law", "grids.hermite_eval",
                   "solver.consistency_residual"):
         assert label in FUNCTIONS

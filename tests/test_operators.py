@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,42 @@ class TestTPrime:
         op = TOperator(c, cfg600)
         got = op.derivative(op.rf_cache(f), np.array([0.0, 3.0, 100.0]))
         assert np.allclose(got, -1.0 / np.array([1.0, 4.0, 101.0]), rtol=1e-14)
+
+
+class TestNumericalFailures:
+    """Input that breaks the transform's structure raises QuadratureError,
+    never a NaN image or a quietly wrong one."""
+
+    B = np.array([0.0, 1.0, 10.0])
+
+    def test_non_positive_tail_slope_of_r(self, grid600, cfg600, fig_coupling,
+                                          monkeypatch):
+        # R falls through its last decade, so the secant tail model has no
+        # positive slope
+        monkeypatch.setattr(HilbertOfExp, "r", lambda self, a, *args, **kwargs:
+                            5.0 - np.log1p(a))
+        op = TOperator(fig_coupling, cfg600)
+        f = log_envelope_function(grid600, fig_coupling.lower_envelope_exponent())
+        with pytest.raises(hilbert.QuadratureError, match="non-positive slope"):
+            op.rf_cache(f)
+
+    def test_affine_tail_model_out_of_range(self, grid600, cfg600, fig_coupling, rng):
+        # an intercept so negative that b + R stays below zero past the grid
+        op = TOperator(fig_coupling, cfg600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        t_end = cache.t_nodes[-1]
+        cache = dataclasses.replace(cache, tail_r0=-2.0 * cache.tail_r1 * t_end - 100.0)
+        with pytest.raises(hilbert.QuadratureError, match="affine tail model"):
+            op.derivative(cache, self.B)
+
+    def test_nan_r_sample(self, grid600, cfg600, fig_coupling, rng):
+        op = TOperator(fig_coupling, cfg600)
+        cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
+        rf = cache.rf.copy()
+        rf[5] = math.nan
+        cache = dataclasses.replace(cache, rf=rf)
+        with pytest.raises(hilbert.QuadratureError, match="non-finite"):
+            op.derivative(cache, self.B)
 
 
 class TestTOp:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from carlemanfp import solver
 from carlemanfp.coupling import Coupling
 from carlemanfp.grids import QuadratureConfig, log_envelope_function, make_nodes
 from carlemanfp.operators import TOperator, lb_distance
 from carlemanfp.solver import (
     ANDERSON_DEPTH,
     AndersonMixer,
+    NonConvergenceError,
     SolverConfig,
     _band_margin,
     _next_iterate,
@@ -178,6 +180,52 @@ class TestAndersonMixer:
             mixer, *self._pair(nodes, -0.795, -0.79), fig_coupling, 0.5, False
         )
         assert depth == 1
+
+
+class TestDampingHalving:
+    """Three residual growths in a row halve the damped Picard factor, the
+    count then starts afresh, and the factor stops at 1/16."""
+
+    # the residual falls at iteration 4 and grows at every other one
+    RESIDUALS = [1.0, 2.0, 3.0, 2.5] + [3.0 + k for k in range(16)]
+    # the factor each iteration's step is taken with
+    FACTORS = [1.0] * 7 + [0.5] * 3 + [0.25] * 3 + [0.125] * 3 + [0.0625] * 4
+
+    def test_factor_per_step(self, fig_coupling, monkeypatch):
+        images, steps = [], []
+        residuals = iter(self.RESIDUALS)
+        apply = TOperator.apply
+
+        def spy_apply(op, f, *args, **kwargs):
+            images.append(apply(op, f, *args, **kwargs))
+            return images[-1]
+
+        def fake_distance(g, f):
+            # the residual ||T f - f|| grows as RESIDUALS says; the step
+            # lengths of the history stay real
+            return next(residuals) if g is images[-1] else lb_distance(g, f)
+
+        def spy_step(mixer, f, tf, coupling, beta, restart):
+            new, depth = _next_iterate(mixer, f, tf, coupling, beta, restart)
+            steps.append((beta, restart, depth, f, tf, new))
+            return new, depth
+
+        monkeypatch.setattr(TOperator, "apply", spy_apply)
+        monkeypatch.setattr(solver, "lb_distance", fake_distance)
+        monkeypatch.setattr(solver, "_next_iterate", spy_step)
+        cfg = SolverConfig(coupling=fig_coupling, lambda2=1e4, n_nodes=200,
+                           max_iters=len(self.RESIDUALS))
+        with pytest.raises(NonConvergenceError):
+            solve(cfg)
+        assert [beta for beta, *_ in steps] == self.FACTORS
+        grown = [b > a for a, b in zip([math.inf] + self.RESIDUALS, self.RESIDUALS)]
+        assert [restart for _, restart, *_ in steps] == grown
+        for beta, restart, depth, f, tf, new in steps:
+            if restart:
+                # the damped Picard step, with this iteration's factor
+                assert depth == 0
+                assert np.array_equal(new.values, (1.0 - beta) * f.values + beta * tf.values)
+                assert np.array_equal(new.derivs, (1.0 - beta) * f.derivs + beta * tf.derivs)
 
 
 class TestExactTailLaw:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import psi
 
-from carlemanfp import bounds, verification
+from carlemanfp import bounds, specfun, verification
 from carlemanfp.coupling import Coupling
 from carlemanfp.specfun import (
     EULER_GAMMA,
     digamma,
     dilog,
     hyp2f1,
-    hyp2f1_1mu,
     trigamma,
     zeta_lambda,
 )
@@ -68,23 +67,32 @@ def zeta_series(coupling: Coupling, n_terms: int = 100_000) -> float:
     return (body + tail) / math.pi
 
 
+def one_mu(mu, z):
+    """2F1(1, mu; 1+mu; z), the power-law tail's family, one row per mu
+    for an array of mu."""
+    return hyp2f1(1.0, mu, 1.0 + mu, z)
+
+
 class TestHyp2f1OneMu:
     def test_unit_at_zero(self):
-        assert hyp2f1_1mu(0.25, 0.0) == 1.0
+        assert one_mu(0.25, 0.0) == 1.0
 
     def test_arctanh_closed_form(self):
         # 2F1(1, 1/2; 3/2; z) = atanh(sqrt z)/sqrt z
-        assert hyp2f1_1mu(0.5, 0.25) == pytest.approx(math.log(3.0), rel=1e-14)
+        assert one_mu(0.5, 0.25) == pytest.approx(math.log(3.0), rel=1e-14)
 
     def test_brute_force_series(self):
-        assert hyp2f1_1mu(0.25, 0.9) == pytest.approx(BRUTE_1MU_025_09, rel=1e-10)
+        assert one_mu(0.25, 0.9) == pytest.approx(BRUTE_1MU_025_09, rel=1e-10)
 
     @pytest.mark.parametrize("mu", [0.02, 0.1, 0.25, 0.5, 0.75, 0.97])
     def test_against_general_implementation(self, mu):
+        # the row of mu in a block of mu against the scalar call, on both
+        # branches: the other members' series run to other lengths
         z = np.linspace(0.0, 0.999999, 40)
-        mine = hyp2f1_1mu(mu, z)
-        general = hyp2f1(1.0, mu, 1.0 + mu, z)
-        assert np.allclose(mine, general, rtol=5e-13)
+        block = np.array([0.9, mu, 0.05, 0.5])
+        rows = one_mu(block, z)
+        assert rows.shape == (4, z.size)
+        assert np.array_equal(rows[1], one_mu(mu, z))
 
     def test_near_unit_argument_accuracy(self):
         import mpmath as mp
@@ -93,7 +101,7 @@ class TestHyp2f1OneMu:
         for mu in (0.1, 0.25, 0.45):
             z = 1.0 - 1e-8
             ref = float(mp.hyp2f1(1, mu, 1 + mu, z))
-            assert hyp2f1_1mu(mu, z) == pytest.approx(ref, rel=1e-12)
+            assert one_mu(mu, z) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 0.84, 1.7])
     def test_matches_mpmath_on_both_branches(self, mu):
@@ -104,7 +112,7 @@ class TestHyp2f1OneMu:
         z = np.concatenate([np.linspace(0.0, 0.999, 41), 1.0 - np.geomspace(1e-12, 0.4, 9)])
         with mp.workdps(30):
             ref = np.array([float(mp.hyp2f1(1, mu, 1 + mu, mp.mpf(float(v)))) for v in z])
-        assert np.max(np.abs(hyp2f1_1mu(mu, z) / ref - 1.0)) <= 1e-14
+        assert np.max(np.abs(one_mu(mu, z) / ref - 1.0)) <= 1e-14
 
     @given(
         mu=st.floats(min_value=0.05, max_value=0.95),
@@ -114,30 +122,75 @@ class TestHyp2f1OneMu:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_increasing_and_at_least_one(self, mu, z1, z2):
         lo, hi = sorted((z1, z2))
-        v_lo, v_hi = hyp2f1_1mu(mu, lo), hyp2f1_1mu(mu, hi)
+        v_lo, v_hi = one_mu(mu, lo), one_mu(mu, hi)
         assert v_lo >= 1.0
         # allow summation-order noise for nearly identical arguments
         assert v_hi >= v_lo * (1.0 - 1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            hyp2f1_1mu(0.25, 1.0)
+            one_mu(0.25, 1.0)
         with pytest.raises(ValueError):
-            hyp2f1_1mu(-0.5, 0.5)
+            one_mu(-0.5, 0.5)
         # +inf passed `not mu > 0`; the series then grew until memory ran out
-        with pytest.raises(ValueError, match="mu"):
-            hyp2f1_1mu(math.inf, 0.3)
+        with pytest.raises(ValueError, match="a, b and c"):
+            one_mu(math.inf, 0.3)
 
     @pytest.mark.parametrize("z", [math.nan, [0.1, math.nan], [math.nan, 0.9]])
     def test_nan_rejected(self, z):
         # NaN passes both z < 0 and z >= 1 as false; the series would then
         # never meet their stopping test
         with pytest.raises(ValueError):
-            hyp2f1_1mu(0.5, z)
+            one_mu(0.5, z)
 
     def test_domain_edges_accepted(self):
-        assert hyp2f1_1mu(0.5, 0.0) == 1.0
-        assert math.isfinite(hyp2f1_1mu(0.5, np.nextafter(1.0, 0.0)))
+        assert one_mu(0.5, 0.0) == 1.0
+        assert math.isfinite(one_mu(0.5, np.nextafter(1.0, 0.0)))
+
+
+class TestHyp2f1Rows:
+    """Arrays of b and c: one row per (b, c) pair, with the bits of its
+    own call."""
+
+    # the bound sets with m = 0 and m = 1 side by side, and the tail's
+    # family: each series runs to a length of its own
+    PAIRS = [(2.0, [1.25, 1.25, 1.0 + 0.5, 1.0 + 0.1], [3.25, 4.25, 3.0 + 0.5, 3.0 + 0.1]),
+             (1.0, [0.05, 0.3, 0.97], [1.05, 1.3, 1.97])]
+
+    @pytest.mark.parametrize("a, b, c", PAIRS)
+    @pytest.mark.parametrize("z", [np.linspace(0.0, 0.5, 17), 1.0 - np.geomspace(1e-9, 0.49, 17),
+                                   ORACLE_Z], ids=["gauss", "log", "both"])
+    def test_rows_have_the_bits_of_scalar_calls(self, a, b, c, z):
+        rows = hyp2f1(a, np.array(b), np.array(c), z)
+        assert rows.shape == (len(b), z.size)
+        for row, b_k, c_k in zip(rows, b, c):
+            assert np.array_equal(row, hyp2f1(a, b_k, c_k, z))
+
+    def test_scalar_z_gives_one_value_per_row(self):
+        b = np.array([0.1, 0.6])
+        for z in (0.3, 0.9):
+            got = one_mu(b, z)
+            assert got.shape == (2,)
+            assert got.tolist() == [one_mu(0.1, z), one_mu(0.6, z)]
+
+    def test_each_row_needs_its_balance(self):
+        with pytest.raises(ValueError, match="c - a - b"):
+            hyp2f1(1.0, np.array([0.5, 0.5]), np.array([1.5, 1.75]), 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["b", "c", "z"])
+    def test_non_finite_refused_before_any_series(self, where, bad, monkeypatch):
+        def series(*args):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(specfun, "_gauss_series", series)
+        monkeypatch.setattr(specfun, "_log_series", series)
+        args = {"b": np.array([0.25, 0.5]), "c": np.array([1.25, 1.5]),
+                "z": np.array([0.3, 0.9])}
+        args[where] = args[where].copy()
+        args[where][1] = bad
+        with pytest.raises(ValueError, match="z must" if where == "z" else "a, b and c"):
+            hyp2f1(1.0, args["b"], args["c"], args["z"])
 
 
 class TestHyp2f1General:
