@@ -8,7 +8,8 @@ key is a value-taking long flag of the command without its dashes
 command's defaults.  Every run writes a JSON manifest next to its output.
 Exit codes: 0 success, 1 verification failure, 2 non-convergence,
 3 envelope escape, 4 coupling outside the stability range, 5 invalid
-input (flag, config file or key, or setting: one line, no output).
+input (flag, config file or key, or setting, or a size the machine
+cannot hold: one line, no output).
 """
 
 from __future__ import annotations
@@ -505,6 +506,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except argparse.ArgumentError as exc:  # a setting argparse cannot check
         command.error(str(exc))
+    except MemoryError as exc:  # here, or pickled from a verify worker
+        sizes = " or ".join(opt for a in command._actions for opt in a.option_strings
+                            if opt in ("--nodes", "--grid", "--lambda-grid"))
+        command.error(f"out of memory ({str(exc) or 'MemoryError'}); lower {sizes}")
 
 
 if __name__ == "__main__":

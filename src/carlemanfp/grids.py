@@ -2,15 +2,16 @@
 
 A ``GridFunction`` is the solver state: node positions on [0, cutoff],
 values f(node), exact derivative samples, and a power-law exponent for
-continuing exp(f) beyond the cutoff.  Interpolation between nodes is
-monotone-limited cubic Hermite, so strictly decreasing members of the
-fixed-point domain stay inside their envelope between nodes.
+continuing exp(f) beyond the cutoff.  Every layer reads a sampled
+function between nodes through one ``Interpolant``, monotone-limited
+cubic Hermite, so strictly decreasing members of the fixed-point domain
+stay inside their envelope between nodes.
 
-The limiter slopes and the interpolants take values with leading axes,
-one row per sampled function on the same nodes (the members of a block,
-``hilbert``); every row gets the bits it gets alone.  The per-interval
-kernels keep the intervals on the last axis, numpy's inner loop, with
-the bits of their interval-major formulas (``hermite_at_fractions``).
+An Interpolant takes values with leading axes, one row per sampled
+function on the same nodes (a block, ``hilbert``); every row gets the
+bits it gets alone.  The per-interval kernels keep the intervals on the
+last axis, numpy's inner loop, with the bits of their interval-major
+formulas (``hermite_at_fractions``).
 """
 
 from __future__ import annotations
@@ -111,23 +112,9 @@ def _limited_slopes(nodes, values, derivs):
     return m_left, m_right
 
 
-def hermite_eval(nodes, values, derivs, x, with_derivative: bool = False, slopes=None):
-    """Monotone-limited cubic Hermite interpolation of sampled data.
-
-    ``slopes`` are the limited slopes of the data, if the caller keeps
-    them (``GridFunction.slopes``); otherwise they are computed here.
-    """
-    xf, scalar = checked(x, "x", nodes[0], nodes[-1])
-    slopes = _limited_slopes(nodes, values, derivs) if slopes is None else slopes
-    out = _hermite(nodes, values, slopes, xf, with_derivative)
-    if not with_derivative:
-        return unwrap(out, scalar)
-    return unwrap(out[0], scalar), unwrap(out[1], scalar)
-
-
 def _hermite(nodes, values, slopes, x: np.ndarray, with_derivative: bool = False):
-    """``hermite_eval`` at points x already checked to lie on the grid,
-    for values of any leading shape; the derivative too if asked."""
+    """``Interpolant.at``, of limiter slopes ``slopes``, for values of any
+    leading shape; the derivative too if asked."""
     ml, mr = slopes
     # the interval of each point; minimum and maximum in place, as the
     # np.clip wrapper costs more than the clipping on a few points
@@ -174,8 +161,8 @@ _PANEL_BASIS = _fraction_basis(PANEL_FRACTIONS)
 
 
 def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
-    """The interpolant of ``hermite_eval``, of limiter slopes ``slopes``,
-    at nodes[i] + c (nodes[i+1] - nodes[i]) for every interval i and
+    """The interpolant of limiter slopes ``slopes`` at nodes[i] +
+    c (nodes[i+1] - nodes[i]) for every interval i and
     fraction c in [0, 1], interval by interval: the fixed fractions give
     fixed basis weights, so no point is located on the grid.  Values with
     leading axes give one row of samples per row of values.
@@ -199,13 +186,32 @@ def hermite_at_fractions(nodes, values, slopes, fractions) -> np.ndarray:
     return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (-1,))
 
 
+class Interpolant:
+    """Monotone-limited cubic Hermite interpolant of values and derivative
+    samples on nodes, one row per leading index of the values.  The
+    limiter slopes are formed here, so the samples are not changed in
+    place after that."""
+
+    def __init__(self, nodes, values, derivs):
+        self.nodes, self.values, self.derivs = nodes, values, derivs
+        self.slopes = _limited_slopes(nodes, values, derivs)
+
+    def at(self, x: np.ndarray, with_derivative: bool = False):
+        """Each row at points x already checked to lie on the grid, and
+        its derivative if asked."""
+        return _hermite(self.nodes, self.values, self.slopes, x, with_derivative)
+
+    def at_fractions(self, fractions) -> np.ndarray:
+        """Each row at the same fractions of every interval."""
+        return hermite_at_fractions(self.nodes, self.values, self.slopes, fractions)
+
+
 @dataclass
 class GridFunction:
     """Sampled member of the log-bounded function space.
 
-    The limiter slopes of the interpolant are computed at its first use
-    and kept, so ``values`` and ``derivs`` are not changed in place after
-    that.
+    Its interpolant is formed at its first use and kept, so ``values``
+    and ``derivs`` are not changed in place after that.
     """
 
     nodes: np.ndarray
@@ -250,17 +256,16 @@ class GridFunction:
     # -- evaluation ---------------------------------------------------
 
     @functools.cached_property
-    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fritsch-Carlson limited endpoint slopes per interval."""
-        return _limited_slopes(self.nodes, self.values, self.derivs)
+    def interpolant(self) -> Interpolant:
+        return Interpolant(self.nodes, self.values, self.derivs)
 
     def at(self, x):
-        return hermite_eval(self.nodes, self.values, self.derivs, x, slopes=self.slopes)
+        x, scalar = checked(x, "x", self.nodes[0], self.nodes[-1])
+        return unwrap(self.interpolant.at(x), scalar)
 
     def derivative_at(self, x):
-        return hermite_eval(
-            self.nodes, self.values, self.derivs, x, True, slopes=self.slopes
-        )[1]
+        x, scalar = checked(x, "x", self.nodes[0], self.nodes[-1])
+        return unwrap(self.interpolant.at(x, True)[1], scalar)
 
     # -- tail ---------------------------------------------------------
 

@@ -33,9 +33,9 @@ samples a function once for all the point sets it is transformed at.  An
 application then computes only what depends on the sampled function: its
 panel samples and Hermite values, the charges of w s with their upward
 and downward passes, the near-field arithmetic, and the 2F1 tail.  Both
-transforms take the panel samples at the fixed Gauss fractions of every
-interval (``hermite_at_fractions``), from limiter slopes computed once
-per sampled function, so only the targets are located on the grid.
+transforms read it through a ``grids.Interpolant`` on the working grid,
+formed once, and take the panel samples at the fixed Gauss fractions of
+every interval, so only the targets are located on the grid.
 Targets outside the grid, and NaN, are refused by ``domain.checked``.
 Every caller on a grid shares its plans' arrays, so ``_read_only`` makes
 them read-only.  The plans hold intermediates an application would
@@ -63,15 +63,7 @@ import numpy as np
 
 from .domain import checked, unwrap
 from .farfield import DENSE_MAX, BoxLayout, BoxRows, BoxTree, LogBoxes, charges
-from .grids import (
-    GridFunction,
-    HARD_CUTOFF,
-    POWER_LAW_EXTEND,
-    QuadratureConfig,
-    _hermite,
-    _limited_slopes,
-    hermite_at_fractions,
-)
+from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, Interpolant, QuadratureConfig
 from .quadrature import (
     _BLOCK_BYTES,
     PANEL_FRACTIONS,
@@ -143,24 +135,6 @@ def power_law_tail_integral(coeff: float | np.ndarray, p: float | np.ndarray, a,
     return out[0] if one else out
 
 
-class Extension:
-    """Sampled functions on the working grid of their transforms, with a
-    leading member axis for a block: the values, derivative samples and
-    limiter slopes of their interpolants."""
-
-    def __init__(self, nodes, values, derivs):
-        self.nodes, self.values, self.derivs = nodes, values, derivs
-        self.slopes = _limited_slopes(nodes, values, derivs)
-
-    def at(self, a: np.ndarray) -> np.ndarray:
-        """Each member at points a already checked to lie on the grid."""
-        return _hermite(self.nodes, self.values, self.slopes, a)
-
-    def at_fractions(self, fractions) -> np.ndarray:
-        """Each member at the same fractions of every interval."""
-        return hermite_at_fractions(self.nodes, self.values, self.slopes, fractions)
-
-
 def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridPlan):
     """f on the working grid of the transform quadratures, the grid of
     ``plan``; for a sequence of members on one grid, one row per member.
@@ -169,8 +143,8 @@ def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridP
     cutoff, filled with the fitted power-law continuation of each member.
     Hard-cutoff mode instead refines dyadically toward the cutoff edge,
     where the truncated transform develops its logarithmic edge
-    behaviour.  Returns (``Extension``, tail coefficients or None, tail
-    exponents or None).
+    behaviour, sampled from each member's interpolant.  Returns
+    (``Interpolant``, tail coefficients or None, tail exponents or None).
     """
     members = [f] if isinstance(f, GridFunction) else list(f)
 
@@ -196,7 +170,7 @@ def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridP
         beyond = nodes[grid.size :]
         ext_vals = values[..., -1:] + p[..., None] * (np.log1p(beyond) - math.log1p(lam2))
         ext_derivs = p[..., None] / (1.0 + beyond)
-        ext = Extension(
+        ext = Interpolant(
             nodes,
             np.concatenate([values, ext_vals], axis=-1),
             np.concatenate([derivs, ext_derivs], axis=-1),
@@ -204,9 +178,8 @@ def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridP
         return ext, coeff, p
 
     edge = nodes[grid.size - 1 : -1]
-    slopes = tuple(rows(s) for s in zip(*(g.slopes for g in members)))
-    vals, ders = _hermite(grid, values, slopes, edge, with_derivative=True)
-    ext = Extension(
+    vals, ders = (rows(s) for s in zip(*(g.interpolant.at(edge, True) for g in members)))
+    ext = Interpolant(
         nodes,
         np.concatenate([values[..., :-1], vals, values[..., -1:]], axis=-1),
         np.concatenate([derivs[..., :-1], ders, derivs[..., -1:]], axis=-1),
@@ -540,7 +513,7 @@ class HilbertOfExp:
     truncated at the grid cutoff.
 
     ``f`` is one GridFunction, or a sequence of them on one grid: a block
-    of members.  Then every per-member array (the extension ``ext``, the
+    of members.  Then every per-member array (the interpolant ``ext``, the
     panel samples ``sub_g``, the tail coefficients and exponents) and
     every result has a leading member axis, one row per member, each with
     the bits of the transform of that member alone.  One GridFunction
@@ -626,11 +599,11 @@ class SampledPVTransform:
         # the stencils stencil-major, contiguous in (4, n), for _stencil_sums
         self._fd_idx, self._fd_c = (a.T for a in fd_derivative_coeffs(self.nodes))
 
-    def _extension(self, values) -> Extension:
+    def _extension(self, values) -> Interpolant:
         """The interpolant of the values on the nodes, with their
         finite-difference derivative samples."""
         values = np.asarray(values, dtype=float)
-        return Extension(self.nodes, values, _stencil_sums(self._fd_idx, self._fd_c, values))
+        return Interpolant(self.nodes, values, _stencil_sums(self._fd_idx, self._fd_c, values))
 
     def at(self, values, *point_sets):
         """Transform of the sampled function at each set of points a in

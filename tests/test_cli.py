@@ -12,6 +12,7 @@ import pytest
 import carlemanfp
 from carlemanfp import cli, verification
 from carlemanfp.cli import EXIT_USAGE, _csv_lines, main
+from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.hilbert import QuadratureError
 from carlemanfp.operators import PoleRegionError, TOperator
 from carlemanfp.report import INCONCLUSIVE_BAND, Worst
@@ -566,6 +567,73 @@ class TestVerifyProcesses:
         while not all(map(gone_or_zombie, children)):
             assert time.monotonic() < deadline, f"child {children} outlived verify by 5 s"
             time.sleep(0.01)
+
+
+class TestOutOfMemory:
+    """A size the machine cannot hold ends the run with exit 5 and one
+    line naming the command's size settings, and writes no output or
+    manifest.  The MemoryError is injected: a real oversized allocation
+    may be granted by an overcommitting host, which then kills the run."""
+
+    @staticmethod
+    def exhausted(*_, **__):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    @staticmethod
+    def assert_refused(code, capsys, out, prefix, sizes):
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"carleman-fp {prefix}: error: out of memory (Unable to")
+        assert err[0].endswith(f"; lower {sizes}")
+        assert not out.parent.exists()
+
+    def test_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(TOperator, "apply", self.exhausted)
+        out = tmp_path / "out" / "sol.csv"
+        code = run(["solve", f"--lambda={LAM}", "--nodes=300", "--cutoff=1e4",
+                    "--out", str(out)])
+        self.assert_refused(code, capsys, out, "solve", "--nodes")
+
+    def test_gab(self, tmp_path, capsys, monkeypatch):
+        # past the solve, in the reconstruction table
+        monkeypatch.setattr(TwoPointReconstruction, "table", self.exhausted)
+        out = tmp_path / "out" / "gab.csv"
+        code = run(["gab", f"--lambda={LAM}", "--nodes=300", "--cutoff=1e4", "--grid=4",
+                    "--out", str(out)])
+        self.assert_refused(code, capsys, out, "gab", "--nodes or --grid")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_verify(self, cpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(verification.SUITES, "ck", self.exhausted)
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "out" / "rep.json"
+        code = run(["verify", "--suite=lemma4,ck", "--lambda-grid=4", "--out", str(out)])
+        self.assert_refused(code, capsys, out, "verify", "--lambda-grid")
+        assert_no_child()
+
+    def test_verify_worker(self, tmp_path, capsys, monkeypatch):
+        # the suite runs out of memory in the forked child; the verify
+        # process waits for that, so that it cannot take both suites first
+        failed = tmp_path / "failed"
+        here = os.getpid()
+
+        def suite(**_):
+            if os.getpid() != here:
+                failed.touch()
+                self.exhausted()
+            deadline = time.monotonic() + 10.0
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return []
+
+        monkeypatch.setitem(verification.SUITES, "lemma4", suite)
+        use_cpus(monkeypatch, 2)
+        out = tmp_path / "out" / "rep.json"
+        code = run(["verify", "--suite=lemma4,lemma4", "--out", str(out)])
+        assert failed.exists()
+        self.assert_refused(code, capsys, out, "verify", "--lambda-grid")
+        assert_no_child()
 
 
 class TestFigure2:

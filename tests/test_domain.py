@@ -36,7 +36,7 @@ VALID = {
     "coeff": 1.0, "p": -0.5, "x_end": 10.0, "lambda2": 1e2, "exponent": -0.5,
     "fractions": 0.5, "b_max": 10.0,
     "coupling": Coupling(-0.1), "n_nodes": 64, "f": F, "nodes": NODES,
-    "values": F.values, "derivs": F.derivs, "slopes": F.slopes,
+    "values": F.values, "derivs": F.derivs, "slopes": F.interpolant.slopes,
 }
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -100,9 +100,11 @@ def refused(label: str, bad: np.ndarray, **override) -> None:
 
 def test_walk_covers_the_known_functions():
     for label in ("bounds.f_bound", "specfun.hyp2f1", "appendix.t0_closed",
-                  "hilbert.hilbert_power_law", "grids.hermite_eval",
-                  "solver.consistency_residual"):
+                  "hilbert.hilbert_power_law", "solver.consistency_residual"):
         assert label in FUNCTIONS
+    # the interpolant's checked entry points are methods of GridFunction
+    for label in ("GridFunction.at", "GridFunction.derivative_at"):
+        assert label in METHODS
 
 
 @pytest.mark.parametrize("label", sorted(FUNCTIONS))
@@ -142,6 +144,7 @@ METHODS = {
     **{f"HilbertOfExp.r[{mode}-{m}]":
        lambda a, mode=mode, m=m: transform(mode, m).r(a, 0.1) for mode, m in TRANSFORMS},
     "GridFunction.at": lambda x: F.at(x),
+    "GridFunction.derivative_at": lambda x: F.derivative_at(x),
     "SampledPVTransform.at": lambda a: hilbert.SampledPVTransform(NODES).at(F.values, a),
     "TwoPointReconstruction.tau_at": lambda a: reconstruction().tau_at(a, 0.5),
     "TwoPointReconstruction.table[a]": lambda a: reconstruction().table(a, [0.5]),

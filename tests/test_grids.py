@@ -9,8 +9,6 @@ from carlemanfp.grids import (
     GridFunction,
     QuadratureConfig,
     _limited_slopes,
-    hermite_at_fractions,
-    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -137,12 +135,12 @@ def test_fixed_fractions_match_pointwise_interpolation(fig_coupling, rng):
     f = random_klambda(fig_coupling, make_nodes(400, 1e6), rng)
     fractions = np.concatenate([[0.0], PANEL_FRACTIONS, [0.5]])
     points = (f.nodes[:-1, None] + fractions * np.diff(f.nodes)[:, None]).ravel()
-    got = hermite_at_fractions(f.nodes, f.values, f.slopes, fractions)
-    want = hermite_eval(f.nodes, f.values, f.derivs, points)
+    got = f.interpolant.at_fractions(fractions)
+    want = f.at(points)
     assert np.array_equal(got[:: fractions.size], f.values[:-1])
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
     # the limiter slopes are computed once per function
-    assert f.slopes is f.slopes
+    assert f.interpolant is f.interpolant
 
 
 def clip_limited_slopes(nodes, values, derivs):

@@ -7,11 +7,8 @@ from scipy import integrate
 from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
+    Interpolant,
     QuadratureConfig,
-    _hermite,
-    _limited_slopes,
-    hermite_at_fractions,
-    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -205,17 +202,18 @@ class TestSampledTransformLinearity:
         # the panel samples come at fixed fractions of each interval; the
         # point count of every Hermite evaluation, by kind
         calls = []
+        at, at_fractions = Interpolant.at, Interpolant.at_fractions
 
-        def located(nodes, values, slopes, x, *args, **kw):
+        def located(self, x, *args, **kw):
             calls.append(("located", np.size(x)))
-            return _hermite(nodes, values, slopes, x, *args, **kw)
+            return at(self, x, *args, **kw)
 
-        def at_fractions(nodes, values, slopes, fractions):
-            calls.append(("fractions", (nodes.size - 1) * np.size(fractions)))
-            return hermite_at_fractions(nodes, values, slopes, fractions)
+        def fixed(self, fractions):
+            calls.append(("fractions", (self.nodes.size - 1) * np.size(fractions)))
+            return at_fractions(self, fractions)
 
-        monkeypatch.setattr(hilbert, "_hermite", located)
-        monkeypatch.setattr(hilbert, "hermite_at_fractions", at_fractions)
+        monkeypatch.setattr(Interpolant, "at", located)
+        monkeypatch.setattr(Interpolant, "at_fractions", fixed)
         nodes = make_nodes(300, 1e4)
         vals = nodes / (1.0 + nodes)
         transform = SampledPVTransform(nodes)
@@ -247,7 +245,7 @@ def reversed_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
 
 
 def chunked_quotient(he, a, pv=chunked_pv):
-    s_a = np.exp(hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, a))
+    s_a = np.exp(Interpolant(he.ext.nodes, he.ext.values, he.ext.derivs).at(a))
     h = pv(he.sub_x, he.sub_w, he.sub_g, he.x_end, a, s_a)
     if he.tail_coeff is not None:
         h += power_law_tail_integral(he.tail_coeff, he.tail_p, a, he.x_end)
@@ -258,12 +256,10 @@ def sampled_pv_args(transform, vals, a):
     """The dense reference's arguments for ``transform.at(vals, a)``: the
     interpolant of the finite-difference derivative samples, from one set
     of limiter slopes, at the panel fractions and at the targets."""
-    nodes = transform.nodes
     ext = transform._extension(vals)
-    values, derivs = ext.values, ext.derivs
-    slopes = _limited_slopes(nodes, values, derivs)
-    sub_s = hermite_at_fractions(nodes, values, slopes, PANEL_FRACTIONS)
-    s_a = hermite_eval(nodes, values, derivs, a, slopes=slopes)
+    interpolant = Interpolant(transform.nodes, ext.values, ext.derivs)
+    sub_s = interpolant.at_fractions(PANEL_FRACTIONS)
+    s_a = interpolant.at(a)
     return transform.sub_x, transform.sub_w, sub_s, transform.x_end, a, s_a
 
 

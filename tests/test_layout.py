@@ -9,7 +9,7 @@ a -0.0 for a +0.0 or a NaN of another payload counts as a difference.
 import numpy as np
 import pytest
 
-from carlemanfp.grids import _limited_slopes, hermite_at_fractions, make_nodes
+from carlemanfp.grids import Interpolant, _limited_slopes, hermite_at_fractions, make_nodes
 from carlemanfp.hilbert import SampledPVTransform
 from carlemanfp.quadrature import (
     _GL4_WEIGHTS,
@@ -84,12 +84,18 @@ def test_hermite_at_fractions_keeps_the_interval_major_bits(rng, rows, k):
     assert np.isnan(want).any() and (want == 0.0).any()
     assert_same_bits(got, want)
     if rows:
-        # every row gets the bits of its samples alone
-        for i in np.ndindex(rows):
-            alone = hermite_at_fractions(
-                nodes, values[i], tuple(s[i] for s in slopes), FRACTIONS[k]
-            )
-            assert_same_bits(got[i], alone)
+        # every row of an interpolant gets the bits of its samples alone,
+        # at the fractions and at located points, with the derivative too
+        x = np.sort(rng.uniform(nodes[0], nodes[-1], 50))
+        with np.errstate(invalid="ignore"):
+            block = Interpolant(nodes, values, derivs)
+            assert_same_bits(block.at_fractions(FRACTIONS[k]), got)
+            for i in np.ndindex(rows):
+                alone = Interpolant(nodes, values[i], derivs[i])
+                assert_same_bits(got[i], alone.at_fractions(FRACTIONS[k]))
+                assert_same_bits(block.at(x)[i], alone.at(x))
+                for in_block, by_itself in zip(block.at(x, True), alone.at(x, True)):
+                    assert_same_bits(in_block[i], by_itself)
 
 
 def test_hermite_at_fractions_on_the_production_grid(rng):

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from carlemanfp import appendix, bounds, gab, grids, hilbert, operators
+from carlemanfp import appendix, bounds, hilbert, operators
 from carlemanfp.coupling import Coupling
 from carlemanfp.gab import TwoPointReconstruction
 from carlemanfp.grids import (
     HARD_CUTOFF,
     POWER_LAW_EXTEND,
+    Interpolant,
     QuadratureConfig,
-    _hermite,
-    hermite_at_fractions,
-    hermite_eval,
     log_envelope_function,
     make_nodes,
     random_klambda,
@@ -44,9 +42,9 @@ def cfg600():
 def f_evaluations(monkeypatch):
     """``watch(f)`` returns a list that collects the point count of every
     Hermite evaluation of f, or of its working-grid extension, through
-    every module binding of ``hermite_eval``, ``_hermite`` and
-    ``hermite_at_fractions``."""
+    ``Interpolant.at`` and ``Interpolant.at_fractions``."""
     watched, sizes = [], []
+    at, at_fractions = Interpolant.at, Interpolant.at_fractions
 
     def count(values, n_points):
         if watched:
@@ -54,25 +52,16 @@ def f_evaluations(monkeypatch):
             if np.array_equal(values[: head.size], head):
                 sizes.append(n_points)
 
-    def counted(nodes, values, derivs, x, *args, **kw):
-        count(values, np.size(x))
-        return hermite_eval(nodes, values, derivs, x, *args, **kw)
+    def counted_at(self, x, *args, **kw):
+        count(self.values, np.size(x))
+        return at(self, x, *args, **kw)
 
-    def counted_located(nodes, values, slopes, x, *args, **kw):
-        count(values, np.size(x))
-        return _hermite(nodes, values, slopes, x, *args, **kw)
+    def counted_fractions(self, fractions):
+        count(self.values, (self.nodes.size - 1) * np.size(fractions))
+        return at_fractions(self, fractions)
 
-    def counted_fractions(nodes, values, slopes, fractions):
-        count(values, (nodes.size - 1) * np.size(fractions))
-        return hermite_at_fractions(nodes, values, slopes, fractions)
-
-    for mod in (grids, hilbert, operators, gab):
-        if hasattr(mod, "hermite_eval"):
-            monkeypatch.setattr(mod, "hermite_eval", counted)
-        if mod is not grids and hasattr(mod, "_hermite"):  # grids' is hermite_eval's
-            monkeypatch.setattr(mod, "_hermite", counted_located)
-        if hasattr(mod, "hermite_at_fractions"):
-            monkeypatch.setattr(mod, "hermite_at_fractions", counted_fractions)
+    monkeypatch.setattr(Interpolant, "at", counted_at)
+    monkeypatch.setattr(Interpolant, "at_fractions", counted_fractions)
 
     def watch(f):
         watched[:] = [f]
@@ -331,7 +320,7 @@ class TestBlockedDerivativeExact:
         # grid, f is its stored values
         assert calls == [he.sub_x.size]
         monkeypatch.undo()
-        f_t = hermite_eval(he.ext.nodes, he.ext.values, he.ext.derivs, t[1:])
+        f_t = Interpolant(he.ext.nodes, he.ext.values, he.ext.derivs).at(t[1:])
         quot = he.quotient(t[1:], allow_extension=True)
         rf = np.exp(-f_t) - fig_coupling.abs_lambda * math.pi * t[1:] * quot
         assert np.array_equal(cache.rf[1:], rf)

@@ -204,3 +204,31 @@ def test_suites_take_t_and_r_in_blocks():
             node.lineno for body in bodies for node in ast.walk(body) if per_member(node)
         }
     assert sorted(offenders) == []
+
+
+def test_the_interpolant_has_one_home():
+    # grids.Interpolant is the one way the package evaluates the monotone
+    # cubic Hermite interpolant: no other module defines, imports or
+    # reaches for its kernels, and the interpolants it replaced are gone
+    from carlemanfp import grids, hilbert
+
+    package = Path(carlemanfp.__file__).resolve().parent
+    kernels = {"_hermite", "_limited_slopes", "hermite_at_fractions"}
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "grids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names & kernels]
+    assert offenders == []
+    assert not hasattr(hilbert, "Extension")
+    assert not hasattr(grids, "hermite_eval")
+    assert not hasattr(grids.GridFunction, "slopes")
