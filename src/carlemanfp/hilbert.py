@@ -21,11 +21,11 @@ what owns the grid.  The transforms of exp f share one grid plan
 on, dropped when another grid is asked for (an object that keeps its
 plan, such as a reconstruction's ``HilbertOfExp``, keeps it alive for
 itself).  It holds the working grid's nodes, panel points and weights
-(``_Panels``), the R nodes of ``TOperator.rf_cache``, the source plan of
-the compressed sum (``_PVFarField``: boxes, tree, translation matrices,
-near windows and the far field of the weight charges T), built at the
-first sum past DENSE_MAX targets, and the (Tf)' layout of the last b
-set.  A source plan keeps the target plan (``_PVTargets``: each target's
+(``_Panels``), the R nodes of ``HilbertOfExp.r_samples``, the source
+plan of the compressed sum (``_PVFarField``: boxes, tree, translation
+matrices, near windows and the far field of the weight charges T), built
+at the first sum past DENSE_MAX targets, and the (Tf)' layout of the
+last b set.  A source plan keeps the target plan (``_PVTargets``: each target's
 box and Lagrange rows, T's far field there and the near-field rows) of
 the last point set it summed at; any other point set is planned for its
 call.  ``SampledPVTransform`` keeps its own panels and source plan, and
@@ -35,7 +35,9 @@ panel samples and Hermite values, the charges of w s with their upward
 and downward passes, the near-field arithmetic, and the 2F1 tail.  Both
 transforms read it through a ``grids.Interpolant`` on the working grid,
 formed once, and take the panel samples at the fixed Gauss fractions of
-every interval, so only the targets are located on the grid.
+every interval, so only the targets are located on the grid.  For exp f
+that interpolant, ``HilbertOfExp.ext``, is the one owner of f on the
+working grid: ``r_samples`` takes f at the R nodes from it too.
 Targets outside the grid, and NaN, are refused by ``domain.checked``.
 Every caller on a grid shares its plans' arrays, so ``_read_only`` makes
 them read-only.  The plans hold intermediates an application would
@@ -135,60 +137,8 @@ def power_law_tail_integral(coeff: float | np.ndarray, p: float | np.ndarray, a,
     return out[0] if one else out
 
 
-def extend_for_quadrature(f: GridFunction | Sequence[GridFunction], plan: _GridPlan):
-    """f on the working grid of the transform quadratures, the grid of
-    ``plan``; for a sequence of members on one grid, one row per member.
-
-    Power-law mode appends log-spaced nodes for five decades past the
-    cutoff, filled with the fitted power-law continuation of each member.
-    Hard-cutoff mode instead refines dyadically toward the cutoff edge,
-    where the truncated transform develops its logarithmic edge
-    behaviour, sampled from each member's interpolant.  Returns
-    (``Interpolant``, tail coefficients or None, tail exponents or None).
-    """
-    members = [f] if isinstance(f, GridFunction) else list(f)
-
-    def rows(per_member):
-        """One entry per member, along a leading axis unless f is one member."""
-        return np.asarray(per_member[0]) if isinstance(f, GridFunction) else np.stack(per_member)
-
-    grid, nodes = members[0].nodes, plan.nodes
-    lam2 = grid[-1]
-    values, derivs = rows([g.values for g in members]), rows([g.derivs for g in members])
-    if plan.tail_mode == POWER_LAW_EXTEND:
-        exponents = [g.fitted_tail_exponent() for g in members]
-        for p in exponents:
-            if not p < -1e-6:
-                raise ValueError(
-                    "power-law extension requires a decaying tail "
-                    f"(fitted exponent {p:.3g}); use hard_cutoff"
-                )
-        coeff = rows([
-            math.exp(g.values[-1] - p * math.log1p(lam2)) for g, p in zip(members, exponents)
-        ])
-        p = rows(exponents)
-        beyond = nodes[grid.size :]
-        ext_vals = values[..., -1:] + p[..., None] * (np.log1p(beyond) - math.log1p(lam2))
-        ext_derivs = p[..., None] / (1.0 + beyond)
-        ext = Interpolant(
-            nodes,
-            np.concatenate([values, ext_vals], axis=-1),
-            np.concatenate([derivs, ext_derivs], axis=-1),
-        )
-        return ext, coeff, p
-
-    edge = nodes[grid.size - 1 : -1]
-    vals, ders = (rows(s) for s in zip(*(g.interpolant.at(edge, True) for g in members)))
-    ext = Interpolant(
-        nodes,
-        np.concatenate([values[..., :-1], vals, values[..., -1:]], axis=-1),
-        np.concatenate([derivs[..., :-1], ders, derivs[..., -1:]], axis=-1),
-    )
-    return ext, None, None
-
-
 def _extended_nodes(nodes: np.ndarray, tail_mode: str) -> np.ndarray:
-    """The nodes of ``extend_for_quadrature``'s working grid."""
+    """The nodes of the working grid of the transforms of exp f."""
     lam2 = nodes[-1]
     if tail_mode == POWER_LAW_EXTEND:
         n_ext = int(round(_TAIL_DECADES * _TAIL_NODES_PER_DECADE))
@@ -441,7 +391,7 @@ class _Panels:
 class _GridPlan:
     """What the transforms of exp f on one grid compute from its nodes
     and tail mode alone: the working grid's ``nodes`` and its ``panels``,
-    the nodes ``r_nodes`` at which ``TOperator.rf_cache`` samples R, and
+    the nodes ``r_nodes`` at which ``HilbertOfExp.r_samples`` forms R, and
     the (Tf)' layout of the last b set (``layout``)."""
 
     def __init__(self, nodes: np.ndarray, tail_mode: str):
@@ -518,6 +468,11 @@ class HilbertOfExp:
     every result has a leading member axis, one row per member, each with
     the bits of the transform of that member alone.  One GridFunction
     runs the same code without that axis.
+
+    ``ext`` is f on the plan's working grid: in power-law mode, past the
+    cutoff, each member's fitted power law, whose tail beyond the grid is
+    integrated in closed form; in hard-cutoff mode, each member's
+    interpolant at the dyadic refinement toward the cutoff edge.
     """
 
     def __init__(self, f: GridFunction | Sequence[GridFunction], cfg: QuadratureConfig):
@@ -531,11 +486,35 @@ class HilbertOfExp:
             if g.nodes is not nodes and not np.array_equal(g.nodes, nodes):
                 raise ValueError("the members of a block live on different node sets")
         self.lambda2 = float(nodes[-1])
-        self.plan = _plan_of(nodes, cfg.tail_mode)
-        self.ext, self.tail_coeff, self.tail_p = extend_for_quadrature(
-            f if self.single else members, self.plan
-        )
-        panels = self.plan.panels
+        self.plan = plan = _plan_of(nodes, cfg.tail_mode)
+        # one entry per member, along a leading axis unless f is one member
+        rows = (lambda per_member: np.asarray(per_member[0])) if self.single else np.stack
+        values, derivs = rows([g.values for g in members]), rows([g.derivs for g in members])
+        self.tail_coeff = self.tail_p = None
+        if plan.tail_mode == POWER_LAW_EXTEND:
+            exponents = [g.fitted_tail_exponent() for g in members]
+            for p in exponents:
+                if not p < -1e-6:
+                    raise ValueError(
+                        "power-law extension requires a decaying tail "
+                        f"(fitted exponent {p:.3g}); use hard_cutoff"
+                    )
+            log_end = math.log1p(self.lambda2)
+            self.tail_coeff = rows([
+                math.exp(g.values[-1] - p * log_end) for g, p in zip(members, exponents)
+            ])
+            self.tail_p = p = rows(exponents)
+            beyond = plan.nodes[nodes.size :]
+            ext_vals = values[..., -1:] + p[..., None] * (np.log1p(beyond) - log_end)
+            values = np.concatenate([values, ext_vals], axis=-1)
+            derivs = np.concatenate([derivs, p[..., None] / (1.0 + beyond)], axis=-1)
+        else:
+            edge = plan.nodes[nodes.size - 1 : -1]
+            vals, ders = (rows(s) for s in zip(*(g.interpolant.at(edge, True) for g in members)))
+            values = np.concatenate([values[..., :-1], vals, values[..., -1:]], axis=-1)
+            derivs = np.concatenate([derivs[..., :-1], ders, derivs[..., -1:]], axis=-1)
+        self.ext = Interpolant(plan.nodes, values, derivs)
+        panels = plan.panels
         self.x_end, self.sub_x, self.sub_w = panels.x_end, panels.sub_x, panels.sub_w
         self.sub_g = np.exp(self.ext.at_fractions(PANEL_FRACTIONS))
 
@@ -551,25 +530,13 @@ class HilbertOfExp:
             h += power_law_tail_integral(self.tail_coeff, self.tail_p, a, self.x_end)
         return _finite(h) / s_a
 
-    def quotient(self, a, allow_extension: bool = False):
-        """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff), or in
-        (0, end of the working grid) with ``allow_extension``."""
-        hi = self.x_end if allow_extension else self.lambda2
-        a, scalar = checked(a, "a", 0.0, hi, "()")
+    def quotient(self, a):
+        """H_a[exp(f)] / exp(f(a)) at points a in (0, cutoff)."""
+        a, scalar = checked(a, "a", 0.0, self.lambda2, "()")
         return self._result(self._quotient(a, np.exp(self.ext.at(a))), scalar)
 
-    def r(self, a, abs_lambda: float, allow_extension: bool = False, f_a=None):
-        """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a).
-
-        Formed as exp(-f(a)) - |lam| pi a * quotient, so no large
-        exponentials appear; f is interpolated once per point, unless the
-        caller passes its values ``f_a`` at a (one row per member), and
-        R f(0) = exp(-f(0)).  Points lie in [0, cutoff), or in [0, end of
-        the working grid) with ``allow_extension``.
-        """
-        hi = self.x_end if allow_extension else self.lambda2
-        a, scalar = checked(a, "a", 0.0, hi, "[)")
-        f_a = self.ext.at(a) if f_a is None else np.atleast_1d(f_a)
+    def _r(self, a: np.ndarray, abs_lambda: float, f_a: np.ndarray) -> np.ndarray:
+        """R f at points a >= 0, given f_a = f(a) (one row per member)."""
         out = np.exp(-f_a)
         inside = a > 0.0
         if abs_lambda != 0.0 and np.any(inside):
@@ -577,7 +544,31 @@ class HilbertOfExp:
             # masks on the last axis through .T: numpy's fast path in 1-D
             quot = self._quotient(a_in, np.exp(f_a.T[inside].T))
             out.T[inside] -= (abs_lambda * math.pi * a_in * quot).T
-        return self._result(out, scalar)
+        return out
+
+    def r(self, a, abs_lambda: float, f_a=None):
+        """The rescaled transform R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a)
+        at points a in [0, cutoff).
+
+        Formed as exp(-f(a)) - |lam| pi a * quotient, so no large
+        exponentials appear; f is interpolated once per point, unless the
+        caller passes its values ``f_a`` at a (one row per member), and
+        R f(0) = exp(-f(0)).
+        """
+        a, scalar = checked(a, "a", 0.0, self.lambda2, "[)")
+        f_a = self.ext.at(a) if f_a is None else np.atleast_1d(f_a)
+        return self._result(self._r(a, abs_lambda, f_a), scalar)
+
+    def r_samples(self, abs_lambda: float) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's R nodes t, which the (Tf)' integral sums over, and R f
+        there (one row per member): f is its stored values at the working
+        grid's nodes, and its interpolant at the fraction 1/2 of each
+        interval at the hard-cutoff midpoints."""
+        t, f_t = self.plan.r_nodes, self.ext.values[..., :-1]
+        if self.plan.tail_mode == HARD_CUTOFF:
+            mids = self.ext.at_fractions([0.5])[..., :-1]
+            f_t = np.insert(f_t, np.arange(1, f_t.shape[-1]), mids, axis=-1)
+        return t, self._r(t, abs_lambda, f_t)
 
 
 class SampledPVTransform:

@@ -1,11 +1,12 @@
 """The fixed-point map T, built on the rescaled transform R, and the norm.
 
 R f(a) = (1 - |lam| pi a H_a[exp f]) / exp f(a) has one home,
-``HilbertOfExp.r``.  The derivative of the image,
+``HilbertOfExp``, which also owns f on the working grid and the R nodes t
+(``r_samples``).  The derivative of the image,
 
     (T f)'(b) = -1/(1+b) + |lam| int_0^inf dt / ((|lam| pi t)^2 + (b + Rf(t))^2),
 
-is evaluated on a shared cache of R samples; T f itself is recovered by
+is evaluated on a shared cache of R samples at t; T f itself is recovered by
 cumulative integration from 0, which pins T f(0) = 0 exactly.  Beyond
 the quadrature grid the integrand is closed using the asymptotically
 affine model of R and the arctan antiderivative
@@ -38,7 +39,7 @@ import numpy as np
 from .coupling import Coupling
 from .domain import checked, unwrap
 from .farfield import DENSE_MAX, LogBoxes
-from .grids import GridFunction, HARD_CUTOFF, POWER_LAW_EXTEND, QuadratureConfig
+from .grids import GridFunction, POWER_LAW_EXTEND, QuadratureConfig
 from .grids import log_envelope_function
 from .hilbert import HilbertOfExp, QuadratureError
 from .quadrature import composite_weights, cumulative_integral, row_blocks
@@ -97,14 +98,7 @@ class TOperator:
         """The R samples of f, or of each member of a block (a sequence of
         members on one grid, one cache each, sharing one ``HilbertOfExp``)."""
         he = HilbertOfExp(f, self.cfg)
-        # the R nodes are the working grid's nodes, with the midpoints of
-        # its intervals in hard-cutoff mode; f there is its stored values
-        # and the interpolant at the fraction 1/2 of each interval
-        t, f_t = he.plan.r_nodes, he.ext.values[..., :-1]
-        if self.cfg.tail_mode == HARD_CUTOFF:
-            mids = he.ext.at_fractions([0.5])[..., :-1]
-            f_t = np.insert(f_t, np.arange(1, f_t.shape[-1]), mids, axis=-1)
-        rf = he.r(t, self.coupling.abs_lambda, allow_extension=True, f_a=f_t)
+        t, rf = he.r_samples(self.coupling.abs_lambda)
         w = composite_weights(t)
         k = int(np.searchsorted(t, t[-1] / 10.0))  # the last decade of t
         caches = []

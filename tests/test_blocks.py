@@ -95,11 +95,15 @@ def test_block_r_values_are_those_of_each_member(size, series_lengths):
     r_nodes = HilbertOfExp(members[0], CFG).plan.r_nodes
     assert r_nodes.size > DENSE_MAX
     al = COUPLING.abs_lambda
-    alone = [[HilbertOfExp(f, CFG).r(a, al, allow_extension=True) for f in members]
-             for a in (probes, r_nodes)]
+
+    def r_values(f):
+        """R at the probes, and at the R nodes as rf_cache forms it."""
+        he = HilbertOfExp(f, CFG)
+        return he.r(probes, al), he.r_samples(al)[1]
+
+    alone = list(zip(*(r_values(f) for f in members)))
     series_lengths.clear()
-    for a, rows in zip((probes, r_nodes), alone):
-        block = HilbertOfExp(members, CFG).r(a, al, allow_extension=True)
+    for a, rows, block in zip((probes, r_nodes), alone, r_values(members)):
         assert block.shape == (size, a.size)
         for one, row in zip(rows, block):
             assert np.array_equal(one, row)

@@ -225,6 +225,36 @@ class TestSampledTransformLinearity:
         assert calls == [panels]
 
 
+class TestNonFiniteTransform:
+    """A transform that comes out non-finite raises QuadratureError."""
+
+    @pytest.mark.parametrize("point", ["at", "at_zero"])
+    def test_sampled_transform_of_nan_values(self, point):
+        nodes = make_nodes(300, 1e4)
+        vals = nodes / (1.0 + nodes)
+        vals[5] = math.nan
+        transform = SampledPVTransform(nodes)
+        with pytest.raises(hilbert.QuadratureError, match="non-finite"):
+            if point == "at":
+                transform.at(vals, np.array([0.9, 55.0]))
+            else:
+                transform.at_zero(vals)
+
+    @pytest.mark.parametrize("mode", [POWER_LAW_EXTEND, HARD_CUTOFF])
+    def test_transform_of_exp_with_a_nan_sum(self, mode, monkeypatch):
+        # the members are validated as finite, so only a broken sum gets here
+        nodes = make_nodes(300, 1e4)
+        cfg = QuadratureConfig(n_nodes=300, lambda2=1e4, tail_mode=mode)
+        he = HilbertOfExp(log_envelope_function(nodes, -0.8), cfg)
+        monkeypatch.setattr(hilbert._Panels, "pv",
+                            lambda self, sub_s, a, s_a: np.full(s_a.shape, math.nan))
+        for call in (lambda: he.quotient(np.array([0.9, 55.0])),
+                     lambda: he.r(np.array([0.0, 0.9]), 0.1),
+                     lambda: he.r_samples(0.1)):
+            with pytest.raises(hilbert.QuadratureError, match="non-finite"):
+                call()
+
+
 def chunked_pv(sub_x, sub_w, sub_s, x_end, a, s_a):
     """Dense reference for the PV kernel: the PV quadrature in 128-row
     chunks with fresh temporaries, as it was computed before blocking and
@@ -364,9 +394,12 @@ class TestCompressedTransform:
         f = random_klambda(fig_coupling, make_nodes(n_nodes, lam2),
                            np.random.default_rng(n_nodes))
         he = HilbertOfExp(f, cfg)
-        for a in (np.geomspace(1e-3, 0.9 * lam2, DENSE_MAX + 1), he.ext.nodes[1:-1]):
+        probes, working = np.geomspace(1e-3, 0.9 * lam2, DENSE_MAX + 1), he.ext.nodes[1:-1]
+        # the working grid runs past the cutoff, outside quotient's domain
+        for a, quot in ((probes, he.quotient(probes)),
+                        (working, he._quotient(working, np.exp(he.ext.at(working))))):
             assert_matches_dense(
-                he.quotient(a, allow_extension=True),
+                quot,
                 chunked_quotient(he, a),
                 chunked_quotient(he, a, reversed_pv),
             )

@@ -184,8 +184,8 @@ class TestNumericalFailures:
                                           monkeypatch):
         # R falls through its last decade, so the secant tail model has no
         # positive slope
-        monkeypatch.setattr(HilbertOfExp, "r", lambda self, a, *args, **kwargs:
-                            5.0 - np.log1p(a))
+        monkeypatch.setattr(HilbertOfExp, "r_samples", lambda self, abs_lambda:
+                            (self.plan.r_nodes, 5.0 - np.log1p(self.plan.r_nodes)))
         op = TOperator(fig_coupling, cfg600)
         f = log_envelope_function(grid600, fig_coupling.lower_envelope_exponent())
         with pytest.raises(hilbert.QuadratureError, match="non-positive slope"):
@@ -321,7 +321,7 @@ class TestBlockedDerivativeExact:
         assert calls == [he.sub_x.size]
         monkeypatch.undo()
         f_t = Interpolant(he.ext.nodes, he.ext.values, he.ext.derivs).at(t[1:])
-        quot = he.quotient(t[1:], allow_extension=True)
+        quot = he._quotient(t[1:], np.exp(f_t))
         rf = np.exp(-f_t) - fig_coupling.abs_lambda * math.pi * t[1:] * quot
         assert np.array_equal(cache.rf[1:], rf)
 
@@ -333,7 +333,8 @@ class TestBlockedDerivativeExact:
         cfg = QuadratureConfig(n_nodes=600, lambda2=1e6, tail_mode=mode)
         op = TOperator(fig_coupling, cfg)
         cache = op.rf_cache(random_klambda(fig_coupling, grid600, rng))
-        rf = cache.hilbert.r(cache.t_nodes, fig_coupling.abs_lambda, allow_extension=True)
+        he, t = cache.hilbert, cache.t_nodes
+        rf = he._r(t, fig_coupling.abs_lambda, he.ext.at(t))
         if mode == POWER_LAW_EXTEND:
             assert np.array_equal(cache.rf, rf)
         else:

@@ -94,3 +94,20 @@ def test_verify_margins_and_statuses(outputs, pair):
     assert ("- verify.json suite.check[0]: margin 0.001 -> 0.0010000000000000002 "
             "(rel 2.2e-16, 1 ulp)") in text
     assert "- verify.json suite.check[1]: status pass -> fail" in text
+
+
+def test_every_command_runs_under_w_error(outputs, tmp_path, monkeypatch):
+    # a floating-point warning in any command of the set fails its run
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        Path(command[command.index("--out") + 1]).write_text("")
+
+    monkeypatch.setattr(outputs.subprocess, "run", fake_run)
+    outputs.run(tmp_path)
+    assert len(commands) == len(outputs.COMMANDS)
+    for command in commands:
+        assert command[1:5] == ["-W", "error", "-m", "carlemanfp.cli"]
+    assert ["gab", f"--lambda={outputs.LAMBDA}", "--grid=300"] in [c[5:8] for c in commands]
+    assert (tmp_path / outputs.SUMS).read_text().count("\n") == len(outputs.COMMANDS)

@@ -232,3 +232,33 @@ def test_the_interpolant_has_one_home():
     assert not hasattr(hilbert, "Extension")
     assert not hasattr(grids, "hermite_eval")
     assert not hasattr(grids.GridFunction, "slopes")
+
+
+def test_f_on_the_working_grid_has_one_owner():
+    # HilbertOfExp builds f on the working grid and forms R at its plan's R
+    # nodes (r_samples); no module-level builder, no switch that widens a
+    # domain to the working grid, and the operator neither decides the
+    # tail mode's R nodes nor reads the extension
+    package = Path(carlemanfp.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "allow_extension" in params:
+                    offenders.append(f"{path.name}:{node.lineno} takes allow_extension")
+                if (path.name == "hilbert.py" and not isinstance(node, ast.Lambda)
+                        and node.name == "extend_for_quadrature"):
+                    offenders.append(f"hilbert.py:{node.lineno} defines extend_for_quadrature")
+            if path.name != "operators.py":
+                continue
+            if isinstance(node, ast.Name) and node.id == "HARD_CUTOFF":
+                offenders.append(f"operators.py:{node.lineno} names HARD_CUTOFF")
+            elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "HARD_CUTOFF" for alias in node.names
+            ):
+                offenders.append(f"operators.py:{node.lineno} imports HARD_CUTOFF")
+            elif isinstance(node, ast.Attribute) and node.attr in ("ext", "HARD_CUTOFF"):
+                offenders.append(f"operators.py:{node.lineno} reads .{node.attr}")
+    assert offenders == []

@@ -4,9 +4,12 @@ output's SHA-256, and compare the outputs with an earlier run.
     python tools/outputs.py --out DIR [--against REF]
 
 The set: ``solve`` at lambda = -0.159154 and -1/6, ``figure2``,
-``gab --grid=12`` and ``verify --suite=all`` at seeds 0-4, each with its
-manifest next to it; ``DIR/SHA256SUMS`` lists the outputs' digests.  The
-package is the one under ``src/`` next to this script.
+``gab --grid=12`` and ``--grid=300`` and ``verify --suite=all`` at seeds
+0-4, each with its manifest next to it; ``DIR/SHA256SUMS`` lists the
+outputs' digests.  The package is the one under ``src/`` next to this
+script.  Every command runs under ``python -W error``, so a
+floating-point warning (an overflow, division by zero or invalid
+operation in a kernel) fails its run, and the tool with it.
 
 With ``--against REF``, a directory an earlier run wrote, it prints a
 Markdown table: per file and column, the rows that changed and the
@@ -38,6 +41,7 @@ COMMANDS = {
     "solve-1_6.csv": ["solve", f"--lambda={-1.0 / 6.0!r}"],
     "figure2.csv": ["figure2"],
     "gab-12.csv": ["gab", f"--lambda={LAMBDA}", "--grid=12"],
+    "gab-300.csv": ["gab", f"--lambda={LAMBDA}", "--grid=300"],
     **{f"verify-seed{s}.json": ["verify", "--suite=all", f"--seed={s}"] for s in range(5)},
 }
 SUMS = "SHA256SUMS"
@@ -49,7 +53,8 @@ def run(out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, args in COMMANDS.items():
-        command = [sys.executable, "-m", "carlemanfp.cli", *args, "--out", str(out / name)]
+        command = [sys.executable, "-W", "error", "-m", "carlemanfp.cli", *args,
+                   "--out", str(out / name)]
         subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
     lines = [f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}\n"
              for name in COMMANDS]
